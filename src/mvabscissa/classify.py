@@ -64,6 +64,8 @@ class DegeneracyReport:
 def classify_point(p: mvt.Problem, b0: float, c0: float,
                    kmax: int = DEFAULT_KMAX, tol: float = SOLUTION_TOL) -> DegeneracyReport:
     """Classify the solution point (b0, c0) of F(b, c) = 0."""
+    if not (np.isfinite(b0) and np.isfinite(c0)):
+        raise ValueError(f"need a finite point, got ({b0!r}, {c0!r})")
     value, f_b, f_c = (float(v) for v in mvt.big_f(p, b0, c0))
     jc = expr.jet_eval(p.f, c0, 2)
     scale = max(1.0, abs(float(jc.coeffs[1])), abs(value + float(jc.coeffs[1])))
@@ -109,8 +111,8 @@ class MorseChart:
     """Coordinates (u, v) in which g1(x) - g2(y) = sigma1*u^l - sigma2*v^k.
 
     u(x) = x * (sigma1 * g1(x) / x^l)^(1/l) and analogously v(y); valid on
-    the window where the radicands stay positive.  Inverses are computed by
-    numerical inversion (bisection on the monotone local chart).
+    the window where the radicands stay positive and u (v) increases.
+    Inverses are computed by bisection on that window.
     """
 
     _SERIES_CUTOFF = 1e-4
@@ -125,8 +127,8 @@ class MorseChart:
         wx0 = 0.5 * min(b0 - p.a0, p.domain[1] - b0 if p.domain[1] > b0 else b0 - p.a0)
         wx0 = wx0 or 0.5 * (b0 - p.a0)
         wy0 = 0.5 * min(c0 - p.a0, b0 - c0)
-        self.window_x = self._find_window(self._ratio1, report.sigma1, wx0)
-        self.window_y = self._find_window(self._ratio2, report.sigma2, wy0)
+        self.window_x = self._find_window(self.u, wx0)
+        self.window_y = self._find_window(self.v, wy0)
 
     def _ratio(self, series, order, t):
         t = np.asarray(t, dtype=float)
@@ -140,49 +142,37 @@ class MorseChart:
             direct = np.asarray(g, dtype=float) / t ** order
         return np.where(small, tail, direct)
 
-    def _ratio1(self, x):
-        return self._ratio(self._s1, self.report.l, x)
-
-    def _ratio2(self, y):
-        return self._ratio(self._s2, self.report.k, y)
-
-    def _find_window(self, ratio, sigma, w0):
+    def _find_window(self, fwd, w0):
+        """Halve w0 until the chart coordinate fwd is defined and strictly
+        increasing on 257 points of [-w, w]."""
         w = w0
         ts = np.linspace(-1.0, 1.0, 257)
         for _ in range(60):
-            if np.all(sigma * ratio(ts * w) > 0):
-                return w
+            try:
+                if np.all(np.diff(fwd(ts * w)) > 0):
+                    return w
+            except OutsideNeighborhood:
+                pass
             w *= 0.5
-        raise OutsideNeighborhood("no window with positive radicand found")
+        raise OutsideNeighborhood("no window with positive radicand and monotone chart found")
 
     def u(self, x):
-        r = self.report.sigma1 * self._ratio1(x)
+        r = self.report.sigma1 * self._ratio(self._s1, self.report.l, x)
         if np.any(r <= 0):
             raise OutsideNeighborhood("sigma1 * g1(x)/x^l is not positive here")
         return np.asarray(x, dtype=float) * _root(r, self.report.l)
 
     def v(self, y):
-        r = self.report.sigma2 * self._ratio2(y)
+        r = self.report.sigma2 * self._ratio(self._s2, self.report.k, y)
         if np.any(r <= 0):
             raise OutsideNeighborhood("sigma2 * g2(y)/y^k is not positive here")
         return np.asarray(y, dtype=float) * _root(r, self.report.k)
 
     def _invert(self, fwd, window, target):
-        lo, hi = -window, window
-        flo, fhi = float(fwd(lo)), float(fwd(hi))
-        if not min(flo, fhi) <= target <= max(flo, fhi):
+        if not float(fwd(-window)) <= target <= float(fwd(window)):
             raise OutsideNeighborhood(f"target {target!r} outside the chart window")
-        increasing = fhi >= flo
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = float(fwd(mid))
-            if (fm < target) == increasing:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
-                break
-        return 0.5 * (lo + hi)
+        # fwd increases on the window, so fwd - target is negative below x
+        return mvt._bisect_one(lambda x: fwd(x) - target, -window, window, -1.0)
 
     def x_of_u(self, u):
         return self._invert(self.u, self.window_x, float(u))
@@ -223,38 +213,18 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
         raise DegenerateProblem("no interior global extremum found")
 
     def gp(c):
-        return float(expr.jet_eval(p.f, c, 1).coeffs[1])
+        return expr.jet_eval(p.f, c, 1).coeffs[1]
 
     lo, hi = float(xs[max(0, i0 - 1)]), float(xs[min(grid_n, i0 + 1)])
-    glo, ghi = gp(lo), gp(hi)
-    if glo * ghi < 0:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            gm = gp(mid)
-            if gm == 0.0:
-                lo = hi = mid
-                break
-            if (gm > 0) == (glo > 0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-            if hi - lo <= 1e-16 * max(1.0, abs(lo), abs(hi)):
-                break
-        c0 = 0.5 * (lo + hi)
+    glo = gp(lo)
+    if glo * gp(hi) < 0:
+        c0 = mvt._bisect_one(gp, lo, hi, glo)
     else:
         # flat extremum: ternary search on the (negated) extremal value
-        want_max = abs(float(gv[i_max])) >= abs(float(gv[i_min]))
-        sgn = 1.0 if want_max else -1.0
-        for _ in range(200):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if sgn * float(expr.evaluate(p.f, m1)) < sgn * float(expr.evaluate(p.f, m2)):
-                lo = m1
-            else:
-                hi = m2
-            if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-                break
-        c0 = 0.5 * (lo + hi)
+        sgn = 1.0 if abs(float(gv[i_max])) >= abs(float(gv[i_min])) else -1.0
+        c0 = float(mvt._ternary_min(
+            lambda _, c: -sgn * expr.evaluate(p.f, c), np.array([lo]), np.array([hi]),
+            np.array([1e-14 * max(1.0, abs(lo), abs(hi))]))[0])
 
     t = expr.jet_eval(p.f, c0, kmax + 1).coeffs
     deriv_series = tuple((j + 1) * t[j + 1] for j in range(kmax + 1))

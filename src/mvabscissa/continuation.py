@@ -1,12 +1,18 @@
 """Branch tracing for the solution curves of F(b, c) = 0.
 
-Euler predictor with slope -F_b/F_c, then a corrector: chord (contraction)
-iteration while F_c is healthy, derivative-free bisection where the seed is
-merely UNIQUE_ODD and F_c may vanish.
+One walker follows both kinds of branch: t = T(s) on G(s, t) = 0, where G is
+F for c = C(b), and F with its two arguments and its two partials swapped
+for b = B(c).  Each step is an Euler predictor with slope -G_s/G_t and a
+chord (contraction) corrector; where a c = C(b) seed is merely UNIQUE_ODD
+and F_c may vanish, a derivative-free bisection corrects instead.  A
+corrector hands back G and its partials at the point it accepts, which
+serve as the residual check, the point's residual and the next step's
+predictor, so each point is evaluated once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +22,7 @@ from .errors import SeedNotRegular, SeedSearchFailed
 
 DEGENERACY_THRESHOLD = 1e-7
 NONZERO_B = 1e-9
+MAX_POINTS = 100000
 
 STOP_RANGE = "range exhausted"
 STOP_DEGENERATE = "degenerate F_c"
@@ -44,113 +51,114 @@ class Branch:
         }
 
 
-def _chord_correct(p, b, c_pred, tol):
-    """Re-centered contraction iteration for F(b, .) = 0 near c_pred."""
-    m = float(mvt.big_f(p, b, c_pred)[2])
-    scale = max(1.0, abs(float(mvt.big_f(p, b, c_pred)[1])))
-    if abs(m) < DEGENERACY_THRESHOLD * scale:
+def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
+    """Euler predictor with slope -G_s/G_t, then a re-centered contraction
+    iteration for G(s, .) = 0."""
+    g_s, g_t = slope
+    if abs(g_t) < DEGENERACY_THRESHOLD * max(1.0, abs(g_s)):
         return None, STOP_DEGENERATE
-    c = float(c_pred)
-    leash = 1.0 + abs(c_pred)
+    t_pred = t_prev - g_s / g_t * (s - s_prev)
+    at = G(s, t_pred)
+    m = at[2]
+    if abs(m) < DEGENERACY_THRESHOLD * max(1.0, abs(at[1])):
+        return None, STOP_DEGENERATE
+    t, leash = t_pred, 1.0 + abs(t_pred)
     for _ in range(80):
-        fv = float(mvt.big_f(p, b, c)[0])
-        step = fv / m
-        c -= step
-        if not np.isfinite(c) or abs(c - c_pred) > leash:
+        step = at[0] / m
+        t, t_old = t - step, t
+        if not np.isfinite(t) or abs(t - t_pred) > leash:
             return None, STOP_CORRECTOR
-        if abs(step) <= 1e-14 * max(1.0, abs(c)):
+        if t != t_old:
+            at = G(s, t)
+        if abs(step) <= 1e-14 * max(1.0, abs(t)):
             break
-    if abs(float(mvt.big_f(p, b, c)[0])) > tol:
-        return None, STOP_CORRECTOR
-    return c, None
+    return t, at
 
 
-def _bisect_correct(p, b, c_pred, window0, tol, lo_lim, hi_lim):
-    """Derivative-free corrector: bracket a sign change of F(b, .) near c_pred."""
-
-    def fval(c):
-        return float(mvt.big_f(p, b, c)[0])
-
-    w = max(window0, 1e-12)
+def _bisect_correct(p, b0, G, b, b_prev, c_prev, slope, h, dc):
+    """Derivative-free corrector, for a UNIQUE_ODD seed where F_c may vanish:
+    bracket the sign change of F(b, .) nearest c_prev and bisect it."""
+    w = max(4.0 * abs(dc), h, 1e-6 * (b0 - p.a0), 1e-12)
     for _ in range(60):
-        lo = max(lo_lim, c_pred - w)
-        hi = min(hi_lim, c_pred + w)
+        lo = max(p.a0, c_prev - w)
+        hi = min(b, c_prev + w)
         if hi <= lo:
-            return None, STOP_DOMAIN
+            break
         grid = np.linspace(lo, hi, 65)
         fv = np.asarray(mvt.big_f(p, b, grid)[0], dtype=float)
         sc = np.nonzero(fv[:-1] * fv[1:] <= 0)[0]
         if sc.size:
             # bracket closest to the prediction
             mids = 0.5 * (grid[sc] + grid[sc + 1])
-            i = int(sc[np.argmin(np.abs(mids - c_pred))])
-            a, bb = float(grid[i]), float(grid[i + 1])
-            fa = float(fv[i])
-            for _ in range(200):
-                mid = 0.5 * (a + bb)
-                fm = fval(mid)
-                if fm == 0.0:
-                    a = bb = mid
-                    break
-                if (fm > 0) == (fa > 0):
-                    a, fa = mid, fm
-                else:
-                    bb = mid
-                if bb - a <= 1e-16 * max(1.0, abs(a), abs(bb)):
-                    break
-            c = 0.5 * (a + bb)
-            if abs(fval(c)) > tol:
-                return None, STOP_CORRECTOR
-            return c, None
-        if lo == lo_lim and hi == hi_lim:
+            i = int(sc[np.argmin(np.abs(mids - c_prev))])
+            c = mvt._bisect_one(lambda c: mvt.big_f(p, b, c)[0],
+                                grid[i], grid[i + 1], fv[i])
+            return c, G(b, c)
+        if lo == p.a0 and hi == b:
             break
         w *= 2.0
     return None, STOP_CORRECTOR
 
 
-def _march_c(p, b0, c0, direction, b_limit, step, tol, bisection):
-    """Walk a c = C(b) branch from (b0, c0) toward b_limit."""
-    points = []
-    b, c = float(b0), float(c0)
-    prev_dc = 0.0
-    k = 0
-    while True:
-        remaining = (b_limit - b) * direction
-        if remaining <= 1e-12 * max(1.0, abs(b_limit)):
+def _march(G, start, direction, s_limit, step, tol, correct, s_span, point):
+    """Walk the branch t = T(s) of G(s, t) = 0 from start toward s_limit.
+
+    G(s, t) gives G and its partials (G_s, G_t) as floats, and start is the
+    seed (s, t, (G_s, G_t)).  A step goes to an s_next with lo < s_next <= hi
+    for s_span = (lo, hi).  There correct(G, s_next, s, t, slope, h, dt)
+    returns the new t and G's triple at it, or None and a stop reason; dt is
+    the change in t of the last step.  The new point must have a residual
+    within tol, and point(s, t, G) must turn it into a SolutionPoint rather
+    than None.  Returns the SolutionPoints and the stop reason.
+    """
+    s, t, slope = start
+    points, dt = [], 0.0
+    while len(points) <= MAX_POINTS:
+        remaining = (s_limit - s) * direction
+        if remaining <= 1e-12 * max(1.0, abs(s_limit)):
             return points, STOP_RANGE
-        tried_half = False
         h = min(step, remaining)
-        while True:
-            b_next = b + direction * h
-            if not (p.domain[0] <= b_next <= p.domain[1]) or b_next <= p.a0:
+        for _ in range(2):  # the step, then half of it
+            s_next = s + direction * h
+            if not s_span[0] < s_next <= s_span[1]:
                 return points, STOP_DOMAIN
-            value, f_b, f_c = (float(v) for v in mvt.big_f(p, b, c))
-            scale = max(1.0, abs(f_b))
-            if not bisection and abs(f_c) < DEGENERACY_THRESHOLD * scale:
+            t_next, at = correct(G, s_next, s, t, slope, h, dt)
+            if t_next is None and at == STOP_DEGENERATE:
                 return points, STOP_DEGENERATE
-            c_pred = c - f_b / f_c * (b_next - b) if not bisection else c
-            if bisection:
-                window0 = max(4.0 * abs(prev_dc), h, 1e-6 * (b0 - p.a0))
-                c_new, why = _bisect_correct(p, b_next, c_pred, window0, tol,
-                                             p.a0, b_next)
-            else:
-                c_new, why = _chord_correct(p, b_next, c_pred, tol)
-            if c_new is not None and p.a0 < c_new < b_next:
+            if t_next is not None and abs(at[0]) <= tol:
                 break
-            if c_new is not None:
-                return points, STOP_DOMAIN
-            if why == STOP_DEGENERATE:
-                return points, STOP_DEGENERATE
-            if tried_half:
-                return points, STOP_CORRECTOR
-            tried_half = True
             h *= 0.5
-        prev_dc = c_new - c
-        b, c = b_next, c_new
-        points.append(mvt.solution_point(p, b, c, tol))
-        k += 1
-        if k > 100000:
+        else:
             return points, STOP_CORRECTOR
+        q = point(s_next, t_next, at[0])
+        if q is None:
+            return points, STOP_DOMAIN
+        points.append(q)
+        s, t, slope, dt = s_next, t_next, at[1:], t_next - t
+    return points, STOP_CORRECTOR
+
+
+def _branch(p, order, start, s_range, step, tol, correct, s_span, **fields):
+    """Walk both ways from the seed and gather the Branch.
+
+    order(s, t) is (b, c) for the walk's (s, t); being its own inverse, it
+    also turns F's partials (F_b, F_c) into G's (G_s, G_t).
+    """
+
+    def G(s, t):
+        value, f_b, f_c = (float(v) for v in mvt.big_f(p, *order(s, t)))
+        return (value, *order(f_b, f_c))
+
+    def point(s, t, value):
+        b, c = order(s, t)
+        return mvt.SolutionPoint(b, c, abs(value)) if p.a0 < c < b <= p.domain[1] else None
+
+    up, stop_upper = _march(G, start, +1, s_range[1], step, tol, correct, s_span, point)
+    down, stop_lower = _march(G, start, -1, s_range[0], step, tol, correct, s_span, point)
+    seed = mvt.solution_point(p, *order(*start[:2]), max(tol, classify.SOLUTION_TOL))
+    return Branch(points=down[::-1] + [seed] + up,
+                  seed_index=len(down), stop_lower=stop_lower,
+                  stop_upper=stop_upper, **fields)
 
 
 def trace_c_of_b(p: mvt.Problem, b0: float, c0: float, b_range, step=None,
@@ -165,88 +173,30 @@ def trace_c_of_b(p: mvt.Problem, b0: float, c0: float, b_range, step=None,
     if report.case not in (classify.Case.REGULAR_C, classify.Case.UNIQUE_ODD):
         raise SeedNotRegular(
             f"seed classifies as {report.case.value}; no unique local C(b)")
-    bisection = report.case == classify.Case.UNIQUE_ODD
-
-    up, stop_upper = _march_c(p, b0, c0, +1, hi, step, tol, bisection)
-    down, stop_lower = _march_c(p, b0, c0, -1, lo, step, tol, bisection)
-    seed = mvt.solution_point(p, b0, c0, max(tol, classify.SOLUTION_TOL))
-    points = list(reversed(down)) + [seed] + up
-    return Branch(points=points, seed_index=len(down),
-                  stop_lower=stop_lower, stop_upper=stop_upper,
-                  seed_case=report.case.value, parameter="b")
-
-
-def _march_b(p, b0, c0, direction, c_limit, step, tol):
-    """Walk a b = B(c) branch from (b0, c0) toward c_limit."""
-    points = []
-    b, c = float(b0), float(c0)
-    while True:
-        remaining = (c_limit - c) * direction
-        if remaining <= 1e-12 * max(1.0, abs(c_limit)):
-            return points, STOP_RANGE
-        tried_half = False
-        h = min(step, remaining)
-        while True:
-            c_next = c + direction * h
-            value, f_b, f_c = (float(v) for v in mvt.big_f(p, b, c))
-            scale = max(1.0, abs(f_c))
-            if abs(f_b) < DEGENERACY_THRESHOLD * scale:
-                return points, STOP_DEGENERATE
-            b_pred = b - f_c / f_b * (c_next - c)
-            b_new, why = _chord_correct_b(p, c_next, b_pred, tol)
-            if b_new is not None and p.a0 < c_next < b_new \
-                    and p.domain[0] <= b_new <= p.domain[1]:
-                break
-            if b_new is not None:
-                return points, STOP_DOMAIN
-            if why == STOP_DEGENERATE:
-                return points, STOP_DEGENERATE
-            if tried_half:
-                return points, STOP_CORRECTOR
-            tried_half = True
-            h *= 0.5
-        b, c = b_new, c_next
-        points.append(mvt.solution_point(p, b, c, tol))
-
-
-def _chord_correct_b(p, c, b_pred, tol):
-    m = float(mvt.big_f(p, b_pred, c)[1])
-    scale = max(1.0, abs(float(mvt.big_f(p, b_pred, c)[2])))
-    if abs(m) < DEGENERACY_THRESHOLD * scale:
-        return None, STOP_DEGENERATE
-    b = float(b_pred)
-    leash = 1.0 + abs(b_pred)
-    for _ in range(80):
-        fv = float(mvt.big_f(p, b, c)[0])
-        step = fv / m
-        b -= step
-        if not np.isfinite(b) or abs(b - b_pred) > leash:
-            return None, STOP_CORRECTOR
-        if abs(step) <= 1e-14 * max(1.0, abs(b)):
-            break
-    if abs(float(mvt.big_f(p, b, c)[0])) > tol:
-        return None, STOP_CORRECTOR
-    return b, None
+    correct = _chord_correct
+    if report.case == classify.Case.UNIQUE_ODD:
+        correct = functools.partial(_bisect_correct, p, b0)
+    # classify_point has evaluated F_b and f'' = -F_c at the seed
+    start = (float(b0), float(c0), (report.f_b, -report.f_pp_c0))
+    return _branch(p, lambda b, c: (b, c), start, (lo, hi), step, tol, correct,
+                   (p.a0, p.domain[1]), seed_case=report.case.value, parameter="b")
 
 
 def trace_b_of_c(p: mvt.Problem, b0: float, c0: float, c_range, step=None,
                  tol: float = mvt.DEFAULT_TOL, kmax: int = classify.DEFAULT_KMAX) -> Branch:
     """Trace the branch b = B(c) through the seed; needs f'(b0) != f'(c0)."""
     lo, hi = float(c_range[0]), float(c_range[1])
+    if not np.isfinite(b0):
+        raise ValueError(f"seed b0 must be finite, got {b0!r}")
     if not (lo <= c0 <= hi):
         raise ValueError("seed c0 must lie inside c_range")
     step = step or 0.01 * (b0 - p.a0)
     value, f_b, f_c = (float(v) for v in mvt.big_f(p, b0, c0))
     if abs(f_b) <= NONZERO_B * max(1.0, abs(f_c), abs(value)):
         raise SeedNotRegular("f'(b0) = f'(c0) at the seed; B(c) is not guaranteed")
-
-    up, stop_upper = _march_b(p, b0, c0, +1, hi, step, tol)
-    down, stop_lower = _march_b(p, b0, c0, -1, lo, step, tol)
-    seed = mvt.solution_point(p, b0, c0, max(tol, classify.SOLUTION_TOL))
-    points = list(reversed(down)) + [seed] + up
-    return Branch(points=points, seed_index=len(down),
-                  stop_lower=stop_lower, stop_upper=stop_upper,
-                  seed_case="", parameter="c")
+    start = (float(c0), float(b0), (f_c, f_b))
+    return _branch(p, lambda c, b: (b, c), start, (lo, hi), step, tol, _chord_correct,
+                   (-np.inf, np.inf), seed_case="", parameter="c")
 
 
 def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
@@ -280,21 +230,9 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
             sc = np.nonzero(fv[:-1] * fv[1:] < 0)[0]
             if sc.size:
                 i = int(sc[0])  # grid runs outward from c0: nearest bracket first
-                a, bb = sorted((float(grid[i]), float(grid[i + 1])))
-                fa = float(mvt.big_f(p, b, a)[0])
-                for _ in range(200):
-                    mid = 0.5 * (a + bb)
-                    fm = float(mvt.big_f(p, b, mid)[0])
-                    if fm == 0.0:
-                        a = bb = mid
-                        break
-                    if (fm > 0) == (fa > 0):
-                        a, fa = mid, fm
-                    else:
-                        bb = mid
-                    if bb - a <= 1e-16 * max(1.0, abs(a), abs(bb)):
-                        break
-                return 0.5 * (a + bb)
+                j, k = (i, i + 1) if side_c > 0 else (i + 1, i)
+                return mvt._bisect_one(lambda c: mvt.big_f(p, b, c)[0],
+                                       grid[j], grid[k], fv[j])
             w *= 1.6
         return None
 

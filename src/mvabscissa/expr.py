@@ -18,6 +18,10 @@ import numpy as np
 from .errors import DomainError, ExprSyntaxError, OrderOverflow
 
 MAX_JET_ORDER = 32
+# deepest expression the parser accepts, counting both the height of the tree
+# and the nesting of parentheses, arguments and exponents: far beyond any
+# real formula, and shallow enough for the recursive parser and tree walks
+MAX_DEPTH = 64
 
 _UNARY_FUNCS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -105,6 +109,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # parentheses, arguments and exponents being parsed
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -126,41 +131,64 @@ class _Parser:
             self.i -= tok is not None
             self.error(f"expected {op!r}")
 
+    def within(self, depth):
+        if depth > MAX_DEPTH:
+            self.error(f"expression nested deeper than {MAX_DEPTH}")
+
+    def nested(self, parse):
+        """parse() one level further into parentheses, an argument or an exponent."""
+        self.open += 1
+        self.within(self.open)
+        result = parse()
+        self.open -= 1
+        return result
+
+    def grown(self, node, *heights):
+        """node and its height, one above its highest operand."""
+        height = 1 + max(heights)
+        self.within(height)
+        return node, height
+
+    # each rule returns its node and the height of its tree
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         if self.peek() is not None:
             self.error("trailing input")
         return node
 
     def expr(self):
-        node = self.term()
+        node, height = self.term()
         while (tok := self.peek()) and tok[0] == "op" and tok[1] in "+-":
             self.next()
-            node = Binary(tok[1], node, self.term())
-        return node
+            right, h = self.term()
+            node, height = self.grown(Binary(tok[1], node, right), height, h)
+        return node, height
 
     def term(self):
-        node = self.factor()
+        node, height = self.factor()
         while (tok := self.peek()) and tok[0] == "op" and tok[1] in "*/":
             self.next()
-            node = Binary(tok[1], node, self.factor())
-        return node
+            right, h = self.factor()
+            node, height = self.grown(Binary(tok[1], node, right), height, h)
+        return node, height
 
     def factor(self):
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.next()
-            return Unary("neg", self.power())
+            arg, height = self.power()
+            return self.grown(Unary("neg", arg), height)
         return self.power()
 
     def power(self):
-        base = self.atom()
+        base, height = self.atom()
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "^":
             self.next()
             # right-associative; allow a sign on the exponent
-            return Binary("^", base, self.factor())
-        return base
+            exponent, h = self.nested(self.factor)
+            return self.grown(Binary("^", base, exponent), height, h)
+        return base, height
 
     def atom(self):
         tok = self.next()
@@ -174,18 +202,18 @@ class _Parser:
                 raise ExprSyntaxError(f"malformed number {value!r}", pos) from None
             if not np.isfinite(v):
                 raise ExprSyntaxError(f"non-finite number {value!r}", pos)
-            return Const(v)
+            return Const(v), 1
         if kind == "ident":
             if value == "x":
-                return Var()
+                return Var(), 1
             if value in _UNARY_FUNCS:
                 self.expect("(")
-                arg = self.expr()
+                arg, height = self.nested(self.expr)
                 self.expect(")")
-                return Unary(value, arg)
+                return self.grown(Unary(value, arg), height)
             raise ExprSyntaxError(f"unknown identifier {value!r}", pos)
         if value == "(":
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect(")")
             return node
         self.i -= 1

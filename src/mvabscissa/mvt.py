@@ -20,6 +20,19 @@ DEFAULT_TOL = 1e-10
 DEFAULT_GRID_N = 2048
 
 
+def _padded_domain(f, a0, b0):
+    """[a0, b0] padded by its width on each side, with the padding halved,
+    down to none, while f does not evaluate on 65 points of the domain."""
+    w = b0 - a0
+    for pad in [w * 0.5 ** k for k in range(10)] + [0.0]:
+        try:
+            expr.evaluate(f, np.linspace(a0 - pad, b0 + pad, 65))
+            return a0 - pad, b0 + pad
+        except DomainError:
+            if pad == 0.0:
+                raise
+
+
 @dataclass(frozen=True)
 class Problem:
     """A function together with fixed endpoints and an evaluation domain."""
@@ -32,14 +45,15 @@ class Problem:
     def __post_init__(self):
         if not (np.isfinite(self.a0) and np.isfinite(self.b0) and self.a0 < self.b0):
             raise ValueError("need finite endpoints with a0 < b0")
-        if self.domain is None:
-            w = self.b0 - self.a0
-            object.__setattr__(self, "domain", (self.a0 - w, self.b0 + w))
+        padded = self.domain is None
+        if padded:
+            object.__setattr__(self, "domain", _padded_domain(self.f, self.a0, self.b0))
         lo, hi = self.domain
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= self.a0 and hi >= self.b0):
             raise ValueError("domain must be a finite interval containing [a0, b0]")
-        # fail early if f is not evaluable on the domain
-        expr.evaluate(self.f, np.linspace(lo, hi, 65))
+        if not padded:
+            # fail early if f is not evaluable on the domain
+            expr.evaluate(self.f, np.linspace(lo, hi, 65))
 
     @property
     def expression(self) -> str:
@@ -160,7 +174,7 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     bi, ti = np.nonzero(~touch)[0], np.nonzero(touch)[0]
     roots[bi] = _bisect(lambda i, c: F(col[bi[i]], c),
                         lo[bi], hi[bi], flo[bi], width_tol[col[bi]])
-    roots[ti] = _ternary_min(lambda i, c: F(col[ti[i]], c),
+    roots[ti] = _ternary_min(lambda i, c: np.abs(F(col[ti[i]], c)),
                              lo[ti], hi[ti], width_tol[col[ti]])
 
     inside = (p.a0 < roots) & (roots < b_arr[col])
@@ -250,34 +264,44 @@ def _shrink(step, lo, hi, width_tol):
     active = np.nonzero(hi - lo > width_tol)[0]
     while active.size:
         l, h = lo[active], hi[active]
-        lo[active], hi[active] = step(active, l, h)
-        moved = (lo[active] != l) | (hi[active] != h)
-        active = active[moved & (hi[active] - lo[active] > width_tol[active])]
+        lo[active], hi[active] = nl, nh = step(active, l, h)
+        active = active[((nl != l) | (nh != h)) & (nh - nl > width_tol[active])]
     return 0.5 * (lo + hi)
 
 
 def _bisect(fn, lo, hi, flo, width_tol):
-    """Bisection of sign-change brackets; fn(idx, c) is F at c for brackets idx."""
-    flo = flo.copy()
+    """Bisection of sign-change brackets; fn(idx, c) is F at c for brackets idx.
+
+    Only the sign of flo = F(lo) is used: a midpoint where F is positive
+    exactly when F(lo) is becomes the new lo.
+    """
+    up = flo > 0
 
     def step(idx, l, h):
         mid = 0.5 * (l + h)
         fm = fn(idx, mid)
         zero = fm == 0.0
-        same = (fm > 0) == (flo[idx] > 0)
-        flo[idx] = np.where(same, fm, flo[idx])
+        same = (fm > 0) == up[idx]
         return np.where(same | zero, mid, l), np.where(same & ~zero, h, mid)
 
     return _shrink(step, lo, hi, width_tol)
 
 
+def _bisect_one(fn, lo, hi, flo):
+    """_bisect on the one bracket [lo, hi], where fn(c) is F at the float c
+    and F(lo) = flo.  The bracket stops at the width 1e-16 * max(1, |lo|, |hi|)
+    of its start."""
+    ends = np.array([[lo], [hi], [flo], [1e-16 * max(1.0, abs(lo), abs(hi))]], dtype=float)
+    return float(_bisect(lambda _, c: fn(float(c[0])), *ends)[0])
+
+
 def _ternary_min(fn, lo, hi, width_tol):
-    """Ternary search for the minimum of |F| on each bracket; fn as in _bisect."""
+    """Ternary search for the minimum of fn on each bracket; fn as in _bisect."""
 
     def step(idx, l, h):
         m1 = l + (h - l) / 3.0
         m2 = h - (h - l) / 3.0
-        fv = np.abs(fn(np.concatenate([idx, idx]), np.concatenate([m1, m2])))
+        fv = fn(np.concatenate([idx, idx]), np.concatenate([m1, m2]))
         left = fv[:idx.size] <= fv[idx.size:]
         return np.where(left, l, m1), np.where(left, m2, h)
 

@@ -55,6 +55,11 @@ class TestClassifyPoint:
         with pytest.raises(NotASolution):
             classify.classify_point(parabola, 2.0, 0.7)
 
+    def test_non_finite_point_is_rejected(self, parabola):
+        for b, c in ((2.0, math.nan), (math.inf, 1.0), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                classify.classify_point(parabola, b, c)
+
     def test_json_fields(self, x_fourth):
         r = classify.classify_point(x_fourth, 1.0, 0.0)
         d = json.loads(r.to_json())
@@ -121,6 +126,24 @@ class TestMorseCoordinates:
         for y in (-0.4 * chart.window_y, 0.25 * chart.window_y):
             assert abs(chart.y_of_v(float(chart.v(y))) - y) < 1e-10
 
+    def test_sextic_chart_inverts_across_its_whole_window(self, sextic_opposite):
+        # u and v must be monotone on the window, or inversion brackets no root
+        r = classify.classify_point(sextic_opposite, 3.0, 1.0)
+        chart = classify.morse_coordinates(sextic_opposite, 3.0, 1.0, r)
+        for x in np.linspace(-chart.window_x, chart.window_x, 201):
+            assert abs(chart.x_of_u(float(chart.u(x))) - x) <= 1e-10
+        for y in np.linspace(-chart.window_y, chart.window_y, 201):
+            assert abs(chart.y_of_v(float(chart.v(y))) - y) <= 1e-10
+
+    def test_zero_inverts_to_zero(self, quartic_inflection, quintic_same_sign,
+                                  sextic_opposite, x_fourth):
+        for p, b0, c0 in ((quartic_inflection, 3.0, 1.0), (quintic_same_sign, 3.0, 1.0),
+                          (sextic_opposite, 3.0, 1.0), (x_fourth, 1.0, 0.0)):
+            r = classify.classify_point(p, b0, c0)
+            chart = classify.morse_coordinates(p, b0, c0, r)
+            assert chart.x_of_u(0.0) == 0.0
+            assert chart.y_of_v(0.0) == 0.0
+
     def test_no_chart_for_regular_points(self, parabola):
         r = classify.classify_point(parabola, 2.0, 1.0)
         with pytest.raises(ValueError):
@@ -160,6 +183,70 @@ class TestFindExtremalAbscissa:
             assert k % 2 == 1
 
 
+def scalar_bisection_branch(p, b0, c0, b_range, step, tol=mvt.DEFAULT_TOL):
+    """Reference for a UNIQUE_ODD seed: the bisection march of trace_c_of_b,
+    one bracket at a time with one scalar F call per bisection step.
+    Returns the (b, c, residual) of every point."""
+
+    def f_of(b, c):
+        return float(mvt.big_f(p, b, c)[0])
+
+    def correct(b, c_prev, w):
+        # the sign change of F(b, .) nearest c_prev, on a widening grid
+        for _ in range(60):
+            lo, hi = max(p.a0, c_prev - w), min(b, c_prev + w)
+            if hi <= lo:
+                return None
+            grid = np.linspace(lo, hi, 65)
+            fv = np.asarray(mvt.big_f(p, b, grid)[0], dtype=float)
+            sc = np.nonzero(fv[:-1] * fv[1:] <= 0)[0]
+            if sc.size:
+                i = int(sc[np.argmin(np.abs(0.5 * (grid[sc] + grid[sc + 1]) - c_prev))])
+                lo, hi, flo = float(grid[i]), float(grid[i + 1]), float(fv[i])
+                width = 1e-16 * max(1.0, abs(lo), abs(hi))
+                while hi - lo > width:
+                    mid = 0.5 * (lo + hi)
+                    fm = f_of(b, mid)
+                    if fm == 0.0:
+                        lo = hi = mid
+                    elif (fm > 0) == (flo > 0):
+                        if mid == lo:
+                            break
+                        lo, flo = mid, fm
+                    else:
+                        if mid == hi:
+                            break
+                        hi = mid
+                c = 0.5 * (lo + hi)
+                return c if abs(f_of(b, c)) <= tol else None
+            if lo == p.a0 and hi == b:
+                return None
+            w *= 2.0
+        return None
+
+    def march(direction, limit):
+        points, b, c, dc = [], b0, c0, 0.0
+        while (limit - b) * direction > 1e-12 * max(1.0, abs(limit)):
+            h = min(step, (limit - b) * direction)
+            for h in (h, 0.5 * h):
+                b_next = b + direction * h
+                if not p.a0 < b_next <= p.domain[1]:
+                    return points
+                c_next = correct(b_next, c, max(4.0 * abs(dc), h, 1e-6 * (b0 - p.a0), 1e-12))
+                if c_next is not None:
+                    break
+            else:
+                return points
+            if not p.a0 < c_next < b_next:
+                return points
+            points.append((b_next, c_next, abs(f_of(b_next, c_next))))
+            b, c, dc = b_next, c_next, c_next - c
+        return points
+
+    down, up = march(-1, b_range[0]), march(+1, b_range[1])
+    return down[::-1] + [(b0, c0, abs(f_of(b0, c0)))] + up
+
+
 class TestGuaranteedBranch:
     def test_parabola(self, parabola):
         c0, branch = classify.guaranteed_branch(parabola)
@@ -172,6 +259,18 @@ class TestGuaranteedBranch:
         assert abs(c0 - 2.0) <= 1e-10
         for q in branch.points:
             assert abs(q.c - cubic_upper(q.b)) <= 1e-8
+
+    def test_shifted_quartic_matches_scalar_reference(self):
+        # c stays near 2, where brackets end on adjacent floats wider apart
+        # than the stopping width 1e-16 * max(1, |lo|, |hi|)
+        p = mva.Problem(mva.parse("(x-2)^4"), 1.0, 3.0)
+        c0, branch = classify.guaranteed_branch(p, b_range=(2.6, 3.4), step=0.02)
+        assert branch.seed_case == "UNIQUE_ODD"
+        assert abs(c0 - 2.0) <= 1e-7
+        pn = mvt.normalize(p)
+        want = scalar_bisection_branch(pn, 3.0, c0, (2.6, 3.4), 0.02)
+        assert len(want) == 41
+        assert [(q.b, q.c, q.residual) for q in branch.points] == want
 
     def test_pure_quartic(self, x_fourth):
         c0, branch = classify.guaranteed_branch(x_fourth, b_range=(0.8, 1.2))

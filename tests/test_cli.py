@@ -42,6 +42,14 @@ class TestClassify:
         assert run("classify", "-f", "-x^2+2*x", "-a", "0", "-b", "2",
                    "-c", "0.7") == 2
 
+    def test_non_finite_point_is_a_usage_error(self, tmp_path, capsys):
+        for c in ("nan", "inf"):
+            assert run("classify", "-f", "x^2", "-a", "0", "-b", "1", "-c", c) == 1
+            assert "finite" in capsys.readouterr().err
+        assert run("trace", "-f", "x^2", "-a", "0", "-b", "1", "-c", "nan",
+                   "--b-min", "0.5", "--b-max", "1.5", "-o", str(tmp_path / "b.csv")) == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestTrace:
     def test_csv_output(self, tmp_path, capsys):
@@ -111,6 +119,12 @@ class TestExitCodes:
     def test_syntax_error_is_numerical_failure(self, capsys):
         assert run("abscissae", "-f", "2*", "-a", "0", "-b", "2") == 2
         assert "offset 2" in capsys.readouterr().err
+
+    def test_over_deep_expressions_are_syntax_errors(self, capsys):
+        # each once ended in a RecursionError traceback
+        for text in ("(" * 3000 + "x" + ")" * 3000, "x" + "+x" * 2000, "x" + "^1" * 500):
+            assert run("abscissae", "-f", text, "-a", "0", "-b", "2") == 2
+            assert "ExprSyntaxError: expression nested deeper" in capsys.readouterr().err
 
     def test_help_exits_zero_and_lists_flags(self, capsys):
         assert run("--help") == 0

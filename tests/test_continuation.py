@@ -127,6 +127,37 @@ class TestTraceBOfC:
         cs = [q.c for q in br.points]
         assert all(c2 > c1 for c1, c2 in zip(cs, cs[1:]))
 
+    def test_non_finite_seed_is_rejected(self, parabola):
+        with pytest.raises(ValueError, match="finite"):
+            continuation.trace_b_of_c(parabola, math.nan, 1.0, (0.5, 1.5))
+
+
+class TestEvaluations:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The (b, c) of every mvt.big_f call, in order."""
+        calls = []
+        big_f = mvt.big_f
+
+        def recorder(p, b, c):
+            calls.append((np.asarray(b, dtype=float).tolist(),
+                          np.asarray(c, dtype=float).tolist()))
+            return big_f(p, b, c)
+
+        monkeypatch.setattr(mvt, "big_f", recorder)
+        return calls
+
+    def test_chord_march_evaluates_each_point_once(self, calls, parabola):
+        br = continuation.trace_c_of_b(parabola, 2.0, 1.0, (1.5, 2.5), step=0.01)
+        assert len(br.points) == 101
+        assert all(a != b for a, b in zip(calls, calls[1:]))
+
+    def test_b_of_c_march_evaluates_each_point_once(self, calls, quartic_inflection):
+        br = continuation.trace_b_of_c(quartic_inflection, 3.0, 1.0, (0.9, 1.1),
+                                       step=0.002)
+        assert len(br.points) > 50
+        assert all(a != b for a, b in zip(calls, calls[1:]))
+
 
 class TestBranchSeeds:
     def test_two_branch_seed_pair(self, quintic_same_sign):

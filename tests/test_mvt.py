@@ -31,6 +31,28 @@ class TestProblem:
         with pytest.raises(Exception):
             mva.Problem(mva.parse("log(x)"), 1.0, 2.0, domain=(-1.0, 3.0))
 
+    def test_default_domain_shrinks_to_where_f_evaluates(self):
+        # log(x+2) fails at x = -2, the padded domain's left end; f' = 1/(x+2)
+        # + 2x equals the secant slope s where 2c^2 + (4-s)c + 1 - 2s = 0
+        p = mva.Problem(mva.parse("log(x+2) + x^2"), 0.0, 2.0)
+        assert p.domain == (-1.0, 3.0)
+        b = 1.5
+        s = (math.log(b + 2.0) + b * b - math.log(2.0)) / b
+        want = (s - 4.0 + math.sqrt((4.0 - s) ** 2 - 8.0 * (1.0 - 2.0 * s))) / 4.0
+        (got,) = mvt.abscissae(p, b)
+        assert abs(got - want) <= 1e-12
+
+    def test_default_domain_shrinks_past_an_even_root(self):
+        # x^2.5 needs x >= 0; f' = 2.5 x^1.5 - 1 equals the secant slope s
+        # at c = ((s + 1) / 2.5)^(2/3)
+        p = mva.Problem(mva.parse("x^2.5 - x"), 0.1, 2.0)
+        assert 0.0 <= p.domain[0] < 0.1 and p.domain[1] > 2.0
+        b = 1.7
+        s = ((b ** 2.5 - b) - (0.1 ** 2.5 - 0.1)) / (b - 0.1)
+        want = ((s + 1.0) / 2.5) ** (2.0 / 3.0)
+        (got,) = mvt.abscissae(p, b)
+        assert abs(got - want) <= 1e-12
+
     def test_covering_extends_domain(self):
         p = mva.Problem(mva.parse("x^2"), 0.0, 2.0)
         q = p.covering(-5.0, 7.0)
