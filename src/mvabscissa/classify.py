@@ -66,9 +66,10 @@ def classify_point(p: mvt.Problem, b0: float, c0: float,
     """Classify the solution point (b0, c0) of F(b, c) = 0."""
     if not (np.isfinite(b0) and np.isfinite(c0)):
         raise ValueError(f"need a finite point, got ({b0!r}, {c0!r})")
-    value, f_b, f_c = (float(v) for v in mvt.big_f(p, b0, c0))
-    jc = expr.jet_eval(p.f, c0, 2)
-    scale = max(1.0, abs(float(jc.coeffs[1])), abs(value + float(jc.coeffs[1])))
+    b_terms, c_terms = mvt._b_terms(p, b0), mvt._c_terms(p, c0)
+    value, f_b, f_c = (float(v) for v in mvt._f(b_terms, c_terms))
+    fpc = float(c_terms[0])
+    scale = max(1.0, abs(fpc), abs(value + fpc))
     if abs(value) > tol * scale:
         raise NotASolution(f"|F({b0!r}, {c0!r})| = {abs(value)!r} exceeds tolerance")
 
@@ -81,7 +82,7 @@ def classify_point(p: mvt.Problem, b0: float, c0: float,
     beta0 = float(s2[k]) if k is not None else 0.0
     sigma1 = int(np.sign(alpha0))
     sigma2 = int(np.sign(beta0))
-    f_pp_c0 = 2.0 * float(jc.coeffs[2])
+    f_pp_c0 = -f_c
     b_exists = l == 1
 
     if k == 1:
@@ -131,16 +132,28 @@ class MorseChart:
         self.window_y = self._find_window(self.v, wy0)
 
     def _ratio(self, series, order, t):
+        """g(t) / t^order: by Horner on the shifted series where |t| is below
+        the cutoff and the quotient would cancel, and directly elsewhere."""
         t = np.asarray(t, dtype=float)
         small = np.abs(t) < self._SERIES_CUTOFF
-        # Horner on the shifted series where cancellation would bite
+        if t.ndim == 0:
+            return self._tail(series, order, t) if small else self._direct(series, order, t)
+        out = np.empty_like(t)
+        out[small] = self._tail(series, order, t[small])
+        out[~small] = self._direct(series, order, t[~small])
+        return out
+
+    @staticmethod
+    def _tail(series, order, t):
         tail = np.zeros_like(t)
         for coef in reversed(series[order:]):
             tail = tail * t + float(coef)
+        return tail
+
+    def _direct(self, series, order, t):
         g = self.g1(t) if series is self._s1 else self.g2(t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            direct = np.asarray(g, dtype=float) / t ** order
-        return np.where(small, tail, direct)
+            return np.asarray(g, dtype=float) / t ** order
 
     def _find_window(self, fwd, w0):
         """Halve w0 until the chart coordinate fwd is defined and strictly
@@ -213,7 +226,7 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
         raise DegenerateProblem("no interior global extremum found")
 
     def gp(c):
-        return expr.jet_eval(p.f, c, 1).coeffs[1]
+        return mvt._fprime(p, c)
 
     lo, hi = float(xs[max(0, i0 - 1)]), float(xs[min(grid_n, i0 + 1)])
     glo = gp(lo)
@@ -226,7 +239,7 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
             lambda _, c: -sgn * expr.evaluate(p.f, c), np.array([lo]), np.array([hi]),
             np.array([1e-14 * max(1.0, abs(lo), abs(hi))]))[0])
 
-    t = expr.jet_eval(p.f, c0, kmax + 1).coeffs
+    t = expr.jet_eval(p.tape, c0, kmax + 1).coeffs
     deriv_series = tuple((j + 1) * t[j + 1] for j in range(kmax + 1))
     k = expr.vanishing_order(deriv_series, NONZERO_REL_TOL, start=1)
     if k is None:
@@ -239,8 +252,15 @@ def guaranteed_branch(p: mvt.Problem, b_range=None, step=None,
     """The always-available continuous branch through an extremal abscissa.
 
     Normalizes the problem, picks the interior global extremum (odd order of
-    vanishing of f'), and traces c = C(b) through (b0, c0).
+    vanishing of f'), and traces c = C(b) through (b0, c0).  Returns c0 and
+    the branch.
     """
+    c0, _, branch = _guaranteed_branch(p, b_range, step, kmax, tol)
+    return c0, branch
+
+
+def _guaranteed_branch(p, b_range, step, kmax, tol):
+    """guaranteed_branch, which also returns the order k of f' at c0."""
     from . import continuation
 
     pn = mvt.normalize(p)
@@ -251,4 +271,4 @@ def guaranteed_branch(p: mvt.Problem, b_range=None, step=None,
     pn = pn.covering(min(b_range[0], pn.domain[0]), max(b_range[1], pn.domain[1]))
     branch = continuation.trace_c_of_b(
         pn, p.b0, c0, b_range, step=step or 0.01 * w, tol=tol, kmax=kmax)
-    return c0, branch
+    return c0, k, branch

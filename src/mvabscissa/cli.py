@@ -132,9 +132,7 @@ def _cmd_guaranteed(args):
     b_range = None
     if args.b_min is not None and args.b_max is not None:
         b_range = (args.b_min, args.b_max)
-    c0, branch = classify.guaranteed_branch(
-        p, b_range=b_range, step=args.step, kmax=args.kmax, tol=args.tol)
-    _, k = classify.find_extremal_abscissa(mvt.normalize(p), kmax=args.kmax)
+    c0, k, branch = classify._guaranteed_branch(p, b_range, args.step, args.kmax, args.tol)
     print(json.dumps({"c0": c0, "k": k, "points": len(branch.points)}))
     if args.output:
         scanner.emit(branch, args.format, args.output)
@@ -144,15 +142,16 @@ def _cmd_guaranteed(args):
 def _cmd_fixed_point(args):
     f1 = expr.parse(args.f1)
     f2 = expr.parse(args.f2)
+    tape1, tape2 = expr.lower(f1), expr.lower(f2)
 
-    def d(node, t):
-        return expr.jet_eval(node, t, 1).coeffs[1]
+    def d(tape, t):
+        return expr.jet_eval(tape, t, 1).coeffs[1]
 
     F = solver.Implicit2D(
         value=lambda x, y: expr.evaluate(f1, x) - expr.evaluate(f2, y)
         + 0.0 * np.asarray(x, dtype=float) + 0.0 * np.asarray(y, dtype=float),
-        dx=lambda x, y: d(f1, x) + 0.0 * np.asarray(y, dtype=float),
-        dy=lambda x, y: -d(f2, y) + 0.0 * np.asarray(x, dtype=float))
+        dx=lambda x, y: d(tape1, x) + 0.0 * np.asarray(y, dtype=float),
+        dy=lambda x, y: -d(tape2, y) + 0.0 * np.asarray(x, dtype=float))
     cfg = solver.SolverConfig(tol=args.tol)
     y = solver.implicit_solve(F, args.x0, args.y0, args.x, cfg)
     print(f"{y:.15g}")

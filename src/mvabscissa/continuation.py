@@ -4,9 +4,10 @@ One walker follows both kinds of branch: t = T(s) on G(s, t) = 0, where G is
 F for c = C(b), and F with its two arguments and its two partials swapped
 for b = B(c).  Each step is an Euler predictor with slope -G_s/G_t and a
 chord (contraction) corrector; where a c = C(b) seed is merely UNIQUE_ODD
-and F_c may vanish, a derivative-free bisection corrects instead.  A
-corrector hands back G and its partials at the point it accepts, which
-serve as the residual check, the point's residual and the next step's
+and F_c may vanish, a derivative-free bisection corrects instead.  A step
+holds s fixed, so the terms of F that need only s are evaluated once per
+step.  A corrector hands back G and its partials at the point it accepts,
+which serve as the residual check, the point's residual and the next step's
 predictor, so each point is evaluated once.
 """
 
@@ -58,7 +59,8 @@ def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
     if abs(g_t) < DEGENERACY_THRESHOLD * max(1.0, abs(g_s)):
         return None, STOP_DEGENERATE
     t_pred = t_prev - g_s / g_t * (s - s_prev)
-    at = G(s, t_pred)
+    at_s = G(s)
+    at = at_s(t_pred)
     m = at[2]
     if abs(m) < DEGENERACY_THRESHOLD * max(1.0, abs(at[1])):
         return None, STOP_DEGENERATE
@@ -69,7 +71,7 @@ def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
         if not np.isfinite(t) or abs(t - t_pred) > leash:
             return None, STOP_CORRECTOR
         if t != t_old:
-            at = G(s, t)
+            at = at_s(t)
         if abs(step) <= 1e-14 * max(1.0, abs(t)):
             break
     return t, at
@@ -77,23 +79,30 @@ def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
 
 def _bisect_correct(p, b0, G, b, b_prev, c_prev, slope, h, dc):
     """Derivative-free corrector, for a UNIQUE_ODD seed where F_c may vanish:
-    bracket the sign change of F(b, .) nearest c_prev and bisect it."""
+    bracket the sign change of F(b, .) nearest c_prev and bisect it.
+
+    It corrects c = C(b) only, and evaluates F(b, .) as slope - f' from the
+    terms that need only b, which it computes once, rather than through G.
+    """
     w = max(4.0 * abs(dc), h, 1e-6 * (b0 - p.a0), 1e-12)
+    b_terms = None
     for _ in range(60):
         lo = max(p.a0, c_prev - w)
         hi = min(b, c_prev + w)
         if hi <= lo:
             break
+        b_terms = b_terms or mvt._b_terms(p, b)
+        slope_b = b_terms[0]
         grid = np.linspace(lo, hi, 65)
-        fv = np.asarray(mvt.big_f(p, b, grid)[0], dtype=float)
+        fv = np.asarray(slope_b - mvt._fprime(p, grid), dtype=float)
         sc = np.nonzero(fv[:-1] * fv[1:] <= 0)[0]
         if sc.size:
             # bracket closest to the prediction
             mids = 0.5 * (grid[sc] + grid[sc + 1])
             i = int(sc[np.argmin(np.abs(mids - c_prev))])
-            c = mvt._bisect_one(lambda c: mvt.big_f(p, b, c)[0],
+            c = mvt._bisect_one(lambda c: slope_b - mvt._fprime(p, c),
                                 grid[i], grid[i + 1], fv[i])
-            return c, G(b, c)
+            return c, tuple(float(v) for v in mvt._f(b_terms, mvt._c_terms(p, c)))
         if lo == p.a0 and hi == b:
             break
         w *= 2.0
@@ -103,11 +112,11 @@ def _bisect_correct(p, b0, G, b, b_prev, c_prev, slope, h, dc):
 def _march(G, start, direction, s_limit, step, tol, correct, s_span, point):
     """Walk the branch t = T(s) of G(s, t) = 0 from start toward s_limit.
 
-    G(s, t) gives G and its partials (G_s, G_t) as floats, and start is the
-    seed (s, t, (G_s, G_t)).  A step goes to an s_next with lo < s_next <= hi
-    for s_span = (lo, hi).  There correct(G, s_next, s, t, slope, h, dt)
-    returns the new t and G's triple at it, or None and a stop reason; dt is
-    the change in t of the last step.  The new point must have a residual
+    G(s) gives the function t -> (G, G_s, G_t), as floats, at a fixed s, and
+    start is the seed (s, t, (G_s, G_t)).  A step goes to an s_next with
+    lo < s_next <= hi for s_span = (lo, hi).  There
+    correct(G, s_next, s, t, slope, h, dt) returns the new t and G's triple
+    at it, or None and a stop reason; dt is the change in t of the last step.  The new point must have a residual
     within tol, and point(s, t, G) must turn it into a SolutionPoint rather
     than None.  Returns the SolutionPoints and the stop reason.
     """
@@ -142,12 +151,19 @@ def _branch(p, order, start, s_range, step, tol, correct, s_span, **fields):
     """Walk both ways from the seed and gather the Branch.
 
     order(s, t) is (b, c) for the walk's (s, t); being its own inverse, it
-    also turns F's partials (F_b, F_c) into G's (G_s, G_t).
+    also turns F's partials (F_b, F_c) into G's (G_s, G_t), and the terms of
+    F that need only b or only c into those that need only s or only t.
     """
+    s_terms, t_terms = order(mvt._b_terms, mvt._c_terms)
 
-    def G(s, t):
-        value, f_b, f_c = (float(v) for v in mvt.big_f(p, *order(s, t)))
-        return (value, *order(f_b, f_c))
+    def G(s):
+        fixed = s_terms(p, s)
+
+        def at(t):
+            value, f_b, f_c = (float(v) for v in mvt._f(*order(fixed, t_terms(p, t))))
+            return (value, *order(f_b, f_c))
+
+        return at
 
     def point(s, t, value):
         b, c = order(s, t)
@@ -217,6 +233,15 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
     if not (p.a0 < b <= p.domain[1] and p.domain[0] <= b):
         raise SeedSearchFailed("stepped endpoint left the domain")
 
+    slope = None
+
+    def F(c):
+        """F(b, c) = slope - f'(c), the slope evaluated at the first call."""
+        nonlocal slope
+        if slope is None:
+            slope = mvt._b_terms(p, b)[0]
+        return slope - mvt._fprime(p, c)
+
     def bracket(side_c):
         w = 0.25 * min(c0 - p.a0, abs(b - c0)) if b > c0 else 0.25 * (c0 - p.a0)
         for _ in range(30):
@@ -226,13 +251,12 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
             grid = grid[(grid > p.a0) & (grid < b)]
             if grid.size < 2:
                 return None
-            fv = np.asarray(mvt.big_f(p, b, grid)[0], dtype=float)
+            fv = np.asarray(F(grid), dtype=float)
             sc = np.nonzero(fv[:-1] * fv[1:] < 0)[0]
             if sc.size:
                 i = int(sc[0])  # grid runs outward from c0: nearest bracket first
                 j, k = (i, i + 1) if side_c > 0 else (i + 1, i)
-                return mvt._bisect_one(lambda c: mvt.big_f(p, b, c)[0],
-                                       grid[j], grid[k], fv[j])
+                return mvt._bisect_one(F, grid[j], grid[k], fv[j])
             w *= 1.6
         return None
 

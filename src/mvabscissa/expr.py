@@ -1,16 +1,20 @@
 """Expression ASTs with value and truncated-Taylor (jet) evaluation.
 
-Jets carry coefficients t_j = f^(j)(x0)/j!, propagated through the tree by
-exact series recurrences; no symbolic differentiation and no finite
-differences anywhere.  Coefficients may be floats or numpy arrays, so a whole
-grid of expansion points can be evaluated in one call.
+Jets carry coefficients t_j = f^(j)(x0)/j!, propagated by exact series
+recurrences along a tape, the tree lowered once to postfix steps; no symbolic
+differentiation and no finite differences anywhere.  Coefficients may be
+floats or numpy arrays, so a whole grid of expansion points can be evaluated
+in one call.  Plain values have their own path, `evaluate`, which walks the
+tree.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -376,6 +380,10 @@ def _pow_value(base, exp_node, x, node):
 # jet arithmetic (coefficient lists, truncation-consistent recurrences)
 # ---------------------------------------------------------------------------
 
+def _any(cond):
+    # np.any without its cost on a scalar condition
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
 def _add(a, b):
     return [ai + bi for ai, bi in zip(a, b)]
 
@@ -386,10 +394,20 @@ def _neg(a):
     return [-ai for ai in a]
 
 def _mul(a, b):
+    # widths 2 and 3 written out, summed in the order of the generic loop and
+    # from its int 0, so that every value and signed zero is the same
+    if len(a) == 3:
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        return [0 + a0 * b0, 0 + a0 * b1 + a1 * b0, 0 + a0 * b2 + a1 * b1 + a2 * b0]
+    if len(a) == 2:
+        a0, a1 = a
+        b0, b1 = b
+        return [0 + a0 * b0, 0 + a0 * b1 + a1 * b0]
     return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
 
 def _div(a, b, node=None):
-    if np.any(b[0] == 0):
+    if _any(b[0] == 0):
         _fail(node, "division by zero")
     c = []
     for k in range(len(a)):
@@ -403,12 +421,13 @@ def _ipow(a, n):
     # repeated squaring keeps jet division out of integer powers
     result = [1.0] + [0.0] * (len(a) - 1)
     base = a
-    while n:
+    while True:
         if n & 1:
             result = _mul(result, base)
-        base = _mul(base, base)
         n >>= 1
-    return result
+        if not n:
+            return result
+        base = _mul(base, base)
 
 def _exp(a):
     e = [np.exp(a[0])]
@@ -418,7 +437,7 @@ def _exp(a):
     return e
 
 def _log(a, node=None):
-    if np.any(a[0] <= 0):
+    if _any(a[0] <= 0):
         _fail(node, "log of nonpositive value")
     l = [np.log(a[0])]
     for k in range(1, len(a)):
@@ -427,7 +446,7 @@ def _log(a, node=None):
     return l
 
 def _sqrt(a, node=None):
-    if np.any(a[0] <= 0):
+    if _any(a[0] <= 0):
         _fail(node, "sqrt of nonpositive value (derivative undefined at 0)")
     q = [np.sqrt(a[0])]
     for k in range(1, len(a)):
@@ -447,78 +466,140 @@ def _sincos(a):
         c.append(ck)
     return s, c
 
+def _sin(a):
+    return _sincos(a)[0]
 
-def _jet(node, x0, n):
-    width = n + 1
+def _cos(a):
+    return _sincos(a)[1]
+
+
+# the three kinds of ^, by their exponent
+
+def _inverse_ipow(a, n, node):
+    one = [1.0] + [0.0] * (len(a) - 1)
+    return _div(one, _ipow(a, n), node)
+
+def _odd_root(a, power, odd, node):
+    # a^(p/q) with q odd: sign-aware, defined for negative bases
+    if _any(a[0] == 0):
+        _fail(node, "root of zero (derivative undefined)")
+    sgn = np.sign(a[0])
+    w = [sgn * ai for ai in a]
+    res = _exp([li * power for li in _log(w, node)])
+    return [sgn * ri for ri in res] if odd else res
+
+def _log_base(a, node):
+    # the base of a general power, checked before its exponent is evaluated
+    if _any(a[0] <= 0):
+        _fail(node, "nonpositive base with non-odd-rational exponent")
+    return _log(a, node)
+
+def _exp_product(log_base, e):
+    return _exp(_mul(e, log_base))
+
+
+# ---------------------------------------------------------------------------
+# the tape
+# ---------------------------------------------------------------------------
+
+def _const(value, x0, width):
+    return [value] + [0.0] * (width - 1)
+
+def _var(x0, width):
+    return [x0, 1.0] + [0.0] * (width - 2) if width > 1 else [x0]
+
+
+_UNARY = {"neg": _neg, "sin": _sin, "cos": _cos, "exp": _exp}
+_BINARY = {"+": _add, "-": _sub, "*": _mul}
+
+
+class Tape:
+    """An expression lowered to postfix steps for jet evaluation.
+
+    Each step is (arity, fn): a leaf fn(x0, width) pushes a jet, and an
+    operation fn(jet) or fn(left, right) replaces its operands on the stack
+    with its result, so each intermediate is dropped after its only use.
+    """
+
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple):
+        self.steps = steps
+
+    def run(self, x0, width):
+        """The coefficient list of the expression's jet of the given width at x0."""
+        stack = []
+        for arity, fn in self.steps:
+            if arity == 1:
+                stack[-1] = fn(stack[-1])
+            elif arity == 2:
+                stack[-2:] = (fn(stack[-2], stack[-1]),)
+            else:
+                stack.append(fn(x0, width))
+        return stack[0]
+
+
+def lower(f: ExprNode) -> Tape:
+    """Lower f to a tape, resolving each ^ exponent once: integer, odd root
+    or general."""
+    steps = []
+    _emit(f, steps)
+    return Tape(tuple(steps))
+
+
+def _emit(node, steps):
     if isinstance(node, Const):
-        return [node.value] + [0.0] * (width - 1)
-    if isinstance(node, Var):
-        coeffs = [x0] + [0.0] * (width - 1)
-        if n >= 1:
-            coeffs[1] = 1.0
-        return coeffs
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return _neg(_jet(node.arg, x0, n))
-        u = _jet(node.arg, x0, n)
-        if node.op == "sin":
-            return _sincos(u)[0]
-        if node.op == "cos":
-            return _sincos(u)[1]
-        if node.op == "exp":
-            return _exp(u)
-        if node.op == "log":
-            return _log(u, node)
-        return _sqrt(u, node)
-    if node.op == "^":
-        return _pow_jet(_jet(node.left, x0, n), node, x0, n)
-    l = _jet(node.left, x0, n)
-    r = _jet(node.right, x0, n)
-    if node.op == "+":
-        return _add(l, r)
-    if node.op == "-":
-        return _sub(l, r)
-    if node.op == "*":
-        return _mul(l, r)
-    return _div(l, r, node)
+        steps.append((0, partial(_const, node.value)))
+    elif isinstance(node, Var):
+        steps.append((0, _var))
+    elif isinstance(node, Unary):
+        _emit(node.arg, steps)
+        fn = _UNARY.get(node.op)
+        steps.append((1, fn or partial(_log if node.op == "log" else _sqrt, node=node)))
+    elif node.op == "^":
+        _emit(node.left, steps)
+        _emit_pow(node, steps)
+    else:
+        _emit(node.left, steps)
+        _emit(node.right, steps)
+        fn = _BINARY.get(node.op)
+        steps.append((2, fn or partial(_div, node=node)))
 
 
-def _scale_jet(a, s):
-    return [ai * s for ai in a]
-
-
-def _pow_jet(u, node, x0, n):
+def _emit_pow(node, steps):
     fr = _as_rational(node.right)
     if fr is not None and fr.denominator == 1:
         m = fr.numerator
-        if m >= 0:
-            return _ipow(u, m)
-        one = [1.0] + [0.0] * (len(u) - 1)
-        return _div(one, _ipow(u, -m), node)
-    if fr is not None and fr.denominator % 2 == 1:
-        if np.any(u[0] == 0):
-            _fail(node, "root of zero (derivative undefined)")
-        sgn = np.sign(u[0])
-        w = [sgn * ui for ui in u]
-        res = _exp(_scale_jet(_log(w, node), float(fr)))
-        if fr.numerator % 2:
-            res = [sgn * ri for ri in res]
-        return res
-    if np.any(u[0] <= 0):
-        _fail(node, "nonpositive base with non-odd-rational exponent")
-    e = _jet(node.right, x0, n)
-    return _exp(_mul(e, _log(u, node)))
+        steps.append((1, partial(_ipow, n=m) if m >= 0
+                      else partial(_inverse_ipow, n=-m, node=node)))
+    elif fr is not None and fr.denominator % 2 == 1:
+        steps.append((1, partial(_odd_root, power=float(fr), odd=fr.numerator % 2 == 1,
+                                 node=node)))
+    else:
+        # exp(e * log(base)): the exponent's own jet is needed
+        steps.append((1, partial(_log_base, node=node)))
+        _emit(node.right, steps)
+        steps.append((2, _exp_product))
 
 
-def jet_eval(f: ExprNode, x0, n: int, max_order: int = MAX_JET_ORDER) -> Jet:
-    """Taylor coefficients of f at x0 up to order n, by jet arithmetic."""
+def _finite(c):
+    if isinstance(c, float):
+        return math.isfinite(c)
+    return bool(np.all(np.isfinite(np.asarray(c, dtype=float))))
+
+
+def jet_eval(f: ExprNode | Tape, x0, n: int, max_order: int = MAX_JET_ORDER) -> Jet:
+    """Taylor coefficients of f at x0 up to order n, by jet arithmetic.
+
+    f is an ExprNode, lowered on every call, or the Tape of one.
+    """
     if n < 0:
         raise ValueError("jet order must be nonnegative")
     if n > max_order:
         raise OrderOverflow(f"jet order {n} exceeds maximum {max_order}")
-    coeffs = _jet(f, x0, n)
-    flat = np.concatenate([np.atleast_1d(np.asarray(c, dtype=float)).ravel() for c in coeffs])
-    if not np.all(np.isfinite(flat)):
+    tape = f if isinstance(f, Tape) else lower(f)
+    coeffs = tape.run(x0, n + 1)
+    if not all(map(_finite, coeffs)):
         raise DomainError("non-finite jet coefficient")
     return Jet(x0, tuple(coeffs))
 

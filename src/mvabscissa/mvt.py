@@ -7,13 +7,14 @@ right endpoint b and a mean value abscissa c for f on [a0, b].
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import groupby
 from typing import Optional
 
 import numpy as np
 
 from . import expr
-from .errors import DegenerateProblem, DomainError, EndpointCollision
+from .errors import DegenerateProblem, DomainError, EndpointCollision, MvaError
 from .solver import Implicit2D
 
 DEFAULT_TOL = 1e-10
@@ -35,7 +36,11 @@ def _padded_domain(f, a0, b0):
 
 @dataclass(frozen=True)
 class Problem:
-    """A function together with fixed endpoints and an evaluation domain."""
+    """A function together with fixed endpoints and an evaluation domain.
+
+    The problem lowers f to a jet tape and evaluates f(a0), each once, when
+    they are first needed.
+    """
 
     f: expr.ExprNode
     a0: float
@@ -54,6 +59,16 @@ class Problem:
         if not padded:
             # fail early if f is not evaluable on the domain
             expr.evaluate(self.f, np.linspace(lo, hi, 65))
+
+    @cached_property
+    def tape(self) -> expr.Tape:
+        """f lowered for expr.jet_eval."""
+        return expr.lower(self.f)
+
+    @cached_property
+    def fa(self):
+        """f(a0)."""
+        return expr.evaluate(self.f, self.a0)
 
     @property
     def expression(self) -> str:
@@ -94,21 +109,35 @@ def _endpoint_guard(p, b):
         raise EndpointCollision(f"b collides with a0 = {p.a0!r}")
 
 
-def _secant(p, b):
-    """b - a0, f(b) - f(a0) and f'(b): the terms of F and F_b that need only b."""
+def _b_terms(p, b):
+    """The terms of F that need only b: the secant slope
+    (f(b) - f(a0)) / (b - a0) and F_b."""
     _endpoint_guard(p, b)
-    jb = expr.jet_eval(p.f, b, 1)
-    return b - p.a0, jb.coeffs[0] - expr.evaluate(p.f, p.a0), jb.coeffs[1]
+    jb = expr.jet_eval(p.tape, b, 1).coeffs
+    d, rise = b - p.a0, jb[0] - p.fa
+    return rise / d, (jb[1] * d - rise) / (d * d)
+
+
+def _c_terms(p, c):
+    """The terms of F that need only c: f'(c) and F_c = -f''(c)."""
+    jc = expr.jet_eval(p.tape, c, 2).coeffs
+    return jc[1], -2.0 * jc[2]
+
+
+def _fprime(p, c):
+    """f'(c), from an order-1 jet: F(b, c) is slope - f'(c) at a fixed b."""
+    return expr.jet_eval(p.tape, c, 1).coeffs[1]
+
+
+def _f(b_terms, c_terms):
+    """F, F_b, F_c from the terms that need only b and those that need only c."""
+    (slope, f_b), (fpc, f_c) = b_terms, c_terms
+    return slope - fpc, f_b, f_c
 
 
 def big_f(p: Problem, b, c):
     """F, F_b, F_c at (b, c); b and c may be scalars or numpy arrays."""
-    d, rise, fpb = _secant(p, b)
-    jc = expr.jet_eval(p.f, c, 2)
-    value = rise / d - jc.coeffs[1]
-    f_b = (fpb * d - rise) / (d * d)
-    f_c = -2.0 * jc.coeffs[2]
-    return value, f_b, f_c
+    return _f(_b_terms(p, b), _c_terms(p, c))
 
 
 def mean_value_implicit(p: Problem) -> Implicit2D:
@@ -121,15 +150,14 @@ def mean_value_implicit(p: Problem) -> Implicit2D:
         return big_f(p, b, c)[1]
 
     def dy(b, c):
-        jc = expr.jet_eval(p.f, c, 2)
-        return -2.0 * jc.coeffs[2] + 0.0 * np.asarray(b, dtype=float)
+        return _c_terms(p, c)[1] + 0.0 * np.asarray(b, dtype=float)
 
     return Implicit2D(value=value, dx=dx, dy=dy)
 
 
 def normalize(p: Problem) -> Problem:
     """Subtract the secant line so g(a0) = g(b0) = 0; solutions are unchanged."""
-    fa = float(expr.evaluate(p.f, p.a0))
+    fa = float(p.fa)
     fb = float(expr.evaluate(p.f, p.b0))
     s = (fb - fa) / (p.b0 - p.a0)
     secant = expr.Binary(
@@ -166,7 +194,7 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     slope, live, col, lo, hi, flo, touch = _grid_columns(p, bs, tol, grid_n)
 
     def F(k, c):
-        return slope[k] - expr.jet_eval(p.f, c, 1).coeffs[1]
+        return slope[k] - _fprime(p, c)
 
     b_arr = np.array(bs)
     width_tol = 1e-15 * (b_arr - p.a0)
@@ -198,13 +226,20 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
 def _grid_columns(p, bs, tol, grid_n):
     """Run the grid stage on each column and gather what it found.
 
-    Returns the secant slope of every column, whether it is live (not
-    degenerate), and for all brackets in column order: their column, lo,
-    hi, F(lo), and whether they are touching-root windows.
+    The secant slopes of all columns are evaluated in one array call.
+    Returns the slope of every column, whether it is live (not degenerate),
+    and for all brackets in column order: their column, lo, hi, F(lo), and
+    whether they are touching-root windows.
     """
+    try:
+        slopes = _slope(p, np.array(bs))
+    except (ValueError, MvaError):
+        # some column fails: each column takes its own slope, so that the
+        # first to fail raises what it raises on its own
+        slopes = [None] * len(bs)
     slope, live, counts, rows = np.zeros(len(bs)), [], [], [np.empty((4, 0))]
     for k, b in enumerate(bs):
-        grid = _grid_stage(p, b, tol, grid_n)
+        grid = _grid_stage(p, b, slopes[k], tol, grid_n)
         live.append(grid is not None)
         if grid is not None:
             slope[k] = grid[0]
@@ -215,22 +250,28 @@ def _grid_columns(p, bs, tol, grid_n):
     return slope, live, col, lo, hi, flo, touch.astype(bool)
 
 
-def _grid_stage(p, b, tol, grid_n):
+def _slope(p, b):
+    """The secant slope of F at b, for b (a float or an array) in (a0, domain max]."""
+    if not np.all((p.a0 < b) & (b <= p.domain[1])):
+        raise ValueError(f"b = {b!r} outside (a0, domain max]")
+    return _b_terms(p, b)[0]
+
+
+def _grid_stage(p, b, slope, tol, grid_n):
     """F(b, .) on grid_n interior points and the brackets it yields.
 
     F(b, c) = slope - f'(c) is evaluated as in big_f, with the secant slope
-    computed once.  Returns None if F vanishes identically on the grid, else
-    the slope and the rows (lo, hi, F(lo), touch) of the brackets to refine:
-    the sign changes (touch = 0), each exact grid zero c as (c, c, 0, 0),
-    and the three-point windows around local minima of |F| that are already
-    below tol (touch = 1), where a touching root may lie.
+    given, or computed here if it is None.  Returns None if F vanishes
+    identically on the grid, else the slope and the rows (lo, hi, F(lo),
+    touch) of the brackets to refine: the sign changes (touch = 0), each
+    exact grid zero c as (c, c, 0, 0), and the three-point windows around
+    local minima of |F| that are already below tol (touch = 1), where a
+    touching root may lie.
     """
-    if not (p.a0 < b <= p.domain[1]):
-        raise ValueError(f"b = {b!r} outside (a0, domain max]")
+    if slope is None:
+        slope = _slope(p, b)
     cs = np.linspace(p.a0, b, grid_n + 2)[1:-1]
-    d, rise, _ = _secant(p, b)
-    slope = rise / d
-    fprime = expr.jet_eval(p.f, cs, 1).coeffs[1]
+    fprime = _fprime(p, cs)
     fv = np.asarray(slope - fprime, dtype=float)
 
     fprime_scale = max(1.0, float(np.max(np.abs(
@@ -332,8 +373,8 @@ def g1_g2(p: Problem, b0: float, c0: float):
     g1(x) = (f(b0+x) - f(a0)) / ((b0+x) - a0) - f'(c0)
     g2(y) = f'(c0+y) - f'(c0)
     """
-    fa = float(expr.evaluate(p.f, p.a0))
-    fpc0 = float(expr.jet_eval(p.f, c0, 1).coeffs[1])
+    fa = float(p.fa)
+    fpc0 = float(_fprime(p, c0))
 
     def g1_value(x):
         bb = b0 + np.asarray(x, dtype=float)
@@ -341,7 +382,7 @@ def g1_g2(p: Problem, b0: float, c0: float):
         return (expr.evaluate(p.f, bb) - fa) / (bb - p.a0) - fpc0
 
     def g1_series(order):
-        num = list(expr.jet_eval(p.f, b0, order).coeffs)
+        num = list(expr.jet_eval(p.tape, b0, order).coeffs)
         num[0] = num[0] - fa
         den = [b0 - p.a0, 1.0] + [0.0] * (order - 1) if order >= 1 else [b0 - p.a0]
         q = expr._div(num, den)
@@ -350,10 +391,10 @@ def g1_g2(p: Problem, b0: float, c0: float):
 
     def g2_value(y):
         cc = c0 + np.asarray(y, dtype=float)
-        return expr.jet_eval(p.f, cc, 1).coeffs[1] - fpc0
+        return _fprime(p, cc) - fpc0
 
     def g2_series(order):
-        t = expr.jet_eval(p.f, c0, order + 1).coeffs
+        t = expr.jet_eval(p.tape, c0, order + 1).coeffs
         d = [(j + 1) * t[j + 1] for j in range(order + 1)]
         d[0] = 0.0  # d[0] == fpc0 by construction
         return tuple(d)

@@ -144,6 +144,46 @@ class TestMorseCoordinates:
             assert chart.x_of_u(0.0) == 0.0
             assert chart.y_of_v(0.0) == 0.0
 
+    def test_inversions_match_a_ratio_computed_both_ways_everywhere(
+            self, quartic_inflection, quintic_same_sign, sextic_opposite, x_fourth,
+            monkeypatch):
+        """x_of_u and y_of_v bit for bit against the chart's former _ratio,
+        which evaluated the Horner tail and the quotient at every point."""
+
+        def ratio_everywhere(chart, series, order, t):
+            t = np.asarray(t, dtype=float)
+            small = np.abs(t) < chart._SERIES_CUTOFF
+            tail = np.zeros_like(t)
+            for coef in reversed(series[order:]):
+                tail = tail * t + float(coef)
+            g = chart.g1(t) if series is chart._s1 else chart.g2(t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                direct = np.asarray(g, dtype=float) / t ** order
+            return np.where(small, tail, direct)
+
+        def inversions(chart):
+            out = []
+            for fwd, inv, w in ((chart.u, chart.x_of_u, chart.window_x),
+                                (chart.v, chart.y_of_v, chart.window_y)):
+                # both sides of the cutoff 1e-4, where the Horner tail takes over
+                xs = np.concatenate([np.linspace(-0.99, 0.99, 25) * w,
+                                     [-2e-4, -1e-4, -3e-5, 0.0, 3e-5, 1e-4, 2e-4]])
+                out += [fwd(xs), [inv(float(fwd(float(x)))) for x in xs]]
+            return np.concatenate(out)
+
+        for p, b0, c0 in ((quartic_inflection, 3.0, 1.0), (quintic_same_sign, 3.0, 1.0),
+                          (sextic_opposite, 3.0, 1.0), (x_fourth, 1.0, 0.0)):
+            r = classify.classify_point(p, b0, c0)
+            chart = classify.morse_coordinates(p, b0, c0, r)
+            got = inversions(chart)
+            with monkeypatch.context() as m:
+                m.setattr(classify.MorseChart, "_ratio", ratio_everywhere)
+                old = classify.morse_coordinates(p, b0, c0, r)
+                want = inversions(old)
+            assert (chart.window_x, chart.window_y) == (old.window_x, old.window_y)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_no_chart_for_regular_points(self, parabola):
         r = classify.classify_point(parabola, 2.0, 1.0)
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from mvabscissa import cli, scanner
+from mvabscissa import classify, cli, scanner
 
 
 def run(*argv):
@@ -93,6 +93,20 @@ class TestGuaranteed:
         assert abs(d["c0"]) <= 1e-7
         assert d["k"] == 3
         assert d["points"] > 10
+
+    def test_extremum_is_searched_once(self, capsys, monkeypatch):
+        calls = []
+        find = classify.find_extremal_abscissa
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return find(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "find_extremal_abscissa", counted)
+        assert run("guaranteed", "-f", "x^4", "-a", "-1", "-b", "1",
+                   "--b-min", "0.8", "--b-max", "1.2") == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["k"] == 3
 
 
 class TestFixedPoint:

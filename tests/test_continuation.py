@@ -135,28 +135,37 @@ class TestTraceBOfC:
 class TestEvaluations:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The (b, c) of every mvt.big_f call, in order."""
+        """(name, point) of every evaluation of the terms of F that need only
+        b (mvt._b_terms) or only c (mvt._c_terms), in order; big_f and the
+        walker evaluate F through these two."""
         calls = []
-        big_f = mvt.big_f
 
-        def recorder(p, b, c):
-            calls.append((np.asarray(b, dtype=float).tolist(),
-                          np.asarray(c, dtype=float).tolist()))
-            return big_f(p, b, c)
+        def recorder(name, terms):
+            def record(p, x):
+                calls.append((name, np.asarray(x, dtype=float).tolist()))
+                return terms(p, x)
+            return record
 
-        monkeypatch.setattr(mvt, "big_f", recorder)
+        monkeypatch.setattr(mvt, "_b_terms", recorder("b", mvt._b_terms))
+        monkeypatch.setattr(mvt, "_c_terms", recorder("c", mvt._c_terms))
         return calls
 
     def test_chord_march_evaluates_each_point_once(self, calls, parabola):
         br = continuation.trace_c_of_b(parabola, 2.0, 1.0, (1.5, 2.5), step=0.01)
         assert len(br.points) == 101
+        assert {name for name, _ in calls} == {"b", "c"}
         assert all(a != b for a, b in zip(calls, calls[1:]))
+        # once per step, and at the seed for its classification and its point
+        assert len([x for name, x in calls if name == "b"]) == len(br.points) + 1
 
     def test_b_of_c_march_evaluates_each_point_once(self, calls, quartic_inflection):
         br = continuation.trace_b_of_c(quartic_inflection, 3.0, 1.0, (0.9, 1.1),
                                        step=0.002)
         assert len(br.points) > 50
+        assert {name for name, _ in calls} == {"b", "c"}
         assert all(a != b for a, b in zip(calls, calls[1:]))
+        # once per step, and at the seed for its check and its point
+        assert len([x for name, x in calls if name == "c"]) == len(br.points) + 1
 
 
 class TestBranchSeeds:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import mvabscissa as mva
-from mvabscissa import expr, mvt
-from mvabscissa.errors import DegenerateProblem, EndpointCollision
+from mvabscissa import continuation, expr, mvt
+from mvabscissa.errors import DegenerateProblem, DomainError, EndpointCollision
 
 from conftest import (CUBIC, PARABOLA, QUINTIC_SAME_SIGN, cubic_lower,
                       cubic_upper, grid_sign_change_roots, poly_text,
@@ -58,6 +58,24 @@ class TestProblem:
         q = p.covering(-5.0, 7.0)
         assert q.domain == (-5.0, 7.0)
         assert p.covering(0.0, 3.0) is p
+
+    def test_f_of_a0_is_evaluated_once(self, monkeypatch):
+        p = mva.Problem(mva.parse(CUBIC), 0.0, 3.0)
+        at_a0 = []
+        evaluate = expr.evaluate
+
+        def counted(f, x):
+            if np.ndim(x) == 0 and x == p.a0:
+                at_a0.append(x)
+            return evaluate(f, x)
+
+        monkeypatch.setattr(expr, "evaluate", counted)
+        for b in (2.0, 2.5, 3.0):
+            mvt.big_f(p, b, 1.0)
+            mvt.abscissae(p, b)
+        br = continuation.trace_c_of_b(p, 2.5, cubic_upper(2.5), (2.4, 2.6), step=0.05)
+        assert len(br.points) == 5
+        assert len(at_a0) == 1
 
 
 class TestBigF:
@@ -269,6 +287,27 @@ class TestAbscissae:
             assert [q.c for q in points] == mvt.abscissae(cubic, float(b))
             for q in points:
                 assert q == mvt.solution_point(cubic, q.b, q.c)
+
+    def test_first_failing_column_raises_its_own_error(self):
+        # the slopes of all columns are evaluated together; the column that
+        # fails first must still raise what it raises on its own
+        p = mva.Problem(mva.parse("1/(x - 1.5)"), 0.0, 1.0)
+        assert p.domain == (-1.0, 2.0)
+        pole = 1.9983745123537062  # the grid of this column hits c = 1.5
+        kinds = set()
+        for bs in ([0.5, pole, 2.5], [0.5, 2.5, pole], [0.5, 1e-13, 2.5],
+                   [0.5, 2.5, 1e-13], [0.5, 1.5, 2.5], [0.5, pole, 1.5]):
+            for b in bs:
+                try:
+                    mvt.solve_columns(p, [b])
+                except (ValueError, DomainError, EndpointCollision) as e:
+                    first = e
+                    break
+            with pytest.raises(type(first)) as ei:
+                mvt.solve_columns(p, bs)
+            assert str(ei.value) == str(first)
+            kinds.add(type(first))
+        assert kinds == {ValueError, DomainError, EndpointCollision}
 
     def test_linear_is_degenerate(self):
         p = mva.Problem(mva.parse("x"), 0.0, 1.0)
