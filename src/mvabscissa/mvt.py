@@ -19,6 +19,9 @@ from .solver import Implicit2D
 
 DEFAULT_TOL = 1e-10
 DEFAULT_GRID_N = 2048
+# the most grid points in one block of columns: much larger blocks run slower,
+# because their temporaries no longer fit in the cache
+_BLOCK_POINTS = 2 ** 15
 
 
 def _padded_domain(f, a0, b0):
@@ -102,10 +105,14 @@ def solution_point(p: Problem, b, c, tol=DEFAULT_TOL) -> SolutionPoint:
 
 def _endpoint_guard(p, b):
     # scaled per element, so an array of b values raises exactly when one of
-    # its entries would raise on its own
-    b = np.asarray(b, dtype=float)
-    scale = np.maximum(max(1.0, abs(p.a0)), np.abs(b))
-    if np.any(np.abs(b - p.a0) < 1e-12 * scale):
+    # its entries would raise on its own; a float b is tested without numpy
+    if isinstance(b, float):
+        collides = abs(b - p.a0) < 1e-12 * max(1.0, abs(p.a0), abs(b))
+    else:
+        b = np.asarray(b, dtype=float)
+        scale = np.maximum(max(1.0, abs(p.a0)), np.abs(b))
+        collides = np.any(np.abs(b - p.a0) < 1e-12 * scale)
+    if collides:
         raise EndpointCollision(f"b collides with a0 = {p.a0!r}")
 
 
@@ -183,7 +190,8 @@ def abscissae(p: Problem, b, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
 def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     """The abscissae of every b in bs, as lists of SolutionPoint sorted by c.
 
-    Each column is gridded on its own, then the brackets of all columns are
+    The columns are gridded in blocks of up to _BLOCK_POINTS grid points, one
+    array evaluation of f' per block.  Then the brackets of all columns are
     refined together with one array evaluation of F per step, and each
     column's roots are residual-filtered and deduplicated.  A column on which
     F(b, .) vanishes identically gives None instead of a list.
@@ -191,6 +199,8 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
     bs = [float(b) for b in bs]
+    if not bs:
+        return []
     slope, live, col, lo, hi, flo, touch = _grid_columns(p, bs, tol, grid_n)
 
     def F(k, c):
@@ -224,74 +234,80 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
 
 
 def _grid_columns(p, bs, tol, grid_n):
-    """Run the grid stage on each column and gather what it found.
+    """Grid the columns block by block and gather what the blocks found.
 
-    The secant slopes of all columns are evaluated in one array call.
-    Returns the slope of every column, whether it is live (not degenerate),
-    and for all brackets in column order: their column, lo, hi, F(lo), and
-    whether they are touching-root windows.
+    The secant slopes of all columns are evaluated in one array call.  A
+    block that raises is redone one column at a time, so that the first
+    column to fail raises what it raises on its own.  Returns the slope of
+    every column, whether it is live (not degenerate), and for all brackets
+    in column order: their column, lo, hi, F(lo), and whether they are
+    touching-root windows.
     """
+    b = np.array(bs)
     try:
-        slopes = _slope(p, np.array(bs))
+        slope = _slope(p, b)
     except (ValueError, MvaError):
-        # some column fails: each column takes its own slope, so that the
-        # first to fail raises what it raises on its own
-        slopes = [None] * len(bs)
-    slope, live, counts, rows = np.zeros(len(bs)), [], [], [np.empty((4, 0))]
-    for k, b in enumerate(bs):
-        grid = _grid_stage(p, b, slopes[k], tol, grid_n)
-        live.append(grid is not None)
-        if grid is not None:
-            slope[k] = grid[0]
-            rows.append(grid[1])
-        counts.append(0 if grid is None else grid[1].shape[1])
-    lo, hi, flo, touch = np.concatenate(rows, axis=1)
-    col = np.repeat(np.arange(len(bs)), counts)
-    return slope, live, col, lo, hi, flo, touch.astype(bool)
+        slope = None  # each block takes its own slopes
+    per_block = max(1, _BLOCK_POINTS // grid_n)
+    parts = []
+    for k in range(0, b.size, per_block):
+        block = slice(k, k + per_block)
+        try:
+            found = _grid_block(p, b[block], None if slope is None else slope[block],
+                                tol, grid_n)
+        except (ValueError, MvaError):
+            for j in range(k, min(k + per_block, b.size)):
+                _grid_block(p, b[j:j + 1], None, tol, grid_n)
+            raise
+        block_slope, block_live, row, *brackets = found
+        parts.append((block_slope, block_live, row + k, *brackets))
+    slope, live, col, lo, hi, flo, touch = map(np.concatenate, zip(*parts))
+    return slope, live.tolist(), col, lo, hi, flo, touch
 
 
 def _slope(p, b):
-    """The secant slope of F at b, for b (a float or an array) in (a0, domain max]."""
-    if not np.all((p.a0 < b) & (b <= p.domain[1])):
-        raise ValueError(f"b = {b!r} outside (a0, domain max]")
+    """The secant slopes of F at the array b, each in (a0, domain max]."""
+    bad = ~((p.a0 < b) & (b <= p.domain[1]))
+    if bad.any():
+        raise ValueError(f"b = {float(b[bad][0])!r} outside (a0, domain max]")
     return _b_terms(p, b)[0]
 
 
-def _grid_stage(p, b, slope, tol, grid_n):
-    """F(b, .) on grid_n interior points and the brackets it yields.
+def _grid_block(p, b, slope, tol, grid_n):
+    """F(b, .) on grid_n interior points of each column of the block b, and
+    the brackets it yields.
 
-    F(b, c) = slope - f'(c) is evaluated as in big_f, with the secant slope
-    given, or computed here if it is None.  Returns None if F vanishes
-    identically on the grid, else the slope and the rows (lo, hi, F(lo),
-    touch) of the brackets to refine: the sign changes (touch = 0), each
-    exact grid zero c as (c, c, 0, 0), and the three-point windows around
-    local minima of |F| that are already below tol (touch = 1), where a
-    touching root may lie.
+    The grid of the block is one C-contiguous array with a row per column,
+    and F(b, c) = slope - f'(c) is evaluated on it as in big_f, with the
+    secant slopes given, or computed here if they are None.  Returns the
+    slopes, whether each column is live (F does not vanish identically on its
+    grid), and, in column order, the brackets to refine in live columns as
+    (row, lo, hi, F(lo), touch): the sign changes (touch False), each exact
+    grid zero c as (c, c, 0, False), and the three-point windows around local
+    minima of |F| that are already below tol (touch True), where a touching
+    root may lie.
     """
     if slope is None:
         slope = _slope(p, b)
-    cs = np.linspace(p.a0, b, grid_n + 2)[1:-1]
-    fprime = _fprime(p, cs)
-    fv = np.asarray(slope - fprime, dtype=float)
-
-    fprime_scale = max(1.0, float(np.max(np.abs(
-        np.broadcast_to(fprime, cs.shape)[:: max(1, grid_n // 64)]))))
-    if float(np.max(np.abs(fv))) <= 1e-12 * fprime_scale:
-        return None
-
-    sign = np.nonzero(fv[:-1] * fv[1:] < 0)[0]
-    zero = np.nonzero(fv == 0.0)[0]
+    cs = np.linspace(p.a0, b, grid_n + 2, axis=1)[:, 1:-1].copy()
+    fprime = np.broadcast_to(_fprime(p, cs), cs.shape)
+    fv = slope[:, None] - fprime
     av = np.abs(fv)
-    interior = np.arange(1, len(cs) - 1)
-    mins = interior[(av[interior] <= av[interior - 1])
-                    & (av[interior] <= av[interior + 1])
-                    & (av[interior] <= tol)
-                    & (fv[interior - 1] * fv[interior + 1] > 0)]
-    lo = np.concatenate([sign, zero, mins - 1])
-    hi = np.concatenate([sign + 1, zero, mins + 1])
-    touch = np.zeros(lo.size)
-    touch[sign.size + zero.size:] = 1.0
-    return slope, np.array([cs[lo], cs[hi], fv[lo], touch])
+    fprime_scale = np.maximum(1.0, np.abs(fprime[:, :: max(1, grid_n // 64)]).max(axis=1))
+    live = av.max(axis=1) > 1e-12 * fprime_scale
+
+    mid = av[:, 1:-1]
+    found = [np.nonzero(fv[:, :-1] * fv[:, 1:] < 0),
+             np.nonzero(fv == 0.0),
+             np.nonzero((mid <= av[:, :-2]) & (mid <= av[:, 2:]) & (mid <= tol)
+                        & (fv[:, :-2] * fv[:, 2:] > 0))]
+    row = np.concatenate([r for r, _ in found])
+    lo = np.concatenate([i for _, i in found])
+    width = np.concatenate([np.full(i.size, w) for (_, i), w in zip(found, (1, 0, 2))])
+    order = np.argsort(row, kind="stable")
+    order = order[live[row[order]]]
+    row, lo, hi = row[order], lo[order], (lo + width)[order]
+    return slope, live, row, cs[row, lo], cs[row, hi], fv[row, lo], width[order] == 2
 
 
 def _shrink(step, lo, hi, width_tol):

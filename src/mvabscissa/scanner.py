@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -111,7 +112,30 @@ def read_csv(text: str):
 
 
 def to_json(obj) -> str:
-    return json.dumps(obj.to_dict(), indent=2) + "\n"
+    """json.dumps(obj.to_dict(), indent=2) and a trailing LF, byte for byte.
+
+    The points are the last key of to_dict().  When there are points and
+    their values are all floats and ints, the values are written by one
+    json.dumps call without indent, about twice as fast, and set into the
+    indented layout.
+    """
+    d = obj.to_dict()
+    points = d["points"]
+    values = [v for q in points for v in q.values()]
+    if not points or not set(map(type, values)) <= {float, int}:
+        return json.dumps(d, indent=2) + "\n"
+    del d["points"]
+    texts = iter(json.dumps(values)[1:-1].split(", "))
+    prefixes, items = {}, []
+    for q in points:
+        keys = tuple(q)
+        if keys not in prefixes:
+            prefixes[keys] = [f"      {json.dumps(k)}: " for k in keys]
+        fields = ",\n".join(map(str.__add__, prefixes[keys], islice(texts, len(keys))))
+        items.append(f"    {{\n{fields}\n    }}")
+    head = json.dumps(d, indent=2)[:-2]
+    body = ",\n".join(items)
+    return f'{head},\n  "points": [\n{body}\n  ]\n}}\n'
 
 
 def _families(rows):

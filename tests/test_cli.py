@@ -62,6 +62,15 @@ class TestTrace:
         points, _ = scanner.read_csv(text)
         assert max(abs(q.c - q.b / 2.0) for q in points) <= 1e-8
 
+    def test_json_output(self, tmp_path, capsys):
+        out = tmp_path / "branch.json"
+        assert run("trace", "-f", "-x^2+2*x", "-a", "0", "-b", "2", "-c", "1",
+                   "--b-min", "0.5", "--b-max", "3.5", "--step", "0.01",
+                   "--format", "json", "-o", str(out)) == 0
+        d = json.loads(out.read_text())
+        assert d["parameter"] == "b" and d["points"]
+        assert max(abs(q["c"] - q["b"] / 2.0) for q in d["points"]) <= 1e-8
+
     def test_degenerate_seed_exit_code(self, tmp_path, capsys):
         out = tmp_path / "branch.csv"
         code = run("trace", "-f", "x^4-(17/3)*x^3+11*x^2-9*x", "-a", "0",

@@ -108,6 +108,20 @@ class TestBigF:
         with pytest.raises(EndpointCollision):
             mvt.big_f(parabola, np.array([1e-13, 100.0]), np.array([5e-14, 50.0]))
 
+    def test_endpoint_guard_on_floats_and_arrays(self, parabola):
+        # a float b takes a path without numpy; it must judge b as the
+        # array path does, and a NaN b does not raise
+        for b in (0.0, 1e-13, -1e-13, 1e-12, 1e-11, 2.0, math.nan, math.inf):
+            outcomes = set()
+            for arg in (b, np.float64(b), np.array(b), np.array([b])):
+                try:
+                    mvt._endpoint_guard(parabola, arg)
+                    outcomes.add(None)
+                except EndpointCollision as e:
+                    outcomes.add(str(e))
+            assert len(outcomes) == 1
+            assert (None in outcomes) == (not abs(b) < 1e-12)
+
     def test_partials_match_central_differences(self, cubic):
         h = 1e-6
         for b, c in ((2.5, 0.7), (3.0, 2.0), (1.5, 0.4), (2.2, 1.9)):
@@ -281,12 +295,14 @@ class TestAbscissae:
         assert abs(cs[1] - 21.4) <= 1e-9
 
     def test_one_column_call_matches_batched_columns(self, cubic):
-        bs = np.linspace(0.5, 3.0, 7)
-        columns = mvt.solve_columns(cubic, bs)
-        for b, points in zip(bs, columns):
-            assert [q.c for q in points] == mvt.abscissae(cubic, float(b))
-            for q in points:
-                assert q == mvt.solution_point(cubic, q.b, q.c)
+        # 37 columns are two full blocks of the default grid and a partial one
+        for count in (7, 37):
+            bs = np.linspace(0.5, 3.0, count)
+            columns = mvt.solve_columns(cubic, bs)
+            for b, points in zip(bs, columns):
+                assert [q.c for q in points] == mvt.abscissae(cubic, float(b))
+                for q in points:
+                    assert q == mvt.solution_point(cubic, q.b, q.c)
 
     def test_first_failing_column_raises_its_own_error(self):
         # the slopes of all columns are evaluated together; the column that
@@ -295,8 +311,12 @@ class TestAbscissae:
         assert p.domain == (-1.0, 2.0)
         pole = 1.9983745123537062  # the grid of this column hits c = 1.5
         kinds = set()
-        for bs in ([0.5, pole, 2.5], [0.5, 2.5, pole], [0.5, 1e-13, 2.5],
-                   [0.5, 2.5, 1e-13], [0.5, 1.5, 2.5], [0.5, pole, 1.5]):
+        lists = ([0.5, pole, 2.5], [0.5, 2.5, pole], [0.5, 1e-13, 2.5],
+                 [0.5, 2.5, 1e-13], [0.5, 1.5, 2.5], [0.5, pole, 1.5])
+        # the same failures again in the second block of the default grid,
+        # after 17 good columns
+        good = np.linspace(0.2, 1.4, 17).tolist()
+        for bs in lists + tuple(good + bs for bs in lists):
             for b in bs:
                 try:
                     mvt.solve_columns(p, [b])

@@ -46,10 +46,23 @@ class TestScan:
         assert all(q.c < q.b for q in cubic_scan.points)
 
     def test_degenerate_column_is_recorded(self):
+        # 40 columns fill more than two blocks of the default grid
         p = mva.Problem(mva.parse("x"), 0.0, 1.0)
-        res = scanner.scan(p, 0.2, 1.0, 5)
-        assert res.degenerate_columns == [0, 1, 2, 3, 4]
-        assert res.points == []
+        for count in (5, 40):
+            res = scanner.scan(p, 0.2, 1.0, count)
+            assert res.degenerate_columns == list(range(count))
+            assert res.points == []
+
+    def test_degenerate_and_live_columns_share_a_block(self):
+        # f = 0 for x <= 0 and x^2 after: F(b, .) vanishes for b < 0, and for
+        # b > 0 the one abscissa is c = b^2 / (2 (b + 1)).  Columns 16-19 are
+        # degenerate and 20-31 live in the second block.
+        p = mva.Problem(mva.parse("(x + sqrt(x^2))^2/4"), -1.0, 1.0)
+        res = scanner.scan(p, -0.9, 0.9, 40)
+        assert res.degenerate_columns == list(range(20))
+        assert res.columns == list(range(20, 40))
+        for q in res.points:
+            assert abs(q.c - q.b ** 2 / (2.0 * (q.b + 1.0))) <= 1e-12
 
     def test_column_near_a0_beside_a_far_column(self, parabola):
         # b = 1e-11 is clear of a0 = 0 on its own scale, whatever the other
@@ -129,6 +142,27 @@ class TestJson:
         assert len(d["points"]) == len(cubic_scan.points)
         first = d["points"][0]
         assert sorted(first) == ["b", "c", "column", "residual"]
+
+    def test_matches_reference(self, cubic_scan, parabola):
+        # a corpus scan, an all-degenerate scan with no points, a traced
+        # branch, whose points have no "column", and an empty branch
+        no_points = scanner.scan(mva.Problem(mva.parse("x"), 0.0, 1.0), 0.2, 1.0, 5)
+        branch = continuation.trace_c_of_b(parabola, 2.0, 1.0, (1.0, 3.0), step=0.05)
+        assert branch.points and not no_points.points
+        for obj in (cubic_scan, no_points, branch, continuation.Branch()):
+            assert scanner.to_json(obj) == json.dumps(obj.to_dict(), indent=2) + "\n"
+
+    def test_hand_built_results_match_reference(self):
+        for values in ([(math.nan, 0.5, 0.0), (1.0, -0.0, math.inf), (2.0, -math.inf, 1e-300)],
+                       [(np.float64(1.5), 0.75, 0.0), (2.0, 1.0, np.float64(-0.0))],
+                       [(1, True, None)]):
+            points = [mvt.SolutionPoint(*v) for v in values]
+            res = scanner.ScanResult(
+                expression="x", a0=-0.0, domain=(-math.inf, math.nan), b_min=0.0,
+                b_max=1.0, b_count=2, c_grid_n=64, tol=1e-10, points=points,
+                columns=list(range(len(points))), degenerate_columns=[3])
+            for obj in (res, continuation.Branch(points=points)):
+                assert scanner.to_json(obj) == json.dumps(obj.to_dict(), indent=2) + "\n"
 
 
 class TestSvg:
