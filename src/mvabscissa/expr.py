@@ -6,6 +6,14 @@ differentiation and no finite differences anywhere.  Coefficients may be
 floats or numpy arrays, so a whole grid of expansion points can be evaluated
 in one call.  Plain values have their own path, `evaluate`, which walks the
 tree.
+
+Jets of orders 0-2, the ones that f' and F and its partials need, run as
+straight-line Python compiled from the tape once per width, with every
+recurrence written out term by term; wider jets run the tape's steps on a
+stack.  Both do the same arithmetic, so they agree bit for bit.  `lower`
+keeps the tapes of the trees it lowered last, keyed by repr, so equal trees,
+parsed twice or rebuilt by each `mvt.normalize`, share one tape and its
+compiled code.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Union
 
 import numpy as np
 
@@ -53,7 +60,9 @@ class Binary:
     right: "ExprNode"
 
 
-ExprNode = Union[Const, Var, Unary, Binary]
+# a union type, not typing.Union, whose cache would keep these classes, and
+# through their methods this module, alive after the package is re-imported
+ExprNode = Const | Var | Unary | Binary
 
 
 @dataclass(frozen=True)
@@ -394,16 +403,6 @@ def _neg(a):
     return [-ai for ai in a]
 
 def _mul(a, b):
-    # widths 2 and 3 written out, summed in the order of the generic loop and
-    # from its int 0, so that every value and signed zero is the same
-    if len(a) == 3:
-        a0, a1, a2 = a
-        b0, b1, b2 = b
-        return [0 + a0 * b0, 0 + a0 * b1 + a1 * b0, 0 + a0 * b2 + a1 * b1 + a2 * b0]
-    if len(a) == 2:
-        a0, a1 = a
-        b0, b1 = b
-        return [0 + a0 * b0, 0 + a0 * b1 + a1 * b0]
     return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
 
 def _div(a, b, node=None):
@@ -513,21 +512,43 @@ _UNARY = {"neg": _neg, "sin": _sin, "cos": _cos, "exp": _exp}
 _BINARY = {"+": _add, "-": _sub, "*": _mul}
 
 
+# the widest jet a tape runs as compiled code: orders 0-2, the widths of f'
+# and of F and its partials; wider jets, the series of classify, run a few
+# times per problem, and their code would take longer to compile than to run
+COMPILED_WIDTH = 3
+# the longest tape compiled: Python's compiler takes time and memory in
+# proportion to the code, about 50 ms and 20 MB for width 3 at this length on
+# a 2-core x86-64 machine, and the length of an expression text is unbounded
+_COMPILED_STEPS = 2000
+
+
 class Tape:
     """An expression lowered to postfix steps for jet evaluation.
 
     Each step is (arity, fn): a leaf fn(x0, width) pushes a jet, and an
     operation fn(jet) or fn(left, right) replaces its operands on the stack
     with its result, so each intermediate is dropped after its only use.
+
+    A jet of width up to COMPILED_WIDTH runs as straight-line code compiled
+    from the steps once per width, when that width is first asked for; it
+    does the arithmetic of the stack run exactly.  Wider jets, and every jet
+    of a tape longer than _COMPILED_STEPS, run the steps on the stack.
+    `lower` gives equal trees one tape, so they share its compiled code too.
     """
 
-    __slots__ = ("steps",)
+    __slots__ = ("steps", "_compiled")
 
     def __init__(self, steps: tuple):
         self.steps = steps
+        self._compiled = [None] * (COMPILED_WIDTH + 1)
 
     def run(self, x0, width):
         """The coefficient list of the expression's jet of the given width at x0."""
+        if width <= COMPILED_WIDTH and len(self.steps) <= _COMPILED_STEPS:
+            run = self._compiled[width]
+            if run is None:
+                run = self._compiled[width] = _compile_run(self.steps, width)
+            return run(x0)
         stack = []
         for arity, fn in self.steps:
             if arity == 1:
@@ -539,12 +560,28 @@ class Tape:
         return stack[0]
 
 
+# the tapes of the trees lowered last, by repr, least recent first: equal
+# trees from separate parses, or from each mvt.normalize, share one tape and
+# so its compiled code.  Trees that are == may need other code: Const(0.0)
+# and Const(-0.0) are equal, and so are Const(1) and Const(1.0); repr tells
+# them apart.
+_TAPES = {}
+_TAPES_KEPT = 64
+
+
 def lower(f: ExprNode) -> Tape:
     """Lower f to a tape, resolving each ^ exponent once: integer, odd root
-    or general."""
-    steps = []
-    _emit(f, steps)
-    return Tape(tuple(steps))
+    or general.  A tree equal in repr to one lowered lately gets its tape."""
+    key = repr(f)
+    tape = _TAPES.pop(key, None)
+    if tape is None:
+        steps = []
+        _emit(f, steps)
+        tape = Tape(tuple(steps))
+        if len(_TAPES) >= _TAPES_KEPT:
+            del _TAPES[next(iter(_TAPES))]
+    _TAPES[key] = tape
+    return tape
 
 
 def _emit(node, steps):
@@ -582,6 +619,179 @@ def _emit_pow(node, steps):
         steps.append((2, _exp_product))
 
 
+# ---------------------------------------------------------------------------
+# compiled runs: one width of a tape as straight-line code
+# ---------------------------------------------------------------------------
+
+class _Source:
+    """The source of a compiled run, and the namespace it runs in.
+
+    A jet is a list of atoms: a local t<i>, the argument x0, a name k<i>
+    bound in the namespace, or a literal 0.0 or 1.0.  Objects are bound, not
+    printed, so that their types and signs of zero survive.
+    """
+
+    def __init__(self, width):
+        self.width = width
+        self.lines = []
+        self.ns = {"_any": _any, "_fail": _fail, "exp": np.exp, "log": np.log,
+                   "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "sign": np.sign}
+        self.temps = 0
+
+    def let(self, value):
+        """A new local holding value."""
+        name = f"t{self.temps}"
+        self.temps += 1
+        self.lines.append(f"{name} = {value}")
+        return name
+
+    def bind(self, obj):
+        name = f"k{len(self.ns)}"
+        self.ns[name] = obj
+        return name
+
+    def check(self, cond, node, why):
+        self.lines.append(f"if _any({cond}): _fail({self.bind(node)}, {why!r})")
+
+
+def _sum(terms):
+    # as sum() adds them: from the int 0, left to right
+    return f"({' + '.join(['0', *terms])})"
+
+
+# one writer per helper, taking its arguments but with jets of atoms, and
+# writing its arithmetic term by term in its order; see the helpers above
+
+def _w_const(src, value):
+    return [src.bind(value), "0.0", "0.0"][:src.width]
+
+def _w_var(src):
+    return ["x0", "1.0", "0.0"][:src.width]
+
+def _w_neg(src, a):
+    return [src.let(f"-{ai}") for ai in a]
+
+def _w_add(src, a, b):
+    return [src.let(f"{ai} + {bi}") for ai, bi in zip(a, b)]
+
+def _w_sub(src, a, b):
+    return [src.let(f"{ai} - {bi}") for ai, bi in zip(a, b)]
+
+def _w_mul(src, a, b):
+    return [src.let(_sum(f"{a[j]} * {b[k - j]}" for j in range(k + 1)))
+            for k in range(len(a))]
+
+def _w_div(src, a, b, node=None):
+    src.check(f"{b[0]} == 0", node, "division by zero")
+    c = []
+    for k in range(len(a)):
+        s = a[k] + "".join(f" - {c[j]} * {b[k - j]}" for j in range(k))
+        c.append(src.let(f"({s}) / {b[0]}"))
+    return c
+
+def _w_ipow(src, a, n):
+    result = ["1.0"] + ["0.0"] * (len(a) - 1)
+    base = a
+    while True:
+        if n & 1:
+            result = _w_mul(src, result, base)
+        n >>= 1
+        if not n:
+            return result
+        base = _w_mul(src, base, base)
+
+def _w_exp(src, a):
+    e = [src.let(f"exp({a[0]})")]
+    for k in range(1, len(a)):
+        e.append(src.let(f"{_sum(f'{j} * {a[j]} * {e[k - j]}' for j in range(1, k + 1))} / {k}"))
+    return e
+
+def _w_log(src, a, node=None):
+    src.check(f"{a[0]} <= 0", node, "log of nonpositive value")
+    l = [src.let(f"log({a[0]})")]
+    for k in range(1, len(a)):
+        s = f"{k} * {a[k]} - {_sum(f'{j} * {l[j]} * {a[k - j]}' for j in range(1, k))}"
+        l.append(src.let(f"({s}) / ({k} * {a[0]})"))
+    return l
+
+def _w_sqrt(src, a, node=None):
+    src.check(f"{a[0]} <= 0", node, "sqrt of nonpositive value (derivative undefined at 0)")
+    q = [src.let(f"sqrt({a[0]})")]
+    for k in range(1, len(a)):
+        s = a[k] + "".join(f" - {q[j]} * {q[k - j]}" for j in range(1, k))
+        q.append(src.let(f"({s}) / (2.0 * {q[0]})"))
+    return q
+
+def _w_sincos(src, a):
+    # both series, as _sin and _cos compute them, so that numpy warns alike
+    s = [src.let(f"sin({a[0]})")]
+    c = [src.let(f"cos({a[0]})")]
+    for k in range(1, len(a)):
+        sk = src.let(f"{_sum(f'{j} * {a[j]} * {c[k - j]}' for j in range(1, k + 1))} / {k}")
+        ck = src.let(f"-{_sum(f'{j} * {a[j]} * {s[k - j]}' for j in range(1, k + 1))} / {k}")
+        s.append(sk)
+        c.append(ck)
+    return s, c
+
+def _w_sin(src, a):
+    return _w_sincos(src, a)[0]
+
+def _w_cos(src, a):
+    return _w_sincos(src, a)[1]
+
+def _w_inverse_ipow(src, a, n, node):
+    one = ["1.0"] + ["0.0"] * (len(a) - 1)
+    return _w_div(src, one, _w_ipow(src, a, n), node)
+
+def _w_odd_root(src, a, power, odd, node):
+    src.check(f"{a[0]} == 0", node, "root of zero (derivative undefined)")
+    sgn = src.let(f"sign({a[0]})")
+    w = [src.let(f"{sgn} * {ai}") for ai in a]
+    p = src.bind(power)
+    res = _w_exp(src, [src.let(f"{li} * {p}") for li in _w_log(src, w, node)])
+    return [src.let(f"{sgn} * {ri}") for ri in res] if odd else res
+
+def _w_log_base(src, a, node):
+    src.check(f"{a[0]} <= 0", node, "nonpositive base with non-odd-rational exponent")
+    return _w_log(src, a, node)
+
+def _w_exp_product(src, log_base, e):
+    return _w_exp(src, _w_mul(src, e, log_base))
+
+
+_WRITERS = {
+    _const: _w_const, _var: _w_var, _neg: _w_neg, _add: _w_add, _sub: _w_sub,
+    _mul: _w_mul, _div: _w_div, _ipow: _w_ipow, _exp: _w_exp, _log: _w_log,
+    _sqrt: _w_sqrt, _sin: _w_sin, _cos: _w_cos, _inverse_ipow: _w_inverse_ipow,
+    _odd_root: _w_odd_root, _log_base: _w_log_base, _exp_product: _w_exp_product,
+}
+
+
+def _compile_run(steps, width):
+    """The steps as one function of x0 that returns the coefficient list of
+    the jet of the given width.  Each local is deleted after its last use,
+    as the stack drops it, so that array runs hold no more memory."""
+    src = _Source(width)
+    stack = []
+    for arity, fn in steps:
+        first = src.temps
+        operands = stack[len(stack) - arity:]
+        del stack[len(stack) - arity:]
+        write = _WRITERS[getattr(fn, "func", fn)]
+        result = write(src, *getattr(fn, "args", ()), *operands, **getattr(fn, "keywords", {}))
+        dead = [t for jet in operands for t in jet if t.startswith("t")]
+        dead += [f"t{i}" for i in range(first, src.temps) if f"t{i}" not in result]
+        if dead:
+            src.lines.append(f"del {', '.join(dead)}")
+        stack.append(result)
+    (result,) = stack
+    body = "".join(f"    {line}\n" for line in src.lines)
+    code = compile(f"def run(x0):\n{body}    return [{', '.join(result)}]\n",
+                   f"<tape, width {width}>", "exec")
+    exec(code, src.ns)
+    return src.ns["run"]
+
+
 def _finite(c):
     if isinstance(c, float):
         return math.isfinite(c)
@@ -591,7 +801,8 @@ def _finite(c):
 def jet_eval(f: ExprNode | Tape, x0, n: int, max_order: int = MAX_JET_ORDER) -> Jet:
     """Taylor coefficients of f at x0 up to order n, by jet arithmetic.
 
-    f is an ExprNode, lowered on every call, or the Tape of one.
+    f is an ExprNode, lowered (or its tape looked up) on every call, or the
+    Tape of one.
     """
     if n < 0:
         raise ValueError("jet order must be nonnegative")

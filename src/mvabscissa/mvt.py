@@ -19,9 +19,11 @@ from .solver import Implicit2D
 
 DEFAULT_TOL = 1e-10
 DEFAULT_GRID_N = 2048
-# the most grid points in one block of columns: much larger blocks run slower,
-# because their temporaries no longer fit in the cache
-_BLOCK_POINTS = 2 ** 15
+# the most grid points in one block of columns, 8 columns of the default grid,
+# so 128 KB a temporary.  With glibc's default malloc, blocks of 16 columns
+# ran a scan 10-15 % slower; with its mmap and trim thresholds raised, both
+# sizes ran alike, so the gap is the allocator's, not the cache's.
+_BLOCK_POINTS = 2 ** 14
 
 
 def _padded_domain(f, a0, b0):

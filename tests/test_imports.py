@@ -18,3 +18,23 @@ def test_import_loads_no_scipy_mpmath_or_sympy():
                          text=True, timeout=60, check=True).stdout.splitlines()
     assert Path(out[0]).resolve().is_relative_to(SRC)
     assert out[1] == "[]"
+
+
+def test_reimport_frees_the_old_package():
+    # a re-import, as a benchmark's fresh set-up does, must leave nothing that
+    # keeps the old modules alive, such as typing's cache of Union[...]
+    code = ("import gc, sys, weakref, mvabscissa as mva, mvabscissa.cli\n"
+            "p = mva.Problem(mva.parse('x^3 - 3*x^2 + 2*x'), 0.0, 3.0)\n"
+            "mva.trace_c_of_b(p, 3.0, 2.0, (2.5, 3.5), step=0.1)\n"
+            "old = weakref.ref(mva.expr.Const)\n"
+            "del p, mva\n"
+            "for name in [m for m in sys.modules if m.split('.')[0] == 'mvabscissa']:\n"
+            "    del sys.modules[name]\n"
+            "import mvabscissa\n"
+            "gc.collect()\n"
+            "print(old() is None)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout.splitlines()
+    assert out == ["True"]

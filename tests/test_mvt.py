@@ -295,7 +295,7 @@ class TestAbscissae:
         assert abs(cs[1] - 21.4) <= 1e-9
 
     def test_one_column_call_matches_batched_columns(self, cubic):
-        # 37 columns are two full blocks of the default grid and a partial one
+        # 37 columns are four full blocks of the default grid and a partial one
         for count in (7, 37):
             bs = np.linspace(0.5, 3.0, count)
             columns = mvt.solve_columns(cubic, bs)
@@ -313,8 +313,8 @@ class TestAbscissae:
         kinds = set()
         lists = ([0.5, pole, 2.5], [0.5, 2.5, pole], [0.5, 1e-13, 2.5],
                  [0.5, 2.5, 1e-13], [0.5, 1.5, 2.5], [0.5, pole, 1.5])
-        # the same failures again in the second block of the default grid,
-        # after 17 good columns
+        # the same failures again in a later block of the default grid (the
+        # third), after 17 good columns
         good = np.linspace(0.2, 1.4, 17).tolist()
         for bs in lists + tuple(good + bs for bs in lists):
             for b in bs:

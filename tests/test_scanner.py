@@ -56,7 +56,7 @@ class TestScan:
     def test_degenerate_and_live_columns_share_a_block(self):
         # f = 0 for x <= 0 and x^2 after: F(b, .) vanishes for b < 0, and for
         # b > 0 the one abscissa is c = b^2 / (2 (b + 1)).  Columns 16-19 are
-        # degenerate and 20-31 live in the second block.
+        # degenerate and 20-23 live in the third block.
         p = mva.Problem(mva.parse("(x + sqrt(x^2))^2/4"), -1.0, 1.0)
         res = scanner.scan(p, -0.9, 0.9, 40)
         assert res.degenerate_columns == list(range(20))

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvabscissa import expr
+import mvabscissa as mva
+from mvabscissa import expr, mvt
 
 import reference_jet
 
@@ -37,18 +38,20 @@ POINTS = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
 def _outcome(jet_eval, f, x0, n):
-    """The coefficients of the jet, or the type of the exception raised."""
+    """The coefficients of the jet, or the type and message of the exception
+    raised."""
     with np.errstate(all="ignore"):
         try:
             return jet_eval(f, x0, n).coeffs
-        except Exception as e:  # the types themselves are compared
-            return type(e)
+        except Exception as e:  # the types and messages themselves are compared
+            return type(e), str(e)
 
 
 def _same(a, b):
-    """Equal bit for bit: type, shape, value and sign of zero."""
-    if isinstance(a, type) or isinstance(b, type):
-        return a is b
+    """Equal bit for bit: type, shape, value and sign of zero; or the same
+    exception type and message."""
+    if isinstance(a[0], type) or isinstance(b[0], type):
+        return isinstance(a[0], type) and isinstance(b[0], type) and a == b
     return len(a) == len(b) and all(
         type(u) is type(v) and np.shape(u) == np.shape(v) and np.array_equal(u, v)
         and np.array_equal(np.signbit(u), np.signbit(v)) for u, v in zip(a, b))
@@ -59,6 +62,17 @@ def _same(a, b):
 # products that are -0.0, which the sums of jet products turn into 0.0
 @example(expr.Binary("*", expr.Const(0.0), expr.Var()), -1.0, [-1.0, 2.0])
 @example(expr.Binary("*", expr.Var(), expr.Binary("-", expr.Var(), expr.Var())), -1.0, [-2.0])
+# constants that keep their type and sign of zero
+@example(expr.Const(3), 0.0, [1.0])
+@example(expr.Binary("-", expr.Const(-0.0), expr.Var()), 0.0, [0.0, 1.0])
+# each domain check, on a float and on an array with one bad point
+@example(expr.Unary("log", expr.Var()), 0.0, [1.0, -1.0])
+@example(expr.Unary("sqrt", expr.Var()), 0.0, [1.0, -1.0])
+@example(expr.Binary("/", expr.Const(1.0), expr.Var()), 0.0, [1.0, 0.0])
+@example(expr.Binary("^", expr.Var(), expr.Unary("neg", expr.Const(2.0))), 0.0, [1.0, 0.0])
+@example(expr.Binary("^", expr.Var(), _third), 0.0, [1.0, 0.0])
+@example(expr.Binary("^", expr.Var(), expr.Const(0.5)), -1.0, [1.0, 0.0])
+@example(expr.Binary("^", expr.Var(), expr.Var()), 0.0, [1.0, -2.0])
 def test_tape_matches_the_recursive_evaluator(tree, x, xs):
     tape = expr.lower(tree)
     for x0 in (x, np.array(xs)):
@@ -82,3 +96,68 @@ def test_every_kind_of_power_is_lowered_once():
     assert kinds.count("_odd_root") == 1
     # x^0.5 and x^x: the log of the base, then exp of the product with the exponent
     assert kinds.count("_log_base") == kinds.count("_exp_product") == 2
+
+
+def _counting_compiles(monkeypatch):
+    """An empty tape cache, and the widths of the runs compiled from now on."""
+    widths = []
+    compile_run = expr._compile_run
+
+    def counting(steps, width):
+        widths.append(width)
+        return compile_run(steps, width)
+
+    monkeypatch.setattr(expr, "_compile_run", counting)
+    monkeypatch.setattr(expr, "_TAPES", {})
+    return widths
+
+
+def test_signed_zero_constants_keep_their_own_code(monkeypatch):
+    # Const(-0.0) == Const(0.0), but -0.0 - x and 0.0 - x differ at x = 0
+    minus, plus = (expr.Binary("-", expr.Const(z), expr.Var()) for z in (-0.0, 0.0))
+    for trees in ((minus, plus), (plus, minus)):
+        monkeypatch.setattr(expr, "_TAPES", {})
+        for tree in trees:
+            for n in range(3):
+                want = _outcome(reference_jet.jet_eval, tree, 0.0, n)
+                assert _same(_outcome(expr.jet_eval, tree, 0.0, n), want), (tree, n)
+    assert np.signbit(expr.jet_eval(minus, 0.0, 0).coeffs[0])
+    assert not np.signbit(expr.jet_eval(plus, 0.0, 0).coeffs[0])
+
+
+def test_normalized_problems_compile_once(monkeypatch):
+    widths = _counting_compiles(monkeypatch)
+    p = mva.Problem(mva.parse("x^5/5 - 1.6*x^4 + (14/3)*x^3 - 6.4*x^2 + 4.2*x"), 0.0, 3.0)
+    first, second = mvt.normalize(p), mvt.normalize(p)
+    assert first.f == second.f and first.f is not second.f
+    for q in (first, second):
+        mvt.big_f(q, 2.5, 1.0)  # jets of width 2 at b and 3 at c
+    assert sorted(widths) == [2, 3]
+
+
+def test_parses_of_one_text_compile_once(monkeypatch):
+    widths = _counting_compiles(monkeypatch)
+    for _ in range(2):
+        expr.jet_eval(expr.parse("sin(x)*x^2 + 1/x"), 0.5, 2)
+    assert widths == [3]
+
+
+def test_tape_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(expr, "_TAPES", {})
+    trees = [expr.Binary("+", expr.Var(), expr.Const(float(i)))
+             for i in range(expr._TAPES_KEPT + 5)]
+    tapes = [expr.lower(t) for t in trees]
+    assert len(expr._TAPES) == expr._TAPES_KEPT
+    assert expr.lower(trees[-1]) is tapes[-1]
+    assert expr.lower(trees[0]) is not tapes[0]
+
+
+def test_long_tapes_run_on_the_stack(monkeypatch):
+    widths = _counting_compiles(monkeypatch)
+    monkeypatch.setattr(expr, "_COMPILED_STEPS", 5)
+    tree = expr.parse("sin(x)*x^2 + 1/x")
+    assert len(expr.lower(tree).steps) > 5
+    for n in range(3):
+        want = _outcome(reference_jet.jet_eval, tree, 0.5, n)
+        assert _same(_outcome(expr.jet_eval, tree, 0.5, n), want)
+    assert widths == []
