@@ -208,7 +208,7 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
     Requires g(a0) = g(b0) = 0 (apply mvt.normalize first).
     """
     xs = np.linspace(p.a0, p.b0, grid_n + 1)
-    gv = np.asarray(expr.evaluate(p.f, xs), dtype=float)
+    gv = np.asarray(expr.evaluate(p.tape, xs), dtype=float)
     scale = max(1.0, float(np.max(np.abs(gv))))
     if abs(gv[0]) > 1e-9 * scale or abs(gv[-1]) > 1e-9 * scale:
         raise ValueError("problem is not normalized: g(a0) or g(b0) is nonzero")
@@ -236,7 +236,7 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
         # flat extremum: ternary search on the (negated) extremal value
         sgn = 1.0 if abs(float(gv[i_max])) >= abs(float(gv[i_min])) else -1.0
         c0 = float(mvt._ternary_min(
-            lambda _, c: -sgn * expr.evaluate(p.f, c), np.array([lo]), np.array([hi]),
+            lambda _, c: -sgn * expr.evaluate(p.tape, c), np.array([lo]), np.array([hi]),
             np.array([1e-14 * max(1.0, abs(lo), abs(hi))]))[0])
 
     t = expr.jet_eval(p.tape, c0, kmax + 1).coeffs

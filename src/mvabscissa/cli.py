@@ -148,7 +148,7 @@ def _cmd_fixed_point(args):
         return expr.jet_eval(tape, t, 1).coeffs[1]
 
     F = solver.Implicit2D(
-        value=lambda x, y: expr.evaluate(f1, x) - expr.evaluate(f2, y)
+        value=lambda x, y: expr.evaluate(tape1, x) - expr.evaluate(tape2, y)
         + 0.0 * np.asarray(x, dtype=float) + 0.0 * np.asarray(y, dtype=float),
         dx=lambda x, y: d(tape1, x) + 0.0 * np.asarray(y, dtype=float),
         dy=lambda x, y: -d(tape2, y) + 0.0 * np.asarray(x, dtype=float))

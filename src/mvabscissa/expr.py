@@ -4,11 +4,13 @@ Jets carry coefficients t_j = f^(j)(x0)/j!, propagated by exact series
 recurrences along a tape, the tree lowered once to postfix steps; no symbolic
 differentiation and no finite differences anywhere.  Coefficients may be
 floats or numpy arrays, so a whole grid of expansion points can be evaluated
-in one call.  Plain values have their own path, `evaluate`, which walks the
-tree.
+in one call.  A plain value, `evaluate`, is the jet of width 1 of the same
+tape, so values and jets come from one arithmetic.  A value is checked only
+where it is undefined: at a zero base, sqrt, odd roots and positive even-root
+powers have the value 0 but no derivative, so only wider jets fail there.
 
-Jets of orders 0-2, the ones that f' and F and its partials need, run as
-straight-line Python compiled from the tape once per width, with every
+Values and jets of orders 1-2, the ones that f' and F and its partials need,
+run as straight-line Python compiled from the tape once per width, with every
 recurrence written out term by term; wider jets run the tape's steps on a
 stack.  Both do the same arithmetic, so they agree bit for bit.  `lower`
 keeps the tapes of the trees it lowered last, keyed by repr, so equal trees,
@@ -312,82 +314,12 @@ def _as_rational(node):
 
 
 # ---------------------------------------------------------------------------
-# plain evaluation
+# jet arithmetic (coefficient lists, truncation-consistent recurrences)
 # ---------------------------------------------------------------------------
-
-def evaluate(f: ExprNode, x):
-    """Evaluate f at x (scalar or numpy array)."""
-    return _eval(f, x)
-
 
 def _fail(node, why):
     where = f" in {to_string(node)!r}" if node is not None else ""
     raise DomainError(f"{why}{where}")
-
-
-def _eval(node, x):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return -_eval(node.arg, x)
-        u = _eval(node.arg, x)
-        if node.op == "sin":
-            return np.sin(u)
-        if node.op == "cos":
-            return np.cos(u)
-        if node.op == "exp":
-            return np.exp(u)
-        if node.op == "log":
-            if np.any(u <= 0):
-                _fail(node, "log of nonpositive value")
-            return np.log(u)
-        if np.any(u < 0):
-            _fail(node, "sqrt of negative value")
-        return np.sqrt(u)
-    l = _eval(node.left, x)
-    if node.op == "^":
-        return _pow_value(l, node.right, x, node)
-    r = _eval(node.right, x)
-    if node.op == "+":
-        return l + r
-    if node.op == "-":
-        return l - r
-    if node.op == "*":
-        return l * r
-    if np.any(r == 0):
-        _fail(node, "division by zero")
-    return l / r
-
-
-def _pow_value(base, exp_node, x, node):
-    fr = _as_rational(exp_node)
-    if fr is not None:
-        if fr.denominator == 1:
-            n = fr.numerator
-            if n < 0 and np.any(base == 0):
-                _fail(node, "zero base with negative exponent")
-            return base ** float(n)
-        if fr.denominator % 2 == 1:
-            # odd root: sign-aware, defined for negative bases
-            if fr < 0 and np.any(base == 0):
-                _fail(node, "zero base with negative exponent")
-            mag = np.abs(base) ** float(fr)
-            return np.sign(base) * mag if fr.numerator % 2 else mag
-        if np.any(base < 0):
-            _fail(node, "negative base with even-root exponent")
-        return base ** float(fr)
-    e = _eval(exp_node, x)
-    if np.any(base <= 0):
-        _fail(node, "nonpositive base with non-rational exponent")
-    return np.exp(e * np.log(base))
-
-
-# ---------------------------------------------------------------------------
-# jet arithmetic (coefficient lists, truncation-consistent recurrences)
-# ---------------------------------------------------------------------------
 
 def _any(cond):
     # np.any without its cost on a scalar condition
@@ -438,14 +370,32 @@ def _exp(a):
 def _log(a, node=None):
     if _any(a[0] <= 0):
         _fail(node, "log of nonpositive value")
-    l = [np.log(a[0])]
+    return _ln(a, np.log(a[0]))
+
+def _ln(a, l0):
+    # the log series from its value l0
+    l = [l0]
     for k in range(1, len(a)):
         s = k * a[k] - sum(j * l[j] * a[k - j] for j in range(1, k))
         l.append(s / (k * a[0]))
     return l
 
+def _log0(v):
+    # log(0) = -inf without numpy's warning: at width 1 a root of a zero
+    # base is exp(power * -inf) = 0; a wider jet fails before its log
+    with np.errstate(divide="ignore"):
+        return np.log(v)
+
+def _root_log(a):
+    # the log series of the base of a root, checked by the caller
+    return _ln(a, np.log(a[0]) if len(a) > 1 else _log0(a[0]))
+
 def _sqrt(a, node=None):
-    if _any(a[0] <= 0):
+    # the value is defined at 0, the derivative is not
+    if len(a) == 1:
+        if _any(a[0] < 0):
+            _fail(node, "sqrt of negative value")
+    elif _any(a[0] <= 0):
         _fail(node, "sqrt of nonpositive value (derivative undefined at 0)")
     q = [np.sqrt(a[0])]
     for k in range(1, len(a)):
@@ -479,19 +429,25 @@ def _inverse_ipow(a, n, node):
     return _div(one, _ipow(a, n), node)
 
 def _odd_root(a, power, odd, node):
-    # a^(p/q) with q odd: sign-aware, defined for negative bases
-    if _any(a[0] == 0):
-        _fail(node, "root of zero (derivative undefined)")
+    # a^(p/q) with q odd: sign-aware, defined for negative bases; at a zero
+    # base a positive power has the value 0 but no derivative
+    if len(a) > 1:
+        if _any(a[0] == 0):
+            _fail(node, "root of zero (derivative undefined)")
+    elif power < 0 and _any(a[0] == 0):
+        _fail(node, "zero base with negative exponent")
     sgn = np.sign(a[0])
     w = [sgn * ai for ai in a]
-    res = _exp([li * power for li in _log(w, node)])
+    res = _exp([li * power for li in _root_log(w)])
     return [sgn * ri for ri in res] if odd else res
 
-def _log_base(a, node):
-    # the base of a general power, checked before its exponent is evaluated
-    if _any(a[0] <= 0):
+def _log_base(a, node, even_root=False):
+    # the base of a general power, checked before its exponent is evaluated;
+    # under a positive even root, p/q with q even, a zero base has the value
+    # 0 but no derivative
+    if _any(a[0] < 0 if even_root and len(a) == 1 else a[0] <= 0):
         _fail(node, "nonpositive base with non-odd-rational exponent")
-    return _log(a, node)
+    return _root_log(a)
 
 def _exp_product(log_base, e):
     return _exp(_mul(e, log_base))
@@ -512,9 +468,10 @@ _UNARY = {"neg": _neg, "sin": _sin, "cos": _cos, "exp": _exp}
 _BINARY = {"+": _add, "-": _sub, "*": _mul}
 
 
-# the widest jet a tape runs as compiled code: orders 0-2, the widths of f'
-# and of F and its partials; wider jets, the series of classify, run a few
-# times per problem, and their code would take longer to compile than to run
+# the widest jet a tape runs as compiled code: width 1, a value, and orders
+# 1-2, the widths of f' and of F and its partials; wider jets, the series of
+# classify, run a few times per problem, and their code would take longer to
+# compile than to run
 COMPILED_WIDTH = 3
 # the longest tape compiled: Python's compiler takes time and memory in
 # proportion to the code, about 50 ms and 20 MB for width 3 at this length on
@@ -528,6 +485,9 @@ class Tape:
     Each step is (arity, fn): a leaf fn(x0, width) pushes a jet, and an
     operation fn(jet) or fn(left, right) replaces its operands on the stack
     with its result, so each intermediate is dropped after its only use.
+    The jet of width 1 is the value: it fails only where the value is
+    undefined, so a zero under sqrt, an odd root or a positive even-root
+    power gives 0 there, and fails at every wider width.
 
     A jet of width up to COMPILED_WIDTH runs as straight-line code compiled
     from the steps once per width, when that width is first asked for; it
@@ -614,7 +574,7 @@ def _emit_pow(node, steps):
                                  node=node)))
     else:
         # exp(e * log(base)): the exponent's own jet is needed
-        steps.append((1, partial(_log_base, node=node)))
+        steps.append((1, partial(_log_base, node=node, even_root=fr is not None and fr > 0)))
         _emit(node.right, steps)
         steps.append((2, _exp_product))
 
@@ -635,7 +595,7 @@ class _Source:
         self.width = width
         self.lines = []
         self.ns = {"_any": _any, "_fail": _fail, "exp": np.exp, "log": np.log,
-                   "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "sign": np.sign}
+                   "log0": _log0, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "sign": np.sign}
         self.temps = 0
 
     def let(self, value):
@@ -708,14 +668,20 @@ def _w_exp(src, a):
 
 def _w_log(src, a, node=None):
     src.check(f"{a[0]} <= 0", node, "log of nonpositive value")
-    l = [src.let(f"log({a[0]})")]
+    return _w_ln(src, a, src.let(f"log({a[0]})"))
+
+def _w_ln(src, a, l0):
+    l = [l0]
     for k in range(1, len(a)):
         s = f"{k} * {a[k]} - {_sum(f'{j} * {l[j]} * {a[k - j]}' for j in range(1, k))}"
         l.append(src.let(f"({s}) / ({k} * {a[0]})"))
     return l
 
 def _w_sqrt(src, a, node=None):
-    src.check(f"{a[0]} <= 0", node, "sqrt of nonpositive value (derivative undefined at 0)")
+    if src.width == 1:
+        src.check(f"{a[0]} < 0", node, "sqrt of negative value")
+    else:
+        src.check(f"{a[0]} <= 0", node, "sqrt of nonpositive value (derivative undefined at 0)")
     q = [src.let(f"sqrt({a[0]})")]
     for k in range(1, len(a)):
         s = a[k] + "".join(f" - {q[j]} * {q[k - j]}" for j in range(1, k))
@@ -743,17 +709,24 @@ def _w_inverse_ipow(src, a, n, node):
     one = ["1.0"] + ["0.0"] * (len(a) - 1)
     return _w_div(src, one, _w_ipow(src, a, n), node)
 
+def _w_root_log(src, a):
+    return _w_ln(src, a, src.let(f"{'log0' if src.width == 1 else 'log'}({a[0]})"))
+
 def _w_odd_root(src, a, power, odd, node):
-    src.check(f"{a[0]} == 0", node, "root of zero (derivative undefined)")
+    if src.width > 1:
+        src.check(f"{a[0]} == 0", node, "root of zero (derivative undefined)")
+    elif power < 0:
+        src.check(f"{a[0]} == 0", node, "zero base with negative exponent")
     sgn = src.let(f"sign({a[0]})")
     w = [src.let(f"{sgn} * {ai}") for ai in a]
     p = src.bind(power)
-    res = _w_exp(src, [src.let(f"{li} * {p}") for li in _w_log(src, w, node)])
+    res = _w_exp(src, [src.let(f"{li} * {p}") for li in _w_root_log(src, w)])
     return [src.let(f"{sgn} * {ri}") for ri in res] if odd else res
 
-def _w_log_base(src, a, node):
-    src.check(f"{a[0]} <= 0", node, "nonpositive base with non-odd-rational exponent")
-    return _w_log(src, a, node)
+def _w_log_base(src, a, node, even_root=False):
+    cmp = "<" if even_root and src.width == 1 else "<="
+    src.check(f"{a[0]} {cmp} 0", node, "nonpositive base with non-odd-rational exponent")
+    return _w_root_log(src, a)
 
 def _w_exp_product(src, log_base, e):
     return _w_exp(src, _w_mul(src, e, log_base))
@@ -796,6 +769,17 @@ def _finite(c):
     if isinstance(c, float):
         return math.isfinite(c)
     return bool(np.all(np.isfinite(np.asarray(c, dtype=float))))
+
+
+def evaluate(f: ExprNode | Tape, x):
+    """The value of f at x, a float or numpy array: the jet of width 1 of
+    its tape, unchecked for finiteness.
+
+    f is an ExprNode, lowered (or its tape looked up) on every call, or the
+    Tape of one.
+    """
+    tape = f if isinstance(f, Tape) else lower(f)
+    return tape.run(x, 1)[0]
 
 
 def jet_eval(f: ExprNode | Tape, x0, n: int, max_order: int = MAX_JET_ORDER) -> Jet:

@@ -26,13 +26,13 @@ DEFAULT_GRID_N = 2048
 _BLOCK_POINTS = 2 ** 14
 
 
-def _padded_domain(f, a0, b0):
+def _padded_domain(tape, a0, b0):
     """[a0, b0] padded by its width on each side, with the padding halved,
     down to none, while f does not evaluate on 65 points of the domain."""
     w = b0 - a0
     for pad in [w * 0.5 ** k for k in range(10)] + [0.0]:
         try:
-            expr.evaluate(f, np.linspace(a0 - pad, b0 + pad, 65))
+            expr.evaluate(tape, np.linspace(a0 - pad, b0 + pad, 65))
             return a0 - pad, b0 + pad
         except DomainError:
             if pad == 0.0:
@@ -43,8 +43,8 @@ def _padded_domain(f, a0, b0):
 class Problem:
     """A function together with fixed endpoints and an evaluation domain.
 
-    The problem lowers f to a jet tape and evaluates f(a0), each once, when
-    they are first needed.
+    The problem lowers f to a jet tape when it is built, and evaluates f(a0)
+    on it once, when first needed.
     """
 
     f: expr.ExprNode
@@ -57,23 +57,23 @@ class Problem:
             raise ValueError("need finite endpoints with a0 < b0")
         padded = self.domain is None
         if padded:
-            object.__setattr__(self, "domain", _padded_domain(self.f, self.a0, self.b0))
+            object.__setattr__(self, "domain", _padded_domain(self.tape, self.a0, self.b0))
         lo, hi = self.domain
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= self.a0 and hi >= self.b0):
             raise ValueError("domain must be a finite interval containing [a0, b0]")
         if not padded:
             # fail early if f is not evaluable on the domain
-            expr.evaluate(self.f, np.linspace(lo, hi, 65))
+            expr.evaluate(self.tape, np.linspace(lo, hi, 65))
 
     @cached_property
     def tape(self) -> expr.Tape:
-        """f lowered for expr.jet_eval."""
+        """f lowered for expr.evaluate and expr.jet_eval."""
         return expr.lower(self.f)
 
     @cached_property
     def fa(self):
         """f(a0)."""
-        return expr.evaluate(self.f, self.a0)
+        return expr.evaluate(self.tape, self.a0)
 
     @property
     def expression(self) -> str:
@@ -167,7 +167,7 @@ def mean_value_implicit(p: Problem) -> Implicit2D:
 def normalize(p: Problem) -> Problem:
     """Subtract the secant line so g(a0) = g(b0) = 0; solutions are unchanged."""
     fa = float(p.fa)
-    fb = float(expr.evaluate(p.f, p.b0))
+    fb = float(expr.evaluate(p.tape, p.b0))
     s = (fb - fa) / (p.b0 - p.a0)
     secant = expr.Binary(
         "+",
@@ -397,7 +397,7 @@ def g1_g2(p: Problem, b0: float, c0: float):
     def g1_value(x):
         bb = b0 + np.asarray(x, dtype=float)
         _endpoint_guard(p, bb)
-        return (expr.evaluate(p.f, bb) - fa) / (bb - p.a0) - fpc0
+        return (expr.evaluate(p.tape, bb) - fa) / (bb - p.a0) - fpc0
 
     def g1_series(order):
         num = list(expr.jet_eval(p.tape, b0, order).coeffs)

@@ -139,6 +139,11 @@ class TestExitCodes:
         assert run("nosuchcommand") == 1
         capsys.readouterr()
 
+    def test_pole_at_an_endpoint_is_numerical_failure(self, capsys):
+        # once a ZeroDivisionError traceback, from 0.0 ** -0.5 on a float
+        assert run("abscissae", "-f", "x^(-0.5)", "-a", "0", "-b", "1") == 2
+        assert "DomainError" in capsys.readouterr().err
+
     def test_syntax_error_is_numerical_failure(self, capsys):
         assert run("abscissae", "-f", "2*", "-a", "0", "-b", "2") == 2
         assert "offset 2" in capsys.readouterr().err

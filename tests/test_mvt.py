@@ -53,6 +53,25 @@ class TestProblem:
         (got,) = mvt.abscissae(p, b)
         assert abs(got - want) <= 1e-12
 
+    def test_default_domain_keeps_a_pole_out(self):
+        # x^(-0.5) has no value at 0, so the padding halves once
+        p = mva.Problem(mva.parse("x^(-0.5)"), 0.5, 1.0)
+        assert p.domain == (0.25, 1.25)
+
+    @pytest.mark.parametrize("text, domain, want", [
+        ("sqrt(x)", (0.0, 1.0), 0.25),                # 1 / (2 sqrt(c)) = 1
+        ("x^(1/3)", (-1.0, 2.0), 3.0 ** -1.5),        # c^(-2/3) / 3 = 1
+        ("x^(2/3)", (-1.0, 2.0), 8.0 / 27.0),         # 2 c^(-1/3) / 3 = 1
+        ("x^2.5", (0.0, 1.0), 0.4 ** (2.0 / 3.0)),    # 2.5 c^1.5 = 1
+    ])
+    def test_roots_have_a_value_at_zero(self, text, domain, want):
+        # a root of zero has a value but no derivative, so a0 = 0 is allowed;
+        # an odd root is defined on both sides of it
+        p = mva.Problem(mva.parse(text), 0.0, 1.0)
+        assert p.domain == domain
+        (got,) = mvt.abscissae(p, 1.0)
+        assert abs(got - want) <= 1e-12
+
     def test_covering_extends_domain(self):
         p = mva.Problem(mva.parse("x^2"), 0.0, 2.0)
         q = p.covering(-5.0, 7.0)
