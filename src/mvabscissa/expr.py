@@ -9,13 +9,14 @@ tape, so values and jets come from one arithmetic.  A value is checked only
 where it is undefined: at a zero base, sqrt, odd roots and positive even-root
 powers have the value 0 but no derivative, so only wider jets fail there.
 
-Values and jets of orders 1-2, the ones that f' and F and its partials need,
-run as straight-line Python compiled from the tape once per width, with every
-recurrence written out term by term; wider jets run the tape's steps on a
-stack.  Both do the same arithmetic, so they agree bit for bit.  `lower`
-keeps the tapes of the trees it lowered last, keyed by repr, so equal trees,
-parsed twice or rebuilt by each `mvt.normalize`, share one tape and its
-compiled code.
+Each recurrence is written once, as a helper on coefficient lists.  Wider
+jets run the helpers step by step on a stack.  Values and jets of orders 1-2,
+the ones that f' and F and its partials need, run as straight-line Python
+traced from that same stack run once per width: the helpers, run on
+symbols, write their arithmetic as code instead of doing it, so both runs
+agree bit for bit.  `lower` keeps the tapes of the trees it lowered last,
+keyed by repr, so equal trees, parsed twice or rebuilt by each
+`mvt.normalize`, share one tape and its compiled code.
 """
 
 from __future__ import annotations
@@ -325,6 +326,13 @@ def _any(cond):
     # np.any without its cost on a scalar condition
     return cond.any() if isinstance(cond, np.ndarray) else cond
 
+def _check(cond, node, why):
+    # fail where cond holds; on a traced value, write the check into the code
+    if isinstance(cond, _Sym):
+        cond.src.check(cond, node, why)
+    elif _any(cond):
+        _fail(node, why)
+
 def _add(a, b):
     return [ai + bi for ai, bi in zip(a, b)]
 
@@ -338,8 +346,7 @@ def _mul(a, b):
     return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
 
 def _div(a, b, node=None):
-    if _any(b[0] == 0):
-        _fail(node, "division by zero")
+    _check(b[0] == 0, node, "division by zero")
     c = []
     for k in range(len(a)):
         s = a[k]
@@ -368,8 +375,7 @@ def _exp(a):
     return e
 
 def _log(a, node=None):
-    if _any(a[0] <= 0):
-        _fail(node, "log of nonpositive value")
+    _check(a[0] <= 0, node, "log of nonpositive value")
     return _ln(a, np.log(a[0]))
 
 def _ln(a, l0):
@@ -382,7 +388,10 @@ def _ln(a, l0):
 
 def _log0(v):
     # log(0) = -inf without numpy's warning: at width 1 a root of a zero
-    # base is exp(power * -inf) = 0; a wider jet fails before its log
+    # base is exp(power * -inf) = 0; a wider jet fails before its log.  A
+    # traced run calls this function, so that the errstate holds there too.
+    if isinstance(v, _Sym):
+        return v.src.call(_log0, v)
     with np.errstate(divide="ignore"):
         return np.log(v)
 
@@ -393,10 +402,9 @@ def _root_log(a):
 def _sqrt(a, node=None):
     # the value is defined at 0, the derivative is not
     if len(a) == 1:
-        if _any(a[0] < 0):
-            _fail(node, "sqrt of negative value")
-    elif _any(a[0] <= 0):
-        _fail(node, "sqrt of nonpositive value (derivative undefined at 0)")
+        _check(a[0] < 0, node, "sqrt of negative value")
+    else:
+        _check(a[0] <= 0, node, "sqrt of nonpositive value (derivative undefined at 0)")
     q = [np.sqrt(a[0])]
     for k in range(1, len(a)):
         s = a[k]
@@ -432,10 +440,9 @@ def _odd_root(a, power, odd, node):
     # a^(p/q) with q odd: sign-aware, defined for negative bases; at a zero
     # base a positive power has the value 0 but no derivative
     if len(a) > 1:
-        if _any(a[0] == 0):
-            _fail(node, "root of zero (derivative undefined)")
-    elif power < 0 and _any(a[0] == 0):
-        _fail(node, "zero base with negative exponent")
+        _check(a[0] == 0, node, "root of zero (derivative undefined)")
+    elif power < 0:
+        _check(a[0] == 0, node, "zero base with negative exponent")
     sgn = np.sign(a[0])
     w = [sgn * ai for ai in a]
     res = _exp([li * power for li in _root_log(w)])
@@ -445,8 +452,8 @@ def _log_base(a, node, even_root=False):
     # the base of a general power, checked before its exponent is evaluated;
     # under a positive even root, p/q with q even, a zero base has the value
     # 0 but no derivative
-    if _any(a[0] < 0 if even_root and len(a) == 1 else a[0] <= 0):
-        _fail(node, "nonpositive base with non-odd-rational exponent")
+    _check(a[0] < 0 if even_root and len(a) == 1 else a[0] <= 0, node,
+           "nonpositive base with non-odd-rational exponent")
     return _root_log(a)
 
 def _exp_product(log_base, e):
@@ -468,14 +475,32 @@ _UNARY = {"neg": _neg, "sin": _sin, "cos": _cos, "exp": _exp}
 _BINARY = {"+": _add, "-": _sub, "*": _mul}
 
 
+def _run(steps, x0, width, out=None):
+    """The coefficient list of the jet of the given width at x0, by running
+    the steps on a stack; out, if given, is called with the stack after each
+    step."""
+    stack = []
+    for arity, fn in steps:
+        if arity == 1:
+            stack[-1] = fn(stack[-1])
+        elif arity == 2:
+            stack[-2:] = (fn(stack[-2], stack[-1]),)
+        else:
+            stack.append(fn(x0, width))
+        if out is not None:
+            out(stack)
+    return stack[0]
+
+
 # the widest jet a tape runs as compiled code: width 1, a value, and orders
 # 1-2, the widths of f' and of F and its partials; wider jets, the series of
 # classify, run a few times per problem, and their code would take longer to
 # compile than to run
 COMPILED_WIDTH = 3
-# the longest tape compiled: Python's compiler takes time and memory in
-# proportion to the code, about 50 ms and 20 MB for width 3 at this length on
-# a 2-core x86-64 machine, and the length of an expression text is unbounded
+# the longest tape compiled: tracing and Python's compiler take time and
+# memory in proportion to the code, for width 3 at this length about 150 ms
+# and a 27 MB tracemalloc peak on a sum of sin(x)*x^2 terms, on a 2-core
+# x86-64 machine, and the length of an expression text is unbounded
 _COMPILED_STEPS = 2000
 
 
@@ -489,10 +514,11 @@ class Tape:
     undefined, so a zero under sqrt, an odd root or a positive even-root
     power gives 0 there, and fails at every wider width.
 
-    A jet of width up to COMPILED_WIDTH runs as straight-line code compiled
-    from the steps once per width, when that width is first asked for; it
-    does the arithmetic of the stack run exactly.  Wider jets, and every jet
-    of a tape longer than _COMPILED_STEPS, run the steps on the stack.
+    A jet of width up to COMPILED_WIDTH runs as straight-line code, compiled
+    once per width, when that width is first asked for, from a trace of the
+    stack run: the same helpers, run on symbols, write their arithmetic as
+    code, so both runs do it alike.  Wider jets, and every jet of a tape
+    longer than _COMPILED_STEPS, run the steps on the stack.
     `lower` gives equal trees one tape, so they share its compiled code too.
     """
 
@@ -509,15 +535,7 @@ class Tape:
             if run is None:
                 run = self._compiled[width] = _compile_run(self.steps, width)
             return run(x0)
-        stack = []
-        for arity, fn in self.steps:
-            if arity == 1:
-                stack[-1] = fn(stack[-1])
-            elif arity == 2:
-                stack[-2:] = (fn(stack[-2], stack[-1]),)
-            else:
-                stack.append(fn(x0, width))
-        return stack[0]
+        return _run(self.steps, x0, width)
 
 
 # the tapes of the trees lowered last, by repr, least recent first: equal
@@ -580,186 +598,143 @@ def _emit_pow(node, steps):
 
 
 # ---------------------------------------------------------------------------
-# compiled runs: one width of a tape as straight-line code
+# compiled runs: one width of a tape as straight-line code, traced
 # ---------------------------------------------------------------------------
 
-class _Source:
-    """The source of a compiled run, and the namespace it runs in.
+# the longest code of a value written into the line that reads it, which
+# bounds the nesting of parentheses that long chains of squarings would build
+_INLINE_CHARS = 200
+# the precedence of a name, a literal or a call, which never takes parentheses
+_ATOM = 4
 
-    A jet is a list of atoms: a local t<i>, the argument x0, a name k<i>
-    bound in the namespace, or a literal 0.0 or 1.0.  Objects are bound, not
-    printed, so that their types and signs of zero survive.
+
+def _operator(op, prec):
+    # the method and the reflected method of a left-associative binary operator
+    fmt = f"{{}} {op} {{}}"
+    return (lambda a, b: a.src.op(fmt, prec, (a, prec), (b, prec + 1)),
+            lambda a, b: a.src.op(fmt, prec, (b, prec), (a, prec + 1)))
+
+
+class _Sym:
+    """A value of a traced run.  Arithmetic on it, and the numpy functions
+    the helpers call on it, return a new _Sym that records the operation in
+    its _Source instead of doing it.
+
+    Until its step ends, code is a format of args, the operands paired with
+    the least precedence each takes without parentheses, and reads counts
+    the operations that read it; then code is the value's source, of
+    precedence prec.
     """
 
-    def __init__(self, width):
-        self.width = width
-        self.lines = []
-        self.ns = {"_any": _any, "_fail": _fail, "exp": np.exp, "log": np.log,
-                   "log0": _log0, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "sign": np.sign}
-        self.temps = 0
+    __slots__ = ("src", "code", "prec", "args", "reads")
 
-    def let(self, value):
-        """A new local holding value."""
-        name = f"t{self.temps}"
-        self.temps += 1
-        self.lines.append(f"{name} = {value}")
-        return name
+    def __init__(self, src, code, prec=_ATOM, args=None):
+        self.src, self.code, self.prec, self.args, self.reads = src, code, prec, args, 0
+
+    __add__, __radd__ = _operator("+", 1)
+    __sub__, __rsub__ = _operator("-", 1)
+    __mul__, __rmul__ = _operator("*", 2)
+    __truediv__, __rtruediv__ = _operator("/", 2)
+    __eq__ = _operator("==", 0)[0]
+    __lt__ = _operator("<", 0)[0]
+    __le__ = _operator("<=", 0)[0]
+
+    def __neg__(self):
+        return self.src.op("-{}", 3, (self, 3))
+
+    def __array_ufunc__(self, ufunc, method, *inputs):
+        return self.src.call(ufunc, *inputs)
+
+
+class _Source:
+    """The source of a compiled run, and the namespace it runs in, written
+    by running the tape's steps on _Syms.
+
+    Each step's operations wait in `pending` until the step ends.  Then a
+    value read exactly once in the step is written into the line that reads
+    it; the step's results and every other value get a local, and a local
+    is deleted at the end of the step that makes it or that takes it off the
+    stack.  Objects other than ints and finite floats are bound in the
+    namespace, not printed, so that their types survive.
+    """
+
+    def __init__(self):
+        self.lines, self.pending, self.locals = [], [], {}
+        self.ns = {"_any": _any, "_fail": _fail}
+        self.x0 = _Sym(self, "x0")
+
+    def atom(self, v):
+        if type(v) is int or type(v) is float and math.isfinite(v):
+            code = repr(v)
+            return _Sym(self, code, 3 if code[0] == "-" else _ATOM)
+        return _Sym(self, self.bind(v))
 
     def bind(self, obj):
         name = f"k{len(self.ns)}"
         self.ns[name] = obj
         return name
 
+    def op(self, fmt, prec, *operands):
+        """A pending _Sym of fmt, of precedence prec, on operands: pairs of a
+        value and the least precedence it takes without parentheses."""
+        args = []
+        for v, least in operands:
+            if not isinstance(v, _Sym):
+                v = self.atom(v)
+            v.reads += 1
+            args.append((v, least))
+        sym = _Sym(self, fmt, prec, args)
+        self.pending.append(sym)
+        return sym
+
+    def call(self, fn, *operands):
+        self.ns[fn.__name__] = fn
+        fmt = f"{fn.__name__}({', '.join(['{}'] * len(operands))})"
+        return self.op(fmt, _ATOM, *((v, 0) for v in operands))
+
     def check(self, cond, node, why):
-        self.lines.append(f"if _any({cond}): _fail({self.bind(node)}, {why!r})")
+        cond.reads += 1
+        self.pending.append((cond, node, why))
 
-
-def _sum(terms):
-    # as sum() adds them: from the int 0, left to right
-    return f"({' + '.join(['0', *terms])})"
-
-
-# one writer per helper, taking its arguments but with jets of atoms, and
-# writing its arithmetic term by term in its order; see the helpers above
-
-def _w_const(src, value):
-    return [src.bind(value), "0.0", "0.0"][:src.width]
-
-def _w_var(src):
-    return ["x0", "1.0", "0.0"][:src.width]
-
-def _w_neg(src, a):
-    return [src.let(f"-{ai}") for ai in a]
-
-def _w_add(src, a, b):
-    return [src.let(f"{ai} + {bi}") for ai, bi in zip(a, b)]
-
-def _w_sub(src, a, b):
-    return [src.let(f"{ai} - {bi}") for ai, bi in zip(a, b)]
-
-def _w_mul(src, a, b):
-    return [src.let(_sum(f"{a[j]} * {b[k - j]}" for j in range(k + 1)))
-            for k in range(len(a))]
-
-def _w_div(src, a, b, node=None):
-    src.check(f"{b[0]} == 0", node, "division by zero")
-    c = []
-    for k in range(len(a)):
-        s = a[k] + "".join(f" - {c[j]} * {b[k - j]}" for j in range(k))
-        c.append(src.let(f"({s}) / {b[0]}"))
-    return c
-
-def _w_ipow(src, a, n):
-    result = ["1.0"] + ["0.0"] * (len(a) - 1)
-    base = a
-    while True:
-        if n & 1:
-            result = _w_mul(src, result, base)
-        n >>= 1
-        if not n:
-            return result
-        base = _w_mul(src, base, base)
-
-def _w_exp(src, a):
-    e = [src.let(f"exp({a[0]})")]
-    for k in range(1, len(a)):
-        e.append(src.let(f"{_sum(f'{j} * {a[j]} * {e[k - j]}' for j in range(1, k + 1))} / {k}"))
-    return e
-
-def _w_log(src, a, node=None):
-    src.check(f"{a[0]} <= 0", node, "log of nonpositive value")
-    return _w_ln(src, a, src.let(f"log({a[0]})"))
-
-def _w_ln(src, a, l0):
-    l = [l0]
-    for k in range(1, len(a)):
-        s = f"{k} * {a[k]} - {_sum(f'{j} * {l[j]} * {a[k - j]}' for j in range(1, k))}"
-        l.append(src.let(f"({s}) / ({k} * {a[0]})"))
-    return l
-
-def _w_sqrt(src, a, node=None):
-    if src.width == 1:
-        src.check(f"{a[0]} < 0", node, "sqrt of negative value")
-    else:
-        src.check(f"{a[0]} <= 0", node, "sqrt of nonpositive value (derivative undefined at 0)")
-    q = [src.let(f"sqrt({a[0]})")]
-    for k in range(1, len(a)):
-        s = a[k] + "".join(f" - {q[j]} * {q[k - j]}" for j in range(1, k))
-        q.append(src.let(f"({s}) / (2.0 * {q[0]})"))
-    return q
-
-def _w_sincos(src, a):
-    # both series, as _sin and _cos compute them, so that numpy warns alike
-    s = [src.let(f"sin({a[0]})")]
-    c = [src.let(f"cos({a[0]})")]
-    for k in range(1, len(a)):
-        sk = src.let(f"{_sum(f'{j} * {a[j]} * {c[k - j]}' for j in range(1, k + 1))} / {k}")
-        ck = src.let(f"-{_sum(f'{j} * {a[j]} * {s[k - j]}' for j in range(1, k + 1))} / {k}")
-        s.append(sk)
-        c.append(ck)
-    return s, c
-
-def _w_sin(src, a):
-    return _w_sincos(src, a)[0]
-
-def _w_cos(src, a):
-    return _w_sincos(src, a)[1]
-
-def _w_inverse_ipow(src, a, n, node):
-    one = ["1.0"] + ["0.0"] * (len(a) - 1)
-    return _w_div(src, one, _w_ipow(src, a, n), node)
-
-def _w_root_log(src, a):
-    return _w_ln(src, a, src.let(f"{'log0' if src.width == 1 else 'log'}({a[0]})"))
-
-def _w_odd_root(src, a, power, odd, node):
-    if src.width > 1:
-        src.check(f"{a[0]} == 0", node, "root of zero (derivative undefined)")
-    elif power < 0:
-        src.check(f"{a[0]} == 0", node, "zero base with negative exponent")
-    sgn = src.let(f"sign({a[0]})")
-    w = [src.let(f"{sgn} * {ai}") for ai in a]
-    p = src.bind(power)
-    res = _w_exp(src, [src.let(f"{li} * {p}") for li in _w_root_log(src, w)])
-    return [src.let(f"{sgn} * {ri}") for ri in res] if odd else res
-
-def _w_log_base(src, a, node, even_root=False):
-    cmp = "<" if even_root and src.width == 1 else "<="
-    src.check(f"{a[0]} {cmp} 0", node, "nonpositive base with non-odd-rational exponent")
-    return _w_root_log(src, a)
-
-def _w_exp_product(src, log_base, e):
-    return _w_exp(src, _w_mul(src, e, log_base))
-
-
-_WRITERS = {
-    _const: _w_const, _var: _w_var, _neg: _w_neg, _add: _w_add, _sub: _w_sub,
-    _mul: _w_mul, _div: _w_div, _ipow: _w_ipow, _exp: _w_exp, _log: _w_log,
-    _sqrt: _w_sqrt, _sin: _w_sin, _cos: _w_cos, _inverse_ipow: _w_inverse_ipow,
-    _odd_root: _w_odd_root, _log_base: _w_log_base, _exp_product: _w_exp_product,
-}
+    def end_step(self, stack):
+        """Write the pending lines of the step whose result is stack[-1]."""
+        result = stack[-1] = [v if isinstance(v, _Sym) else self.atom(v) for v in stack[-1]]
+        for v in result:
+            v.reads += 2  # read in a later step, so never written into a line of this one
+        lines = self.lines
+        for item in self.pending:
+            if item.__class__ is tuple:
+                cond, node, why = item
+                lines.append(f"if _any({cond.code}): _fail({self.bind(node)}, {why!r})")
+                continue
+            code = item.code.format(*[a.code if a.prec >= least else f"({a.code})"
+                                      for a, least in item.args])
+            item.code, item.args = code, None
+            reads = item.reads
+            if reads == 1 and len(code) <= _INLINE_CHARS:
+                continue
+            if reads:
+                item.code = name = f"t{len(lines)}"
+                item.prec = _ATOM
+                self.locals[name] = None
+                code = f"{name} = {code}"
+            lines.append(code)  # a value never read is computed, as on the stack
+        self.pending.clear()
+        live = {v.code for jet in stack for v in jet}
+        dead = [name for name in self.locals if name not in live]
+        if dead:
+            lines.append(f"del {', '.join(dead)}")
+            for name in dead:
+                del self.locals[name]
 
 
 def _compile_run(steps, width):
     """The steps as one function of x0 that returns the coefficient list of
-    the jet of the given width.  Each local is deleted after its last use,
-    as the stack drops it, so that array runs hold no more memory."""
-    src = _Source(width)
-    stack = []
-    for arity, fn in steps:
-        first = src.temps
-        operands = stack[len(stack) - arity:]
-        del stack[len(stack) - arity:]
-        write = _WRITERS[getattr(fn, "func", fn)]
-        result = write(src, *getattr(fn, "args", ()), *operands, **getattr(fn, "keywords", {}))
-        dead = [t for jet in operands for t in jet if t.startswith("t")]
-        dead += [f"t{i}" for i in range(first, src.temps) if f"t{i}" not in result]
-        if dead:
-            src.lines.append(f"del {', '.join(dead)}")
-        stack.append(result)
-    (result,) = stack
+    the jet of the given width: the stack run, traced on a _Sym."""
+    src = _Source()
+    result = _run(steps, src.x0, width, src.end_step)
     body = "".join(f"    {line}\n" for line in src.lines)
-    code = compile(f"def run(x0):\n{body}    return [{', '.join(result)}]\n",
+    code = compile(f"def run(x0):\n{body}    return [{', '.join(v.code for v in result)}]\n",
                    f"<tape, width {width}>", "exec")
     exec(code, src.ns)
     return src.ns["run"]

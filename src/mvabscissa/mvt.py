@@ -26,13 +26,22 @@ DEFAULT_GRID_N = 2048
 _BLOCK_POINTS = 2 ** 14
 
 
+def _check_domain(tape, lo, hi):
+    """Raise DomainError unless f evaluates, to finite values, on 65 points
+    of [lo, hi]."""
+    with np.errstate(all="ignore"):
+        values = expr.evaluate(tape, np.linspace(lo, hi, 65))
+    if not np.isfinite(values).all():
+        raise DomainError(f"f is not finite on the domain [{lo!r}, {hi!r}]")
+
+
 def _padded_domain(tape, a0, b0):
     """[a0, b0] padded by its width on each side, with the padding halved,
-    down to none, while f does not evaluate on 65 points of the domain."""
+    down to none, while f does not evaluate on the domain."""
     w = b0 - a0
     for pad in [w * 0.5 ** k for k in range(10)] + [0.0]:
         try:
-            expr.evaluate(tape, np.linspace(a0 - pad, b0 + pad, 65))
+            _check_domain(tape, a0 - pad, b0 + pad)
             return a0 - pad, b0 + pad
         except DomainError:
             if pad == 0.0:
@@ -63,7 +72,7 @@ class Problem:
             raise ValueError("domain must be a finite interval containing [a0, b0]")
         if not padded:
             # fail early if f is not evaluable on the domain
-            expr.evaluate(self.tape, np.linspace(lo, hi, 65))
+            _check_domain(self.tape, lo, hi)
 
     @cached_property
     def tape(self) -> expr.Tape:

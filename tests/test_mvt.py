@@ -1,6 +1,7 @@
 """The mean value condition F(b, c) = 0: evaluation, roots, normalization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ class TestProblem:
         # x^(-0.5) has no value at 0, so the padding halves once
         p = mva.Problem(mva.parse("x^(-0.5)"), 0.5, 1.0)
         assert p.domain == (0.25, 1.25)
+
+    def test_domain_keeps_overflow_out(self):
+        # exp(exp(exp(x))) overflows to inf past x = 1.88, with no numpy
+        # warning; the default padding halves twice to stay below that
+        f = mva.parse("exp(exp(exp(x)))")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = mva.Problem(f, 0.0, 1.5)
+            assert p.domain == (-0.375, 1.875)
+            assert np.isfinite(expr.evaluate(p.tape, np.linspace(*p.domain, 65))).all()
+            with pytest.raises(DomainError):
+                mva.Problem(f, 0.0, 1.5, domain=(-1.5, 3.0))
 
     @pytest.mark.parametrize("text, domain, want", [
         ("sqrt(x)", (0.0, 1.0), 0.25),                # 1 / (2 sqrt(c)) = 1

@@ -2,6 +2,7 @@
 and values against the jets of the same tape."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -94,6 +95,12 @@ def _same(a, b):
         and np.array_equal(np.signbit(u), np.signbit(v)) for u, v in zip(a, b))
 
 
+def _on_stack(tape, x0, n):
+    """jet_eval with every width run on the stack, none compiled."""
+    with mock.patch.object(expr, "_COMPILED_STEPS", 0):
+        return expr.jet_eval(tape, x0, n)
+
+
 @settings(max_examples=300, deadline=None)
 @given(TREES, POINTS, st.lists(POINTS, min_size=1, max_size=4))
 # products that are -0.0, which the sums of jet products turn into 0.0
@@ -115,8 +122,8 @@ def test_tape_matches_the_recursive_evaluator(tree, x, xs):
     for x0 in (x, np.array(xs)):
         for n in range(4):
             want = _outcome(reference_jet.jet_eval, tree, x0, n)
-            for f in (tape, tree):
-                got = _outcome(expr.jet_eval, f, x0, n)
+            for jet_eval, f in ((expr.jet_eval, tape), (expr.jet_eval, tree), (_on_stack, tape)):
+                got = _outcome(jet_eval, f, x0, n)
                 if n == 0 and _derivative_only(want):
                     # a value with no derivative
                     assert _near_value(got, tree, x0), (tree, x0, got)
