@@ -3,12 +3,14 @@
 One walker follows both kinds of branch: t = T(s) on G(s, t) = 0, where G is
 F for c = C(b), and F with its two arguments and its two partials swapped
 for b = B(c).  Each step is an Euler predictor with slope -G_s/G_t and a
-chord (contraction) corrector; where a c = C(b) seed is merely UNIQUE_ODD
-and F_c may vanish, a derivative-free bisection corrects instead.  A step
-holds s fixed, so the terms of F that need only s are evaluated once per
-step.  A corrector hands back G and its partials at the point it accepts,
-which serve as the residual check, the point's residual and the next step's
-predictor, so each point is evaluated once.
+chord (contraction) corrector.  The corrector stops when a correction is
+below an absolute bound, or when it is no smaller than the one before, which
+marks G's rounding floor.  Where a c = C(b) seed is merely UNIQUE_ODD and
+F_c may vanish, a derivative-free bisection corrects instead, as a loop on
+floats.  A step holds s fixed, so the terms of F that need only s are
+evaluated once per step.  A corrector hands back G and its partials at the
+point it accepts, which serve as the residual check, the point's residual
+and the next step's predictor, so each point is evaluated once.
 """
 
 from __future__ import annotations
@@ -54,7 +56,16 @@ class Branch:
 
 def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
     """Euler predictor with slope -G_s/G_t, then a re-centered contraction
-    iteration for G(s, .) = 0."""
+    iteration for G(s, .) = 0, whose slope m = G_t stays that of the
+    prediction.
+
+    The iteration stops when a correction is at most 1e-14 * max(1, |t|),
+    or, after that test, when a correction is no smaller than the one before:
+    a contraction shrinks its corrections, so one that does not has reached
+    the rounding floor of G, where each correction is G's noise over m (near
+    a degenerate point, with a small m, far above the absolute bound).  The
+    caller's residual check judges the point it stopped at.
+    """
     g_s, g_t = slope
     if abs(g_t) < DEGENERACY_THRESHOLD * max(1.0, abs(g_s)):
         return None, STOP_DEGENERATE
@@ -64,7 +75,7 @@ def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
     m = at[2]
     if abs(m) < DEGENERACY_THRESHOLD * max(1.0, abs(at[1])):
         return None, STOP_DEGENERATE
-    t, leash = t_pred, 1.0 + abs(t_pred)
+    t, leash, last = t_pred, 1.0 + abs(t_pred), np.inf
     for _ in range(80):
         step = at[0] / m
         t, t_old = t - step, t
@@ -72,8 +83,9 @@ def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
             return None, STOP_CORRECTOR
         if t != t_old:
             at = at_s(t)
-        if abs(step) <= 1e-14 * max(1.0, abs(t)):
+        if abs(step) <= 1e-14 * max(1.0, abs(t)) or abs(step) >= last:
             break
+        last = abs(step)
     return t, at
 
 

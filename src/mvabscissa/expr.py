@@ -413,21 +413,24 @@ def _sqrt(a, node=None):
         q.append(s / (2.0 * q[0]))
     return q
 
-def _sincos(a):
-    s = [np.sin(a[0])]
-    c = [np.cos(a[0])]
-    for k in range(1, len(a)):
-        sk = sum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k
-        ck = -sum(j * a[j] * s[k - j] for j in range(1, k + 1)) / k
-        s.append(sk)
-        c.append(ck)
+def _sincos(a, n_sin, n_cos):
+    # the first n_sin terms of the sine series and n_cos of the cosine; a
+    # term of one reads only the earlier terms of the other, so each series
+    # needs its partner to one term fewer than its own width
+    s = [np.sin(a[0])] if n_sin else []
+    c = [np.cos(a[0])] if n_cos else []
+    for k in range(1, max(n_sin, n_cos)):
+        if k < n_sin:
+            s.append(sum(j * a[j] * c[k - j] for j in range(1, k + 1)) / k)
+        if k < n_cos:
+            c.append(-sum(j * a[j] * s[k - j] for j in range(1, k + 1)) / k)
     return s, c
 
 def _sin(a):
-    return _sincos(a)[0]
+    return _sincos(a, len(a), len(a) - 1)[0]
 
 def _cos(a):
-    return _sincos(a)[1]
+    return _sincos(a, len(a) - 1, len(a))[1]
 
 
 # the three kinds of ^, by their exponent

@@ -204,8 +204,11 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     The columns are gridded in blocks of up to _BLOCK_POINTS grid points, one
     array evaluation of f' per block.  Then the brackets of all columns are
     refined together with one array evaluation of F per step, and each
-    column's roots are residual-filtered and deduplicated.  A column on which
-    F(b, .) vanishes identically gives None instead of a list.
+    column's roots are residual-filtered and deduplicated.  A root is kept
+    when |F| <= tol * max(1, |slope| + |f'(c)|): F is a difference of those
+    two terms, so its rounding error grows with them, and an absolute tol
+    would drop every root of f = x^3 on [0, s] once s is large.  A column on
+    which F(b, .) vanishes identically gives None instead of a list.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
@@ -228,15 +231,17 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
 
     inside = (p.a0 < roots) & (roots < b_arr[col])
     roots, col = roots[inside], col[inside]
-    residual = np.abs(F(col, roots))
+    fprime = _fprime(p, roots)
+    residual = np.abs(slope[col] - fprime)
+    scale = np.maximum(1.0, np.abs(slope[col]) + np.abs(fprime))
 
     # residual filter and dedup (radius (b-a0)/grid_n, smaller c wins)
     out = [[] if ok else None for ok in live]
-    rows = zip(col.tolist(), roots.tolist(), residual.tolist())
+    rows = zip(col.tolist(), roots.tolist(), residual.tolist(), scale.tolist())
     for k, column in groupby(rows, key=lambda row: row[0]):
         points = out[k]
-        for _, c, r in sorted(column):
-            if r > tol:
+        for _, c, r, size in sorted(column):
+            if r > tol * size:
                 continue
             if points and c - points[-1].c < (bs[k] - p.a0) / grid_n:
                 continue
@@ -358,9 +363,26 @@ def _bisect(fn, lo, hi, flo, width_tol):
 def _bisect_one(fn, lo, hi, flo):
     """_bisect on the one bracket [lo, hi], where fn(c) is F at the float c
     and F(lo) = flo.  The bracket stops at the width 1e-16 * max(1, |lo|, |hi|)
-    of its start."""
-    ends = np.array([[lo], [hi], [flo], [1e-16 * max(1.0, abs(lo), abs(hi))]], dtype=float)
-    return float(_bisect(lambda _, c: fn(float(c[0])), *ends)[0])
+    of its start, or when a step leaves it unchanged.
+
+    It runs on Python floats rather than through _shrink on one-element
+    arrays: the same midpoints, exact-zero and sign rule and stops, so the
+    same result bit for bit, at a fraction of the cost of a step.
+    """
+    lo, hi = float(lo), float(hi)
+    width_tol = 1e-16 * max(1.0, abs(lo), abs(hi))
+    up = float(flo) > 0
+    while hi - lo > width_tol:
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid)
+        zero = fm == 0.0
+        same = (fm > 0) == up
+        nl = mid if same or zero else lo
+        nh = hi if same and not zero else mid
+        if nl == lo and nh == hi:
+            break
+        lo, hi = nl, nh
+    return 0.5 * (lo + hi)
 
 
 def _ternary_min(fn, lo, hi, width_tol):

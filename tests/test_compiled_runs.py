@@ -67,3 +67,19 @@ def test_long_chains_of_squarings_compile():
         with mock.patch.object(expr, "_COMPILED_STEPS", 0):
             want = tape.run(xs, width)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("text, partner", [("sin(x)", "cos"), ("cos(x)", "sin")])
+def test_a_value_of_sin_or_cos_computes_no_partner(text, partner, monkeypatch):
+    # a series needs its partner only to one term fewer than its own width,
+    # so the value of sin(u) needs no cosine, and that of cos(u) no sine
+    steps = expr.lower(expr.parse(text)).steps
+    assert partner not in expr._compile_run(steps, 1).__code__.co_names
+    assert partner in expr._compile_run(steps, 2).__code__.co_names
+    calls = []
+    ufunc = getattr(np, partner)
+    monkeypatch.setattr(np, partner, lambda v: calls.append(v) or ufunc(v))
+    expr._run(steps, np.linspace(0.0, 1.0, 5), 1)
+    assert calls == []
+    expr._run(steps, np.linspace(0.0, 1.0, 5), 2)
+    assert len(calls) == 1

@@ -167,6 +167,47 @@ class TestEvaluations:
         # once per step, and at the seed for its check and its point
         assert len([x for name, x in calls if name == "c"]) == len(br.points) + 1
 
+    def test_chord_corrector_stops_at_its_rounding_floor(self, monkeypatch,
+                                                         quintic_same_sign):
+        # past the TWO_BRANCHES point (3, 1), G_t is small and G at rounding
+        # level, so each correction is noise far above the absolute bound;
+        # a corrector that only stops at that bound runs to its cap of 80
+        counts, chord = [], continuation._chord_correct
+
+        def counting(G, *args):
+            n = 0
+
+            def counted(s):
+                at = G(s)
+
+                def at_counted(t):
+                    nonlocal n
+                    n += 1
+                    return at(t)
+                return at_counted
+
+            out = chord(counted, *args)
+            counts.append(n)
+            return out
+
+        monkeypatch.setattr(continuation, "_chord_correct", counting)
+        p = quintic_same_sign
+        rep = classify.classify_point(p, 3.0, 1.0)
+        seeds = continuation.branch_seeds_after_degeneracy(p, 3.0, 1.0, rep, step0=0.002)
+        branches = [continuation.trace_c_of_b(p, b, c, (b, b + 0.15), step=0.002)
+                    for b, c in seeds]
+        assert [len(br.points) for br in branches] == [76, 59]
+        assert max(counts) <= 80  # a prediction and 80 corrections at the cap
+        assert sum(counts) <= 6 * len(counts)
+        # oracle: the real roots of f'(c) - slope(b), for f' = (x-1)^2 (x-3)
+        # (x-1.4) and f(0) = 0
+        f = np.array([1 / 5, -1.6, 14 / 3, -6.4, 4.2, 0.0])
+        fprime = np.array([1.0, -6.4, 14.0, -12.8, 4.2])
+        for q in (q for br in branches for q in br.points):
+            roots = np.roots(fprime - [0, 0, 0, 0, np.polyval(f, q.b) / q.b])
+            real = roots[np.abs(roots.imag) < 1e-6].real
+            assert np.min(np.abs(real - q.c)) <= 1e-9
+
 
 class TestBranchSeeds:
     def test_two_branch_seed_pair(self, quintic_same_sign):

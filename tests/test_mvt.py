@@ -3,8 +3,11 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mvabscissa as mva
 from mvabscissa import continuation, expr, mvt
@@ -262,9 +265,11 @@ def scalar_abscissae(p, b, tol=mvt.DEFAULT_TOL, grid_n=mvt.DEFAULT_GRID_N):
                         break
                     lo = m1
             roots.append(0.5 * (lo + hi))
+    slope = float(mvt._b_terms(p, b)[0])
     out = []
     for c in sorted(roots):
-        if p.a0 < c < b and abs(f_of(c)) <= tol \
+        scale = max(1.0, abs(slope) + abs(float(mvt._c_terms(p, c)[0])))
+        if p.a0 < c < b and abs(f_of(c)) <= tol * scale \
                 and not (out and c - out[-1] < (b - p.a0) / grid_n):
             out.append(c)
     return out
@@ -361,6 +366,20 @@ class TestAbscissae:
             kinds.add(type(first))
         assert kinds == {ValueError, DomainError, EndpointCollision}
 
+    @pytest.mark.parametrize("k", range(-6, 7))
+    def test_cubic_power_at_every_scale(self, k):
+        # x^3 on [0, s]: s^2 = 3 c^2, so c = s / sqrt(3), here the root of the
+        # mean value equation found by mpmath at 50 digits.  F is a
+        # difference of terms of size s^2, so an absolute residual filter
+        # drops this root once s is large
+        s = 10.0 ** k
+        with mpmath.workdps(50):
+            s_mp = mpmath.mpf(s)
+            want = float(mpmath.findroot(lambda c: s_mp ** 3 / s_mp - 3 * c ** 2, s_mp / 2))
+        got = mvt.abscissae(mva.Problem(mva.parse("x^3"), 0.0, s), s)
+        assert len(got) == 1
+        assert abs(got[0] - want) <= 1e-12 * want
+
     def test_linear_is_degenerate(self):
         p = mva.Problem(mva.parse("x"), 0.0, 1.0)
         with pytest.raises(DegenerateProblem):
@@ -391,6 +410,38 @@ class TestAbscissae:
                     f_c = abs(float(mvt.big_f(p, b, c)[2]))
                     if f_c > 1e-3:
                         assert any(abs(c - r) <= res for r in oracle)
+
+
+def _bracket_function(kind, root, sign):
+    """A function of c, elementwise alike on floats and on arrays: a simple
+    root, a triple root, a root inside a flat run of zeros, or NaN."""
+    if kind == "simple":
+        return lambda c: sign * (c - root)
+    if kind == "triple":
+        return lambda c: sign * (c - root) * (c - root) * (c - root)
+    if kind == "flat":
+        return lambda c: sign * (c - root) * (abs(c - root) >= 1e-3)
+    return lambda c: c * math.nan
+
+
+@settings(max_examples=500, deadline=None)
+@given(lo=st.floats(-1e6, 1e6), hi=st.floats(-1e6, 1e6), at=st.floats(-0.2, 1.2),
+       sign=st.sampled_from([1.0, -1.0]),
+       kind=st.sampled_from(["simple", "triple", "flat", "nan"]),
+       flo=st.one_of(st.floats(), st.sampled_from([-1.0, 1.0])))
+@example(lo=0.0, hi=2.0, at=0.5, sign=1.0, kind="simple", flo=-1.0)  # an exact zero midpoint
+@example(lo=1.0, hi=float(np.nextafter(1.0, 2.0)), at=0.5, sign=1.0, kind="simple",
+         flo=-1.0)  # adjacent floats
+@example(lo=2.0, hi=1.0, at=0.5, sign=1.0, kind="simple", flo=1.0)  # lo > hi
+@example(lo=1.0, hi=1.0, at=0.5, sign=1.0, kind="simple", flo=0.0)  # lo == hi
+@example(lo=-1.0, hi=3.0, at=0.25, sign=1.0, kind="simple", flo=math.nan)
+def test_bisect_one_is_bisect_on_one_bracket(lo, hi, at, sign, kind, flo):
+    fn = _bracket_function(kind, lo + at * (hi - lo), sign)
+    want = mvt._bisect(lambda _, c: fn(c), np.array([lo]), np.array([hi]), np.array([flo]),
+                       np.array([1e-16 * max(1.0, abs(lo), abs(hi))]))[0]
+    got = mvt._bisect_one(fn, lo, hi, flo)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()
 
 
 class TestG1G2:
