@@ -205,7 +205,10 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
     """Interior global extremum c0 of a normalized problem, with the odd
     order of vanishing k of f' at c0.
 
-    Requires g(a0) = g(b0) = 0 (apply mvt.normalize first).
+    Requires g(a0) = g(b0) = 0 (apply mvt.normalize first).  c0 is the sign
+    change of f' between the grid neighbours of the grid's extremum, so a
+    grid too coarse for f, on which f' does not change sign there, raises
+    DegenerateProblem.
     """
     xs = np.linspace(p.a0, p.b0, grid_n + 1)
     gv = np.asarray(expr.evaluate(p.tape, xs), dtype=float)
@@ -230,14 +233,11 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
 
     lo, hi = float(xs[max(0, i0 - 1)]), float(xs[min(grid_n, i0 + 1)])
     glo = gp(lo)
-    if glo * gp(hi) < 0:
-        c0 = mvt._bisect_one(gp, lo, hi, glo)
-    else:
-        # flat extremum: ternary search on the (negated) extremal value
-        sgn = 1.0 if abs(float(gv[i_max])) >= abs(float(gv[i_min])) else -1.0
-        c0 = float(mvt._ternary_min(
-            lambda _, c: -sgn * expr.evaluate(p.tape, c), np.array([lo]), np.array([hi]),
-            np.array([1e-14 * max(1.0, abs(lo), abs(hi))]))[0])
+    if not glo * gp(hi) < 0:
+        raise DegenerateProblem(
+            f"f' does not change sign across the grid extremum {float(xs[i0])!r}: "
+            f"a grid of {grid_n} cells is too coarse for f")
+    c0 = mvt._bisect_one(gp, lo, hi, glo)
 
     t = expr.jet_eval(p.tape, c0, kmax + 1).coeffs
     deriv_series = tuple((j + 1) * t[j + 1] for j in range(kmax + 1))

@@ -30,25 +30,28 @@ def build_parser() -> argparse.ArgumentParser:
                   description="Mean value abscissae: solve, classify, trace, scan.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_b=True):
+    def common(sp, options, need_b=True):
+        """-f, -a, -b, and those of --tol and --kmax named in options."""
         sp.add_argument("-f", "--function", required=True,
                         help="expression in x, e.g. 'x^3 - 3*x^2 + 2*x'")
         sp.add_argument("-a", type=float, required=True, help="left endpoint a0")
         if need_b:
             sp.add_argument("-b", type=float, required=True, help="right endpoint b0")
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--kmax", type=int, default=16)
+        if "tol" in options:
+            sp.add_argument("--tol", type=float, default=1e-10)
+        if "kmax" in options:
+            sp.add_argument("--kmax", type=int, default=16)
 
     sp = sub.add_parser("abscissae", help="all mean value abscissae at a fixed b")
-    common(sp)
+    common(sp, ("tol",))
     sp.add_argument("--c-grid", type=int, default=2048, dest="c_grid")
 
     sp = sub.add_parser("classify", help="degeneracy report at a point (JSON)")
-    common(sp)
+    common(sp, ("kmax",))
     sp.add_argument("-c", type=float, required=True, help="abscissa c0")
 
     sp = sub.add_parser("trace", help="trace the branch c = C(b) from a seed")
-    common(sp)
+    common(sp, ("tol", "kmax"))
     sp.add_argument("-c", type=float, required=True, help="seed abscissa c0")
     sp.add_argument("--b-min", type=float, required=True)
     sp.add_argument("--b-max", type=float, required=True)
@@ -57,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
 
     sp = sub.add_parser("scan", help="the full solution set over a b-grid")
-    common(sp, need_b=False)
+    common(sp, ("tol",), need_b=False)
     sp.add_argument("-b", type=float, default=None,
                     help="right endpoint b0 (default: b-max)")
     sp.add_argument("--b-min", type=float, required=True)
@@ -69,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("guaranteed",
                         help="extremal abscissa and its guaranteed branch")
-    common(sp)
-    sp.add_argument("--b-min", type=float, default=None)
-    sp.add_argument("--b-max", type=float, default=None)
+    common(sp, ("tol", "kmax"))
+    sp.add_argument("--b-min", type=float, default=None, help="given with --b-max")
+    sp.add_argument("--b-max", type=float, default=None, help="given with --b-min")
     sp.add_argument("--step", type=float, default=None)
     sp.add_argument("-o", "--output", default=None)
     sp.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
@@ -87,13 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _problem(args, cover_hi=None):
-    f = expr.parse(args.function)
+def _problem(args):
     b0 = args.b if args.b is not None else args.b_max
-    p = mvt.Problem(f, args.a, b0)
-    if cover_hi is not None:
-        p = p.covering(p.domain[0], max(cover_hi, p.domain[1]))
-    return p
+    return mvt.Problem(expr.parse(args.function), args.a, b0)
 
 
 def _cmd_abscissae(args):
@@ -111,7 +110,7 @@ def _cmd_classify(args):
 
 
 def _cmd_trace(args):
-    p = _problem(args, cover_hi=args.b_max)
+    p = _problem(args)
     branch = continuation.trace_c_of_b(
         p, args.b, args.c, (args.b_min, args.b_max),
         step=args.step, tol=args.tol, kmax=args.kmax)
@@ -120,7 +119,7 @@ def _cmd_trace(args):
 
 
 def _cmd_scan(args):
-    p = _problem(args, cover_hi=args.b_max)
+    p = _problem(args)
     result = scanner.scan(p, args.b_min, args.b_max, args.columns,
                           c_grid_n=args.c_grid, tol=args.tol)
     scanner.emit(result, args.format, args.output)
@@ -128,10 +127,10 @@ def _cmd_scan(args):
 
 
 def _cmd_guaranteed(args):
-    p = _problem(args, cover_hi=args.b_max)
-    b_range = None
-    if args.b_min is not None and args.b_max is not None:
-        b_range = (args.b_min, args.b_max)
+    if (args.b_min is None) != (args.b_max is None):
+        raise ValueError("--b-min and --b-max must be given together")
+    p = _problem(args)
+    b_range = None if args.b_min is None else (args.b_min, args.b_max)
     c0, k, branch = classify._guaranteed_branch(p, b_range, args.step, args.kmax, args.tol)
     print(json.dumps({"c0": c0, "k": k, "points": len(branch.points)}))
     if args.output:

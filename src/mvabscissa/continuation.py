@@ -91,34 +91,17 @@ def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
 
 def _bisect_correct(p, b0, G, b, b_prev, c_prev, slope, h, dc):
     """Derivative-free corrector, for a UNIQUE_ODD seed where F_c may vanish:
-    bracket the sign change of F(b, .) nearest c_prev and bisect it.
+    the root of F(b, .) nearest c_prev, by mvt._root_near.
 
     It corrects c = C(b) only, and evaluates F(b, .) as slope - f' from the
     terms that need only b, which it computes once, rather than through G.
     """
-    w = max(4.0 * abs(dc), h, 1e-6 * (b0 - p.a0), 1e-12)
-    b_terms = None
-    for _ in range(60):
-        lo = max(p.a0, c_prev - w)
-        hi = min(b, c_prev + w)
-        if hi <= lo:
-            break
-        b_terms = b_terms or mvt._b_terms(p, b)
-        slope_b = b_terms[0]
-        grid = np.linspace(lo, hi, 65)
-        fv = np.asarray(slope_b - mvt._fprime(p, grid), dtype=float)
-        sc = np.nonzero(fv[:-1] * fv[1:] <= 0)[0]
-        if sc.size:
-            # bracket closest to the prediction
-            mids = 0.5 * (grid[sc] + grid[sc + 1])
-            i = int(sc[np.argmin(np.abs(mids - c_prev))])
-            c = mvt._bisect_one(lambda c: slope_b - mvt._fprime(p, c),
-                                grid[i], grid[i + 1], fv[i])
-            return c, tuple(float(v) for v in mvt._f(b_terms, mvt._c_terms(p, c)))
-        if lo == p.a0 and hi == b:
-            break
-        w *= 2.0
-    return None, STOP_CORRECTOR
+    b_terms = mvt._b_terms(p, b)
+    c = mvt._root_near(lambda c: b_terms[0] - mvt._fprime(p, c), c_prev,
+                       max(4.0 * abs(dc), h, 1e-6 * (b0 - p.a0), 1e-12), p.a0, b)
+    if c is None:
+        return None, STOP_CORRECTOR
+    return c, tuple(float(v) for v in mvt._f(b_terms, mvt._c_terms(p, c)))
 
 
 def _march(G, start, direction, s_limit, step, tol, correct, s_span, point):
@@ -231,8 +214,8 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
                                   report, step0=None, tol: float = mvt.DEFAULT_TOL):
     """Two validated (b, c) seeds just past a TWO_BRANCHES / ONE_SIDED point.
 
-    Steps |b - b0| = step0 to the allowed side and brackets F(b, .) = 0 above
-    and below c0 by bisection.
+    Steps |b - b0| = step0 to the allowed side and takes the roots of
+    F(b, .) nearest c0 below it and above it, by mvt._root_near.
     """
     allowed = (classify.Case.TWO_BRANCHES, classify.Case.ONE_SIDED,
                classify.Case.REGULAR_B_ONLY)
@@ -245,35 +228,17 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
     if not (p.a0 < b <= p.domain[1] and p.domain[0] <= b):
         raise SeedSearchFailed("stepped endpoint left the domain")
 
-    slope = None
+    slope = mvt._b_terms(p, b)[0]
 
     def F(c):
-        """F(b, c) = slope - f'(c), the slope evaluated at the first call."""
-        nonlocal slope
-        if slope is None:
-            slope = mvt._b_terms(p, b)[0]
         return slope - mvt._fprime(p, c)
 
-    def bracket(side_c):
-        w = 0.25 * min(c0 - p.a0, abs(b - c0)) if b > c0 else 0.25 * (c0 - p.a0)
-        for _ in range(30):
-            lo = c0 + side_c * 1e-14 * max(1.0, abs(c0))
-            hi = c0 + side_c * w
-            grid = np.linspace(lo, hi, 513)
-            grid = grid[(grid > p.a0) & (grid < b)]
-            if grid.size < 2:
-                return None
-            fv = np.asarray(F(grid), dtype=float)
-            sc = np.nonzero(fv[:-1] * fv[1:] < 0)[0]
-            if sc.size:
-                i = int(sc[0])  # grid runs outward from c0: nearest bracket first
-                j, k = (i, i + 1) if side_c > 0 else (i + 1, i)
-                return mvt._bisect_one(F, grid[j], grid[k], fv[j])
-            w *= 1.6
-        return None
-
-    lo_c = bracket(-1)
-    hi_c = bracket(+1)
+    # both roots are needed, so a b <= c0, which leaves no room above c0,
+    # fails whatever the search below c0 finds
+    w = 0.25 * min(c0 - p.a0, b - c0)
+    eps = 1e-14 * max(1.0, abs(c0))
+    lo_c = mvt._root_near(F, c0 - eps, w, p.a0, c0 - eps)
+    hi_c = mvt._root_near(F, c0 + eps, w, c0 + eps, b)
     if lo_c is None or hi_c is None:
         raise SeedSearchFailed("no bracketed roots above and below c0")
     for c in (lo_c, hi_c):

@@ -69,9 +69,5 @@ class SeedNotRegular(MvaError):
     """Seed classification does not admit the requested branch direction."""
 
 
-class CorrectorDiverged(MvaError):
-    pass
-
-
 class SeedSearchFailed(MvaError):
     """Could not bracket post-degeneracy branch seeds."""

@@ -189,8 +189,10 @@ def normalize(p: Problem) -> Problem:
 def abscissae(p: Problem, b, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     """All mean value abscissae for f on [a0, b], sorted and deduplicated.
 
-    Sign changes of F(b, .) on a uniform grid are refined by bisection;
-    zero-touching double roots are recovered from local minima of |F|.
+    Sign changes of F(b, .) on a uniform grid are refined by bisection.  A
+    root where F(b, .) touches zero is a zero of F_c = -f'', so it is found
+    by bisecting F_c across the grid window where |F| has a small local
+    minimum.
     """
     (points,) = solve_columns(p, [b], tol, grid_n)
     if points is None:
@@ -203,12 +205,14 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
 
     The columns are gridded in blocks of up to _BLOCK_POINTS grid points, one
     array evaluation of f' per block.  Then the brackets of all columns are
-    refined together with one array evaluation of F per step, and each
-    column's roots are residual-filtered and deduplicated.  A root is kept
-    when |F| <= tol * max(1, |slope| + |f'(c)|): F is a difference of those
-    two terms, so its rounding error grows with them, and an absolute tol
-    would drop every root of f = x^3 on [0, s] once s is large.  A column on
-    which F(b, .) vanishes identically gives None instead of a list.
+    bisected together: the sign changes of F with one array evaluation of F
+    per step, and the touching-root windows, at whose ends F has one sign, as
+    sign changes of F_c with one of F_c per step.  Each column's roots are
+    residual-filtered and deduplicated.  A root is kept when
+    |F| <= tol * max(1, |slope| + |f'(c)|): F is a difference of those two
+    terms, so its rounding error grows with them, and an absolute tol would
+    drop every root of f = x^3 on [0, s] once s is large.  A column on which
+    F(b, .) vanishes identically gives None instead of a list.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
@@ -217,17 +221,15 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
         return []
     slope, live, col, lo, hi, flo, touch = _grid_columns(p, bs, tol, grid_n)
 
-    def F(k, c):
-        return slope[k] - _fprime(p, c)
-
     b_arr = np.array(bs)
     width_tol = 1e-15 * (b_arr - p.a0)
     roots = np.empty(col.size)
     bi, ti = np.nonzero(~touch)[0], np.nonzero(touch)[0]
-    roots[bi] = _bisect(lambda i, c: F(col[bi[i]], c),
+    roots[bi] = _bisect(lambda i, c: slope[col[bi[i]]] - _fprime(p, c),
                         lo[bi], hi[bi], flo[bi], width_tol[col[bi]])
-    roots[ti] = _ternary_min(lambda i, c: np.abs(F(col[ti[i]], c)),
-                             lo[ti], hi[ti], width_tol[col[ti]])
+    if ti.size:
+        roots[ti] = _bisect(lambda i, c: _c_terms(p, c)[1], lo[ti], hi[ti],
+                            _c_terms(p, lo[ti])[1], width_tol[col[ti]])
 
     inside = (p.a0 < roots) & (roots < b_arr[col])
     roots, col = roots[inside], col[inside]
@@ -326,38 +328,28 @@ def _grid_block(p, b, slope, tol, grid_n):
     return slope, live, row, cs[row, lo], cs[row, hi], fv[row, lo], width[order] == 2
 
 
-def _shrink(step, lo, hi, width_tol):
-    """Shrink every bracket [lo, hi] at once and return the midpoints.
-
-    step(idx, l, h) gives the next ends of the brackets idx.  A bracket stops
-    when it is no wider than its width_tol or when a step leaves it unchanged
-    (that step would repeat forever, e.g. on two adjacent floats).
-    """
-    lo, hi = lo.copy(), hi.copy()
-    active = np.nonzero(hi - lo > width_tol)[0]
-    while active.size:
-        l, h = lo[active], hi[active]
-        lo[active], hi[active] = nl, nh = step(active, l, h)
-        active = active[((nl != l) | (nh != h)) & (nh - nl > width_tol[active])]
-    return 0.5 * (lo + hi)
-
-
 def _bisect(fn, lo, hi, flo, width_tol):
     """Bisection of sign-change brackets; fn(idx, c) is F at c for brackets idx.
 
     Only the sign of flo = F(lo) is used: a midpoint where F is positive
-    exactly when F(lo) is becomes the new lo.
+    exactly when F(lo) is becomes the new lo.  All brackets step at once, and
+    a bracket stops when it is no wider than its width_tol or when a step
+    leaves it unchanged (that step would repeat forever, e.g. on two adjacent
+    floats).  Returns the midpoints.
     """
     up = flo > 0
-
-    def step(idx, l, h):
+    lo, hi = lo.copy(), hi.copy()
+    active = np.nonzero(hi - lo > width_tol)[0]
+    while active.size:
+        l, h = lo[active], hi[active]
         mid = 0.5 * (l + h)
-        fm = fn(idx, mid)
+        fm = fn(active, mid)
         zero = fm == 0.0
-        same = (fm > 0) == up[idx]
-        return np.where(same | zero, mid, l), np.where(same & ~zero, h, mid)
-
-    return _shrink(step, lo, hi, width_tol)
+        same = (fm > 0) == up[active]
+        lo[active] = nl = np.where(same | zero, mid, l)
+        hi[active] = nh = np.where(same & ~zero, h, mid)
+        active = active[((nl != l) | (nh != h)) & (nh - nl > width_tol[active])]
+    return 0.5 * (lo + hi)
 
 
 def _bisect_one(fn, lo, hi, flo):
@@ -365,9 +357,9 @@ def _bisect_one(fn, lo, hi, flo):
     and F(lo) = flo.  The bracket stops at the width 1e-16 * max(1, |lo|, |hi|)
     of its start, or when a step leaves it unchanged.
 
-    It runs on Python floats rather than through _shrink on one-element
-    arrays: the same midpoints, exact-zero and sign rule and stops, so the
-    same result bit for bit, at a fraction of the cost of a step.
+    It runs on Python floats rather than as _bisect on one-element arrays:
+    the same midpoints, exact-zero and sign rule and stops, so the same
+    result bit for bit, at a fraction of the cost of a step.
     """
     lo, hi = float(lo), float(hi)
     width_tol = 1e-16 * max(1.0, abs(lo), abs(hi))
@@ -385,17 +377,30 @@ def _bisect_one(fn, lo, hi, flo):
     return 0.5 * (lo + hi)
 
 
-def _ternary_min(fn, lo, hi, width_tol):
-    """Ternary search for the minimum of fn on each bracket; fn as in _bisect."""
+def _root_near(fn, c, w, lo, hi):
+    """The root of fn in [lo, hi] nearest c, or None; fn takes floats and
+    arrays.
 
-    def step(idx, l, h):
-        m1 = l + (h - l) / 3.0
-        m2 = h - (h - l) / 3.0
-        fv = fn(np.concatenate([idx, idx]), np.concatenate([m1, m2]))
-        left = fv[:idx.size] <= fv[idx.size:]
-        return np.where(left, l, m1), np.where(left, m2, h)
-
-    return _shrink(step, lo, hi, width_tol)
+    fn is sampled on 65 points of [max(lo, c - w), min(hi, c + w)], with w
+    doubled, up to 60 times, until the window holds a sign change or is
+    [lo, hi].  Of its sign changes, the one whose cell midpoint is nearest c
+    is bisected.
+    """
+    for _ in range(60):
+        l, h = max(lo, c - w), min(hi, c + w)
+        if h <= l:
+            break
+        grid = np.linspace(l, h, 65)
+        fv = np.asarray(fn(grid), dtype=float)
+        sc = np.nonzero(fv[:-1] * fv[1:] <= 0)[0]
+        if sc.size:
+            mids = 0.5 * (grid[sc] + grid[sc + 1])
+            i = int(sc[np.argmin(np.abs(mids - c))])
+            return _bisect_one(fn, grid[i], grid[i + 1], fv[i])
+        if l == lo and h == hi:
+            break
+        w *= 2.0
+    return None
 
 
 class LocalSeries:

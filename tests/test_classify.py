@@ -8,7 +8,7 @@ import pytest
 
 import mvabscissa as mva
 from mvabscissa import classify, expr, mvt
-from mvabscissa.errors import NotASolution, OutsideNeighborhood
+from mvabscissa.errors import DegenerateProblem, NotASolution, OutsideNeighborhood
 
 from conftest import cubic_upper, poly_derivative, x_fourth_branch
 
@@ -50,6 +50,26 @@ class TestClassifyPoint:
         assert (r.k, r.l) == (2, 1)
         assert abs(r.f_pp_c0) < 1e-9
         assert r.b_branch_exists
+
+    def test_sextic_with_double_roots_is_one_sided(self):
+        # f' = (x-1)^2 (x-3)^2 (x-3/4) and f(3) = f(0) = 0, so F(3, 1) = 0;
+        # g2 starts y^2 (1-3)^2 (1-3/4) = y^2, and g1 = f(3+x) / (3+x) starts
+        # 18 x^3 / (3! * 3) = x^3, f having third derivative 18 at 3
+        p = mva.Problem(mva.parse("-27/4*x + 27/2*x^2 - 27/2*x^3 + 7*x^4"
+                                  " - 7/4*x^5 + x^6/6"), 0.0, 3.0)
+        r = classify.classify_point(p, 3.0, 1.0)
+        assert r.case == classify.Case.ONE_SIDED
+        assert (r.k, r.l) == (2, 3)
+        assert abs(r.alpha0 - 1.0) < 1e-9
+        assert abs(r.beta0 - 1.0) < 1e-9
+        assert not r.b_branch_exists
+
+    def test_linear_function_is_degenerate(self):
+        # F vanishes identically, so neither g1 nor g2 has a nonzero term
+        p = mva.Problem(mva.parse("2*x + 1"), 0.0, 1.0)
+        r = classify.classify_point(p, 1.0, 0.5)
+        assert r.case == classify.Case.DEGENERATE
+        assert (r.k, r.l) == (0, 0)
 
     def test_non_solution_is_rejected(self, parabola):
         with pytest.raises(NotASolution):
@@ -211,6 +231,14 @@ class TestFindExtremalAbscissa:
         c0, k = classify.find_extremal_abscissa(mvt.normalize(cubic))
         assert abs(c0 - 2.0) <= 1e-10
         assert k == 1
+
+    def test_too_coarse_a_grid_is_refused(self):
+        # normalized, g = sin(4x) - x sin(12) / 3; on 4 cells of [0, 3] its
+        # largest grid value is at 2.25, but g' = 4 cos(4x) - sin(12) / 3 is
+        # positive at both neighbours, 1.5 and 3
+        p = mvt.normalize(mva.Problem(mva.parse("sin(4*x)"), 0.0, 3.0))
+        with pytest.raises(DegenerateProblem, match="too coarse"):
+            classify.find_extremal_abscissa(p, grid_n=4)
 
     def test_requires_normalized_input(self, cubic):
         with pytest.raises(ValueError):

@@ -139,6 +139,20 @@ class TestExitCodes:
         assert run("nosuchcommand") == 1
         capsys.readouterr()
 
+    def test_options_a_command_does_not_use_are_refused(self, tmp_path, capsys):
+        # each was once parsed and then dropped without a word
+        assert run("abscissae", "-f", "x^3", "-a", "0", "-b", "1", "--kmax", "8") == 1
+        assert run("scan", "-f", "x^3", "-a", "0", "--b-min", "0.5", "--b-max", "1",
+                   "--kmax", "8", "-o", str(tmp_path / "scan.csv")) == 1
+        assert run("classify", "-f", "x^4", "-a", "-1", "-b", "1", "-c", "0",
+                   "--tol", "1e-3") == 1
+        assert capsys.readouterr().out == ""
+
+    def test_guaranteed_takes_both_bounds_or_neither(self, capsys):
+        for bound in ("--b-min", "--b-max"):
+            assert run("guaranteed", "-f", "x^4", "-a", "-1", "-b", "1", bound, "1.1") == 1
+            assert "together" in capsys.readouterr().err
+
     def test_pole_at_an_endpoint_is_numerical_failure(self, capsys):
         # once a ZeroDivisionError traceback, from 0.0 ** -0.5 on a float
         assert run("abscissae", "-f", "x^(-0.5)", "-a", "0", "-b", "1") == 2

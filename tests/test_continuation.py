@@ -20,6 +20,15 @@ class TestTraceCOfB:
         assert br.points[0].b <= 0.5 + 1e-9
         assert br.points[-1].b >= 3.5 - 1e-9
 
+    def test_walk_stops_at_the_domain_edge(self, parabola):
+        # below b = a0 = 0 there is no interval [a0, b], whatever b_range says
+        br = continuation.trace_c_of_b(parabola, 2.0, 1.0, (-1.0, 3.0))
+        assert br.stop_lower == continuation.STOP_DOMAIN
+        assert br.stop_upper == continuation.STOP_RANGE
+        assert 0.0 < br.points[0].b <= 0.02 + 1e-12
+        assert br.points[-1].b >= 3.0 - 1e-9
+        assert max(abs(q.c - q.b / 2.0) for q in br.points) <= 1e-12
+
     def test_cubic_upper_branch(self, cubic):
         br = continuation.trace_c_of_b(cubic, 3.0, 2.0, (1.0, 3.5), step=0.01)
         for q in br.points:

@@ -223,48 +223,45 @@ class TestNormalize:
 
 
 def scalar_abscissae(p, b, tol=mvt.DEFAULT_TOL, grid_n=mvt.DEFAULT_GRID_N):
-    """Reference: one bracket at a time, one scalar F call per step."""
+    """Reference: one bracket at a time, one scalar F or F_c call per step."""
     cs = np.linspace(p.a0, b, grid_n + 2)[1:-1]
     fv = np.asarray(mvt.big_f(p, b, cs)[0], dtype=float)
 
     def f_of(c):
         return float(mvt.big_f(p, b, c)[0])
 
-    roots = []
+    def f_c(c):
+        return float(mvt.big_f(p, b, c)[2])
+
     width_tol = 1e-15 * (b - p.a0)
-    for i in np.nonzero(fv[:-1] * fv[1:] < 0)[0]:
-        lo, hi, flo = float(cs[i]), float(cs[i + 1]), float(fv[i])
+
+    def bisect(g, lo, hi, glo):
         while hi - lo > width_tol:
             mid = 0.5 * (lo + hi)
-            fm = f_of(mid)
-            if fm == 0.0:
+            gm = g(mid)
+            if gm == 0.0:
                 lo = hi = mid
-            elif (fm > 0) == (flo > 0):
+            elif (gm > 0) == (glo > 0):
                 if mid == lo:
                     break
-                lo, flo = mid, fm
+                lo, glo = mid, gm
             else:
                 if mid == hi:
                     break
                 hi = mid
-        roots.append(0.5 * (lo + hi))
+        return 0.5 * (lo + hi)
+
+    roots = [bisect(f_of, float(cs[i]), float(cs[i + 1]), float(fv[i]))
+             for i in np.nonzero(fv[:-1] * fv[1:] < 0)[0]]
     roots += [float(c) for c in cs[fv == 0.0]]
+    # a touching root is a zero of F_c, bisected across the window around a
+    # small local minimum of |F|
     av = np.abs(fv)
     for i in range(1, len(cs) - 1):
         if (av[i] <= av[i - 1] and av[i] <= av[i + 1] and av[i] <= tol
                 and fv[i - 1] * fv[i + 1] > 0):
-            lo, hi = float(cs[i - 1]), float(cs[i + 1])
-            while hi - lo > width_tol:
-                m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
-                if abs(f_of(m1)) <= abs(f_of(m2)):
-                    if m2 == hi:
-                        break
-                    hi = m2
-                else:
-                    if m1 == lo:
-                        break
-                    lo = m1
-            roots.append(0.5 * (lo + hi))
+            lo = float(cs[i - 1])
+            roots.append(bisect(f_c, lo, float(cs[i + 1]), f_c(lo)))
     slope = float(mvt._b_terms(p, b)[0])
     out = []
     for c in sorted(roots):
@@ -278,7 +275,7 @@ def scalar_abscissae(p, b, tol=mvt.DEFAULT_TOL, grid_n=mvt.DEFAULT_GRID_N):
 class TestAbscissae:
     def test_bit_identical_to_scalar_reference(self, cubic, quintic_same_sign,
                                                sextic_opposite, x_fourth):
-        # the sextic at b = 3 reports a touching root found by ternary search
+        # the sextic at b = 3 reports a touching root, a zero of F_c
         shifted = mva.Problem(mva.parse(QUINTIC_SAME_SIGN.replace("x", "(x-20)")),
                               20.0, 23.0)
         sine = mva.Problem(mva.parse("sin(x) + x^2/4"), 0.0, 3.0)
@@ -311,6 +308,14 @@ class TestAbscissae:
         # at b = 3 the abscissa c = 1 is a double root of F(3, .)
         cs = mvt.abscissae(quintic_same_sign, 3.0)
         assert any(abs(c - 1.0) < 1e-5 for c in cs)
+
+    def test_touching_root_is_a_zero_of_f_c(self, sextic_opposite):
+        # f' = (x-1)^2 (x-3) (x^2 - 4.5x + 3.3) and f(3) = f(0), so at b = 3
+        # the abscissae are the double root 1 and (4.5 - sqrt(7.05)) / 2
+        cs = mvt.abscissae(sextic_opposite, 3.0)
+        assert len(cs) == 2
+        assert abs(cs[0] - (4.5 - math.sqrt(7.05)) / 2.0) <= 1e-12
+        assert abs(cs[1] - 1.0) <= 1e-14
 
     def test_bisection_ends_on_adjacent_floats(self, x_fourth):
         # the sign-change bracket shrinks to two adjacent floats that are
