@@ -8,6 +8,7 @@ analysis determines the branch structure.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -44,18 +45,12 @@ class DegeneracyReport:
     case: Case
     f_pp_c0: float    # raw f''(c0), kept for auditing borderline calls
     f_b: float        # raw F_b(b0, c0)
+    value: float      # raw F(b0, c0)
     b_branch_exists: bool  # f'(b0) != f'(c0), so a local branch b = B(c) exists
 
     def to_dict(self):
-        return {
-            "k": self.k,
-            "l": self.l,
-            "alpha0": self.alpha0,
-            "beta0": self.beta0,
-            "sigma1": self.sigma1,
-            "sigma2": self.sigma2,
-            "case": self.case.value,
-        }
+        keys = ("k", "l", "alpha0", "beta0", "sigma1", "sigma2")
+        return {**{key: getattr(self, key) for key in keys}, "case": self.case.value}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
@@ -63,14 +58,13 @@ class DegeneracyReport:
 
 def classify_point(p: mvt.Problem, b0: float, c0: float,
                    kmax: int = DEFAULT_KMAX, tol: float = SOLUTION_TOL) -> DegeneracyReport:
-    """Classify the solution point (b0, c0) of F(b, c) = 0."""
+    """Classify the solution point (b0, c0) of F(b, c) = 0, which must pass
+    mvt._residual_ok with tol, or NotASolution is raised."""
     if not (np.isfinite(b0) and np.isfinite(c0)):
         raise ValueError(f"need a finite point, got ({b0!r}, {c0!r})")
     b_terms, c_terms = mvt._b_terms(p, b0), mvt._c_terms(p, c0)
     value, f_b, f_c = (float(v) for v in mvt._f(b_terms, c_terms))
-    fpc = float(c_terms[0])
-    scale = max(1.0, abs(fpc), abs(value + fpc))
-    if abs(value) > tol * scale:
+    if not mvt._residual_ok(value, b_terms[0], c_terms[0], tol):
         raise NotASolution(f"|F({b0!r}, {c0!r})| = {abs(value)!r} exceeds tolerance")
 
     g1, g2 = mvt.g1_g2(p, b0, c0)
@@ -82,8 +76,6 @@ def classify_point(p: mvt.Problem, b0: float, c0: float,
     beta0 = float(s2[k]) if k is not None else 0.0
     sigma1 = int(np.sign(alpha0))
     sigma2 = int(np.sign(beta0))
-    f_pp_c0 = -f_c
-    b_exists = l == 1
 
     if k == 1:
         case = Case.REGULAR_C
@@ -101,7 +93,7 @@ def classify_point(p: mvt.Problem, b0: float, c0: float,
     return DegeneracyReport(
         k=k or 0, l=l or 0, alpha0=alpha0, beta0=beta0,
         sigma1=sigma1, sigma2=sigma2, case=case,
-        f_pp_c0=f_pp_c0, f_b=f_b, b_branch_exists=b_exists)
+        f_pp_c0=-f_c, f_b=f_b, value=value, b_branch_exists=l == 1)
 
 
 def _root(z, power):
@@ -228,9 +220,7 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
     if i0 in (0, grid_n):
         raise DegenerateProblem("no interior global extremum found")
 
-    def gp(c):
-        return mvt._fprime(p, c)
-
+    gp = functools.partial(mvt._fprime, p)
     lo, hi = float(xs[max(0, i0 - 1)]), float(xs[min(grid_n, i0 + 1)])
     glo = gp(lo)
     if not glo * gp(hi) < 0:
@@ -269,6 +259,5 @@ def _guaranteed_branch(p, b_range, step, kmax, tol):
     if b_range is None:
         b_range = (max(p.a0 + 0.05 * w, p.b0 - 0.2 * w), p.b0 + 0.2 * w)
     pn = pn.covering(min(b_range[0], pn.domain[0]), max(b_range[1], pn.domain[1]))
-    branch = continuation.trace_c_of_b(
-        pn, p.b0, c0, b_range, step=step or 0.01 * w, tol=tol, kmax=kmax)
+    branch = continuation.trace_c_of_b(pn, p.b0, c0, b_range, step=step, tol=tol, kmax=kmax)
     return c0, k, branch

@@ -200,7 +200,7 @@ def run(argv=None) -> int:
     except MvaError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # OSError: an output file that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -8,9 +8,10 @@ below an absolute bound, or when it is no smaller than the one before, which
 marks G's rounding floor.  Where a c = C(b) seed is merely UNIQUE_ODD and
 F_c may vanish, a derivative-free bisection corrects instead, as a loop on
 floats.  A step holds s fixed, so the terms of F that need only s are
-evaluated once per step.  A corrector hands back G and its partials at the
-point it accepts, which serve as the residual check, the point's residual
-and the next step's predictor, so each point is evaluated once.
+evaluated once per step.  A corrector hands back G, its partials and F's
+two terms at the point it accepts, which serve as the residual check, the
+point's residual and the next step's predictor, so each point, the seed
+too, is evaluated once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classify, mvt
-from .errors import SeedNotRegular, SeedSearchFailed
+from .errors import NotASolution, SeedNotRegular, SeedSearchFailed
 
 DEGENERACY_THRESHOLD = 1e-7
 NONZERO_B = 1e-9
@@ -101,21 +102,22 @@ def _bisect_correct(p, b0, G, b, b_prev, c_prev, slope, h, dc):
                        max(4.0 * abs(dc), h, 1e-6 * (b0 - p.a0), 1e-12), p.a0, b)
     if c is None:
         return None, STOP_CORRECTOR
-    return c, tuple(float(v) for v in mvt._f(b_terms, mvt._c_terms(p, c)))
+    c_terms = mvt._c_terms(p, c)
+    return c, tuple(float(v) for v in (*mvt._f(b_terms, c_terms), b_terms[0], c_terms[0]))
 
 
 def _march(G, start, direction, s_limit, step, tol, correct, s_span, point):
     """Walk the branch t = T(s) of G(s, t) = 0 from start toward s_limit.
 
-    G(s) gives the function t -> (G, G_s, G_t), as floats, at a fixed s, and
-    start is the seed (s, t, (G_s, G_t)).  A step goes to an s_next with
-    lo < s_next <= hi for s_span = (lo, hi).  There
-    correct(G, s_next, s, t, slope, h, dt) returns the new t and G's triple
-    at it, or None and a stop reason; dt is the change in t of the last step.  The new point must have a residual
-    within tol, and point(s, t, G) must turn it into a SolutionPoint rather
-    than None.  Returns the SolutionPoints and the stop reason.
+    G(s) gives t -> (G, G_s, G_t, slope, f'(c)), as floats, at a fixed s,
+    and start is the seed (s, t, (G, G_s, G_t)).  A step goes to an s_next
+    with lo < s_next <= hi for s_span = (lo, hi).  There correct(G, s_next,
+    s, t, slope, h, dt) returns the new t and G's tuple at it, or None and a
+    stop reason; dt is the change in t of the last step.  The new point must
+    pass mvt._residual_ok, and point(s, t, G) must turn it into a
+    SolutionPoint rather than None.  Returns the points and the stop reason.
     """
-    s, t, slope = start
+    s, t, slope = *start[:2], start[2][1:]
     points, dt = [], 0.0
     while len(points) <= MAX_POINTS:
         remaining = (s_limit - s) * direction
@@ -129,7 +131,7 @@ def _march(G, start, direction, s_limit, step, tol, correct, s_span, point):
             t_next, at = correct(G, s_next, s, t, slope, h, dt)
             if t_next is None and at == STOP_DEGENERATE:
                 return points, STOP_DEGENERATE
-            if t_next is not None and abs(at[0]) <= tol:
+            if t_next is not None and mvt._residual_ok(at[0], at[3], at[4], tol):
                 break
             h *= 0.5
         else:
@@ -138,7 +140,7 @@ def _march(G, start, direction, s_limit, step, tol, correct, s_span, point):
         if q is None:
             return points, STOP_DOMAIN
         points.append(q)
-        s, t, slope, dt = s_next, t_next, at[1:], t_next - t
+        s, t, slope, dt = s_next, t_next, at[1:3], t_next - t
     return points, STOP_CORRECTOR
 
 
@@ -148,15 +150,23 @@ def _branch(p, order, start, s_range, step, tol, correct, s_span, **fields):
     order(s, t) is (b, c) for the walk's (s, t); being its own inverse, it
     also turns F's partials (F_b, F_c) into G's (G_s, G_t), and the terms of
     F that need only b or only c into those that need only s or only t.
+    start is (s, t, (G, G_s, G_t)) at a seed the caller has judged.
     """
+    b, c = order(*start[:2])
+    if not p.a0 < c < b:
+        raise ValueError(f"abscissa c={c!r} is not interior to ({p.a0!r}, {b!r})")
+    step = 0.01 * (b - p.a0) if step is None else step
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     s_terms, t_terms = order(mvt._b_terms, mvt._c_terms)
 
     def G(s):
         fixed = s_terms(p, s)
 
         def at(t):
-            value, f_b, f_c = (float(v) for v in mvt._f(*order(fixed, t_terms(p, t))))
-            return (value, *order(f_b, f_c))
+            b_terms, c_terms = order(fixed, t_terms(p, t))
+            value, f_b, f_c = (float(v) for v in mvt._f(b_terms, c_terms))
+            return (value, *order(f_b, f_c), b_terms[0], c_terms[0])
 
         return at
 
@@ -166,8 +176,7 @@ def _branch(p, order, start, s_range, step, tol, correct, s_span, **fields):
 
     up, stop_upper = _march(G, start, +1, s_range[1], step, tol, correct, s_span, point)
     down, stop_lower = _march(G, start, -1, s_range[0], step, tol, correct, s_span, point)
-    seed = mvt.solution_point(p, *order(*start[:2]), max(tol, classify.SOLUTION_TOL))
-    return Branch(points=down[::-1] + [seed] + up,
+    return Branch(points=down[::-1] + [mvt.SolutionPoint(b, c, abs(start[2][0]))] + up,
                   seed_index=len(down), stop_lower=stop_lower,
                   stop_upper=stop_upper, **fields)
 
@@ -179,7 +188,6 @@ def trace_c_of_b(p: mvt.Problem, b0: float, c0: float, b_range, step=None,
     if not (lo <= b0 <= hi):
         raise ValueError("seed b0 must lie inside b_range")
     p = p.covering(min(lo, p.domain[0]), max(hi, p.domain[1]))
-    step = step or 0.01 * (b0 - p.a0)
     report = classify.classify_point(p, b0, c0, kmax=kmax)
     if report.case not in (classify.Case.REGULAR_C, classify.Case.UNIQUE_ODD):
         raise SeedNotRegular(
@@ -187,25 +195,27 @@ def trace_c_of_b(p: mvt.Problem, b0: float, c0: float, b_range, step=None,
     correct = _chord_correct
     if report.case == classify.Case.UNIQUE_ODD:
         correct = functools.partial(_bisect_correct, p, b0)
-    # classify_point has evaluated F_b and f'' = -F_c at the seed
-    start = (float(b0), float(c0), (report.f_b, -report.f_pp_c0))
+    # classify_point has judged the seed, evaluating F, F_b and f'' = -F_c
+    start = (float(b0), float(c0), (report.value, report.f_b, -report.f_pp_c0))
     return _branch(p, lambda b, c: (b, c), start, (lo, hi), step, tol, correct,
                    (p.a0, p.domain[1]), seed_case=report.case.value, parameter="b")
 
 
 def trace_b_of_c(p: mvt.Problem, b0: float, c0: float, c_range, step=None,
                  tol: float = mvt.DEFAULT_TOL, kmax: int = classify.DEFAULT_KMAX) -> Branch:
-    """Trace the branch b = B(c) through the seed; needs f'(b0) != f'(c0)."""
+    """Trace b = B(c) through a seed where F = 0 and f'(b0) != f'(c0)."""
     lo, hi = float(c_range[0]), float(c_range[1])
     if not np.isfinite(b0):
         raise ValueError(f"seed b0 must be finite, got {b0!r}")
     if not (lo <= c0 <= hi):
         raise ValueError("seed c0 must lie inside c_range")
-    step = step or 0.01 * (b0 - p.a0)
-    value, f_b, f_c = (float(v) for v in mvt.big_f(p, b0, c0))
+    b_terms, c_terms = mvt._b_terms(p, b0), mvt._c_terms(p, c0)
+    value, f_b, f_c = (float(v) for v in mvt._f(b_terms, c_terms))
+    if not mvt._residual_ok(value, b_terms[0], c_terms[0], tol):
+        raise NotASolution(f"|F({b0!r}, {c0!r})| = {abs(value)!r} exceeds tolerance")
     if abs(f_b) <= NONZERO_B * max(1.0, abs(f_c), abs(value)):
         raise SeedNotRegular("f'(b0) = f'(c0) at the seed; B(c) is not guaranteed")
-    start = (float(c0), float(b0), (f_c, f_b))
+    start = (float(c0), float(b0), (value, f_c, f_b))
     return _branch(p, lambda c, b: (b, c), start, (lo, hi), step, tol, _chord_correct,
                    (-np.inf, np.inf), seed_case="", parameter="c")
 

@@ -103,14 +103,26 @@ class SolutionPoint:
     residual: float
 
 
+def _residual_ok(value, slope, fpc, tol):
+    """The one test of whether (b, c) solves F = slope - f'(c) = value = 0:
+    |F| <= tol * max(1, |slope| + |f'(c)|), on floats or arrays.  The
+    rounding error of F grows with the two terms it cancels.  Raises
+    ValueError unless tol is positive and finite."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    # tol * max(1, s) as an or of its two cases, which floats take without numpy
+    return (abs(value) <= tol) | (abs(value) <= tol * (abs(slope) + abs(fpc)))
+
+
 def solution_point(p: Problem, b, c, tol=DEFAULT_TOL) -> SolutionPoint:
-    """Construct a validated solution point: interior c and residual <= tol."""
+    """A validated solution point: a0 < c < b and F passes _residual_ok."""
     b, c = float(b), float(c)
     if not (p.a0 < c < b):
         raise ValueError(f"abscissa c={c!r} is not interior to ({p.a0!r}, {b!r})")
-    r = abs(float(big_f(p, b, c)[0]))
-    if r > tol:
-        raise ValueError(f"residual {r!r} exceeds tolerance {tol!r}")
+    slope, fpc = float(_b_terms(p, b)[0]), float(_fprime(p, c))
+    r = abs(slope - fpc)
+    if not _residual_ok(r, slope, fpc, tol):
+        raise ValueError(f"residual {r!r} exceeds tolerance {tol!r} at its scale")
     return SolutionPoint(b, c, r)
 
 
@@ -207,12 +219,10 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     array evaluation of f' per block.  Then the brackets of all columns are
     bisected together: the sign changes of F with one array evaluation of F
     per step, and the touching-root windows, at whose ends F has one sign, as
-    sign changes of F_c with one of F_c per step.  Each column's roots are
-    residual-filtered and deduplicated.  A root is kept when
-    |F| <= tol * max(1, |slope| + |f'(c)|): F is a difference of those two
-    terms, so its rounding error grows with them, and an absolute tol would
-    drop every root of f = x^3 on [0, s] once s is large.  A column on which
-    F(b, .) vanishes identically gives None instead of a list.
+    sign changes of F_c with one of F_c per step.  Each column keeps the
+    roots that pass _residual_ok, |F| <= tol * max(1, |slope| + |f'(c)|),
+    and deduplicates them.  A column on which F(b, .) vanishes identically
+    gives None instead of a list.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
@@ -235,16 +245,15 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     roots, col = roots[inside], col[inside]
     fprime = _fprime(p, roots)
     residual = np.abs(slope[col] - fprime)
-    scale = np.maximum(1.0, np.abs(slope[col]) + np.abs(fprime))
+    kept = _residual_ok(residual, slope[col], fprime, tol)
+    roots, col, residual = roots[kept], col[kept], residual[kept]
 
-    # residual filter and dedup (radius (b-a0)/grid_n, smaller c wins)
+    # dedup (radius (b-a0)/grid_n, smaller c wins)
     out = [[] if ok else None for ok in live]
-    rows = zip(col.tolist(), roots.tolist(), residual.tolist(), scale.tolist())
+    rows = zip(col.tolist(), roots.tolist(), residual.tolist())
     for k, column in groupby(rows, key=lambda row: row[0]):
         points = out[k]
-        for _, c, r, size in sorted(column):
-            if r > tol * size:
-                continue
+        for _, c, r in sorted(column):
             if points and c - points[-1].c < (bs[k] - p.a0) / grid_n:
                 continue
             points.append(SolutionPoint(bs[k], c, r))
@@ -302,8 +311,8 @@ def _grid_block(p, b, slope, tol, grid_n):
     grid), and, in column order, the brackets to refine in live columns as
     (row, lo, hi, F(lo), touch): the sign changes (touch False), each exact
     grid zero c as (c, c, 0, False), and the three-point windows around local
-    minima of |F| that are already below tol (touch True), where a touching
-    root may lie.
+    minima of |F| that pass _residual_ok between values of one sign (touch
+    True), where a touching root may lie.
     """
     if slope is None:
         slope = _slope(p, b)
@@ -315,10 +324,12 @@ def _grid_block(p, b, slope, tol, grid_n):
     live = av.max(axis=1) > 1e-12 * fprime_scale
 
     mid = av[:, 1:-1]
+    r, i = np.nonzero((mid <= av[:, :-2]) & (mid <= av[:, 2:])
+                      & (fv[:, :-2] * fv[:, 2:] > 0))
+    touch = _residual_ok(mid[r, i], slope[r], fprime[r, i + 1], tol)
     found = [np.nonzero(fv[:, :-1] * fv[:, 1:] < 0),
              np.nonzero(fv == 0.0),
-             np.nonzero((mid <= av[:, :-2]) & (mid <= av[:, 2:]) & (mid <= tol)
-                        & (fv[:, :-2] * fv[:, 2:] > 0))]
+             (r[touch], i[touch])]
     row = np.concatenate([r for r, _ in found])
     lo = np.concatenate([i for _, i in found])
     width = np.concatenate([np.full(i.size, w) for (_, i), w in zip(found, (1, 0, 2))])

@@ -37,8 +37,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1)")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
+        if not 0.0 < self.tol < math.inf or self.max_iter < 1:
+            raise ValueError("tol must be positive and finite and max_iter >= 1")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.delta is not None and self.delta <= 0:
@@ -168,8 +168,9 @@ def implicit_solve(F: Implicit2D, x0, y0, x, config: SolverConfig = None):
     certified steps, re-centering the fixed-point map at each stage.
     """
     config = config or SolverConfig()
-    cur_x, cur_y = float(x0), float(y0)
-    x = float(x)
+    cur_x, cur_y, x = float(x0), float(y0), float(x)
+    if not all(map(math.isfinite, (cur_x, cur_y, x))):
+        raise ValueError(f"need finite x0, y0 and x, got {x0!r}, {y0!r}, {x!r}")
     for _ in range(256):
         remaining = abs(x - cur_x)
         guess = max(0.1 * max(1.0, abs(cur_y)), 1.05 * remaining)

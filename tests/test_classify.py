@@ -75,6 +75,21 @@ class TestClassifyPoint:
         with pytest.raises(NotASolution):
             classify.classify_point(parabola, 2.0, 0.7)
 
+    def test_residual_is_judged_at_its_scale(self):
+        # the point mvt.solution_point accepts, by the same rule
+        s = 1e5
+        p = mva.Problem(mva.parse("x^3"), 0.0, s)
+        r = classify.classify_point(p, s, s / math.sqrt(3.0))
+        assert r.case == classify.Case.REGULAR_C
+        assert abs(r.value) == mvt.solution_point(p, s, s / math.sqrt(3.0)).residual
+        with pytest.raises(NotASolution):
+            classify.classify_point(p, s, s / math.sqrt(3.0) * (1 + 1e-7))
+
+    def test_tol_must_be_positive_and_finite(self, parabola):
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                classify.classify_point(parabola, 2.0, 1.0, tol=tol)
+
     def test_non_finite_point_is_rejected(self, parabola):
         for b, c in ((2.0, math.nan), (math.inf, 1.0), (math.nan, math.nan)):
             with pytest.raises(ValueError, match="finite"):
@@ -339,6 +354,22 @@ class TestGuaranteedBranch:
         want = scalar_bisection_branch(pn, 3.0, c0, (2.6, 3.4), 0.02)
         assert len(want) == 41
         assert [(q.b, q.c, q.residual) for q in branch.points] == want
+
+    @pytest.mark.parametrize("s", [1.0, 1e3, 1e5, 1e6])
+    def test_cubic_power_at_every_scale(self, s):
+        # x^3 on [0, s], normalized: the extremum is c0 = s / sqrt(3), and
+        # the branch c = b / sqrt(3) is walked over [0.8 s, 1.2 s] in steps
+        # of s / 100
+        c0, branch = classify.guaranteed_branch(mva.Problem(mva.parse("x^3"), 0.0, s))
+        assert abs(c0 - s / math.sqrt(3.0)) <= 1e-12 * s
+        assert len(branch.points) == 41
+        assert (branch.stop_lower, branch.stop_upper) == ("range exhausted",) * 2
+
+    @pytest.mark.parametrize("step", [-0.01, 0.0, math.nan, math.inf])
+    def test_bad_step_is_refused(self, x_fourth, step):
+        # a step of -0.01 once walked b from -0.99 to 3.0, outside b_range
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            classify.guaranteed_branch(x_fourth, (0.8, 1.2), step=step)
 
     def test_pure_quartic(self, x_fourth):
         c0, branch = classify.guaranteed_branch(x_fourth, b_range=(0.8, 1.2))

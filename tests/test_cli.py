@@ -168,6 +168,34 @@ class TestExitCodes:
             assert run("abscissae", "-f", text, "-a", "0", "-b", "2") == 2
             assert "ExprSyntaxError: expression nested deeper" in capsys.readouterr().err
 
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, capsys):
+        # each once ended in an OSError traceback
+        assert run("scan", "-f", "x^3", "-a", "0", "--b-min", "0.5", "--b-max", "1",
+                   "-o", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno")
+        assert run("trace", "-f", "x^2", "-a", "0", "-b", "2", "-c", "1",
+                   "--b-min", "1", "--b-max", "3",
+                   "-o", str(tmp_path / "missing" / "o.csv")) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno")
+
+    def test_bad_tol_or_step_is_a_usage_error(self, tmp_path, capsys):
+        # --tol -1 once printed nothing and exited 0, --step 0 meant the default
+        for tol in ("-1", "0", "nan"):
+            assert run("abscissae", "-f", "x^2", "-a", "0", "-b", "2", "--tol", tol) == 1
+            assert "tol must be positive and finite" in capsys.readouterr().err
+        assert run("trace", "-f", "x^2", "-a", "0", "-b", "2", "-c", "1",
+                   "--b-min", "1", "--b-max", "3", "--step", "0",
+                   "-o", str(tmp_path / "o.csv")) == 1
+        assert "step must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_non_finite_fixed_point_input_is_a_usage_error(self, capsys):
+        # each once exited 2 with a numerical failure
+        for x0, x in (("nan", "1.2"), ("1", "nan")):
+            assert run("fixed-point", "--f1", "x", "--f2", "x^2",
+                       "--x0", x0, "--y0", "1", "--x", x) == 1
+            assert "finite" in capsys.readouterr().err
+
     def test_help_exits_zero_and_lists_flags(self, capsys):
         assert run("--help") == 0
         out = capsys.readouterr().out

@@ -7,7 +7,7 @@ import pytest
 
 import mvabscissa as mva
 from mvabscissa import classify, continuation, mvt
-from mvabscissa.errors import SeedNotRegular
+from mvabscissa.errors import NotASolution, SeedNotRegular
 
 from conftest import cubic_lower, cubic_upper
 
@@ -141,6 +141,50 @@ class TestTraceBOfC:
             continuation.trace_b_of_c(parabola, math.nan, 1.0, (0.5, 1.5))
 
 
+class TestWalkInputs:
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e5, 1e6])
+    def test_cubic_power_at_every_scale(self, s):
+        # x^3 on [0, s]: c = b / sqrt(3).  F cancels terms of size s^2, so an
+        # absolute tol stopped these walks or refused their seed once s >= 1e3
+        p = mva.Problem(mva.parse("x^3"), 0.0, s)
+        r3 = math.sqrt(3.0)
+        br = continuation.trace_c_of_b(p, s, s / r3, (s / 2, 1.5 * s), step=s / 100)
+        assert len(br.points) == 101
+        assert (br.stop_lower, br.stop_upper) == (continuation.STOP_RANGE,) * 2
+        assert all(abs(q.c - q.b / r3) <= 1e-15 * q.b for q in br.points)
+        br = continuation.trace_b_of_c(p, s, s / r3, (s / 3, 2 * s / 3), step=s / 100)
+        assert len(br.points) == 35
+        assert (br.stop_lower, br.stop_upper) == (continuation.STOP_RANGE,) * 2
+        assert all(abs(q.b - r3 * q.c) <= 1e-15 * q.b for q in br.points)
+
+    @pytest.mark.parametrize("step", [-0.01, 0.0, math.nan, math.inf])
+    def test_bad_step_is_refused(self, parabola, step):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            continuation.trace_c_of_b(parabola, 2.0, 1.0, (1.5, 2.5), step=step)
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            continuation.trace_b_of_c(parabola, 2.0, 1.0, (0.5, 1.5), step=step)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_is_refused(self, parabola, tol):
+        # a tol of nan once returned the seed alone
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            continuation.trace_c_of_b(parabola, 2.0, 1.0, (1.5, 2.5), tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            continuation.trace_b_of_c(parabola, 2.0, 1.0, (0.5, 1.5), tol=tol)
+
+    def test_seed_must_be_a_solution(self, parabola):
+        with pytest.raises(NotASolution):
+            continuation.trace_c_of_b(parabola, 2.0, 0.9, (1.5, 2.5))
+        with pytest.raises(NotASolution):
+            continuation.trace_b_of_c(parabola, 2.0, 0.9, (0.5, 1.5))
+
+    def test_seed_must_be_interior(self):
+        # c = -b / sqrt(3) solves F(b, c) = 0 for x^3 on [0, b], outside (0, b)
+        p = mva.Problem(mva.parse("x^3"), 0.0, 1.0)
+        with pytest.raises(ValueError, match="not interior"):
+            continuation.trace_c_of_b(p, 1.0, -1.0 / math.sqrt(3.0), (0.5, 1.5))
+
+
 class TestEvaluations:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -164,8 +208,9 @@ class TestEvaluations:
         assert len(br.points) == 101
         assert {name for name, _ in calls} == {"b", "c"}
         assert all(a != b for a, b in zip(calls, calls[1:]))
-        # once per step, and at the seed for its classification and its point
-        assert len([x for name, x in calls if name == "b"]) == len(br.points) + 1
+        # once per step, and once at the seed, where its classification
+        # judges it and its point reuses that value of F
+        assert len([x for name, x in calls if name == "b"]) == len(br.points)
 
     def test_b_of_c_march_evaluates_each_point_once(self, calls, quartic_inflection):
         br = continuation.trace_b_of_c(quartic_inflection, 3.0, 1.0, (0.9, 1.1),
@@ -173,8 +218,8 @@ class TestEvaluations:
         assert len(br.points) > 50
         assert {name for name, _ in calls} == {"b", "c"}
         assert all(a != b for a, b in zip(calls, calls[1:]))
-        # once per step, and at the seed for its check and its point
-        assert len([x for name, x in calls if name == "c"]) == len(br.points) + 1
+        # once per step, and once at the seed, for its check and its point
+        assert len([x for name, x in calls if name == "c"]) == len(br.points)
 
     def test_chord_corrector_stops_at_its_rounding_floor(self, monkeypatch,
                                                          quintic_same_sign):

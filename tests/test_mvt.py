@@ -190,6 +190,23 @@ class TestSolutionPoint:
         q = mvt.solution_point(parabola, 2.4, 1.2)
         assert q.residual <= 1e-10
 
+    def test_residual_is_judged_at_its_scale(self):
+        # x^3 on [0, 1e5]: F = slope - f'(c) cancels terms of size 1e10, so
+        # its rounding error is about 2e-6, far above an absolute 1e-10
+        s = 1e5
+        p = mva.Problem(mva.parse("x^3"), 0.0, s)
+        q = mvt.solution_point(p, s, s / math.sqrt(3.0))
+        assert 0.0 < q.residual <= 1e-10 * 2e10
+        with pytest.raises(ValueError, match="exceeds tolerance"):
+            mvt.solution_point(p, s, s / math.sqrt(3.0) * (1 + 1e-9))
+
+    def test_tol_must_be_positive_and_finite(self, parabola):
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                mvt.solution_point(parabola, 2.4, 1.2, tol)
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                mvt.abscissae(parabola, 2.0, tol)
+
 
 class TestNormalize:
     def test_cubic_secant_subtraction(self, cubic):
@@ -254,19 +271,23 @@ def scalar_abscissae(p, b, tol=mvt.DEFAULT_TOL, grid_n=mvt.DEFAULT_GRID_N):
     roots = [bisect(f_of, float(cs[i]), float(cs[i + 1]), float(fv[i]))
              for i in np.nonzero(fv[:-1] * fv[1:] < 0)[0]]
     roots += [float(c) for c in cs[fv == 0.0]]
+    slope = float(mvt._b_terms(p, b)[0])
+
+    def small(c):
+        # |F| <= tol * max(1, |slope| + |f'(c)|), the rule of every residual
+        return abs(f_of(c)) <= tol * max(1.0, abs(slope) + abs(float(mvt._c_terms(p, c)[0])))
+
     # a touching root is a zero of F_c, bisected across the window around a
-    # small local minimum of |F|
+    # local minimum of |F| that is small by that rule
     av = np.abs(fv)
     for i in range(1, len(cs) - 1):
-        if (av[i] <= av[i - 1] and av[i] <= av[i + 1] and av[i] <= tol
-                and fv[i - 1] * fv[i + 1] > 0):
+        if (av[i] <= av[i - 1] and av[i] <= av[i + 1]
+                and fv[i - 1] * fv[i + 1] > 0 and small(float(cs[i]))):
             lo = float(cs[i - 1])
             roots.append(bisect(f_c, lo, float(cs[i + 1]), f_c(lo)))
-    slope = float(mvt._b_terms(p, b)[0])
     out = []
     for c in sorted(roots):
-        scale = max(1.0, abs(slope) + abs(float(mvt._c_terms(p, c)[0])))
-        if p.a0 < c < b and abs(f_of(c)) <= tol * scale \
+        if p.a0 < c < b and small(c) \
                 and not (out and c - out[-1] < (b - p.a0) / grid_n):
             out.append(c)
     return out
@@ -485,3 +506,18 @@ class TestMeanValueImplicit:
         assert float(F.value(2.5, 0.7)) == v
         assert float(F.dx(2.5, 0.7)) == fb
         assert float(F.dy(2.5, 0.7)) == fc
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=st.one_of(st.floats(-1e300, 1e300), st.just(math.nan)),
+       slope=st.floats(-1e300, 1e300), fpc=st.floats(-1e300, 1e300),
+       tol=st.sampled_from([1e-10, 1e-8, 0.5]))
+@example(value=1e-10, slope=0.25, fpc=0.25, tol=1e-10)  # at the floor of 1
+@example(value=2e-10, slope=1.0, fpc=1.0, tol=1e-10)  # at the scaled bound
+def test_residual_rule_is_its_max_form(value, slope, fpc, tol):
+    # _residual_ok writes max(1, s) as an or of its two cases; it must judge
+    # as the rule reads, on floats and on arrays
+    want = bool(abs(value) <= tol * max(1.0, abs(slope) + abs(fpc)))
+    assert mvt._residual_ok(value, slope, fpc, tol) is want
+    got = mvt._residual_ok(np.array([value]), np.array([slope]), np.array([fpc]), tol)
+    assert got.tolist() == [want]

@@ -150,6 +150,9 @@ class TestCertifyNeighborhood:
             solver.SolverConfig(epsilon=-1.0)
         with pytest.raises(ValueError):
             solver.SolverConfig(tol=0.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                solver.SolverConfig(tol=tol)
 
 
 class TestImplicitSolve:
@@ -168,6 +171,11 @@ class TestImplicitSolve:
     def test_walks_beyond_one_certified_box(self):
         got = solver.implicit_solve(PARABOLA_F, 2.0, 1.0, 30.0)
         assert abs(got - 15.0) <= 1e-10
+
+    def test_non_finite_input_is_refused(self):
+        for args in ((math.nan, 1.0, 2.4), (2.0, math.inf, 2.4), (2.0, 1.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                solver.implicit_solve(PARABOLA_F, *args)
 
     def test_degenerate_target_cannot_certify(self):
         with pytest.raises((CannotCertify, DegenerateFy)):
