@@ -62,9 +62,9 @@ def classify_point(p: mvt.Problem, b0: float, c0: float,
     mvt._residual_ok with tol, or NotASolution is raised."""
     if not (np.isfinite(b0) and np.isfinite(c0)):
         raise ValueError(f"need a finite point, got ({b0!r}, {c0!r})")
-    b_terms, c_terms = mvt._b_terms(p, b0), mvt._c_terms(p, c0)
-    value, f_b, f_c = (float(v) for v in mvt._f(b_terms, c_terms))
-    if not mvt._residual_ok(value, b_terms[0], c_terms[0], tol):
+    (slope, f_b), (fpc, f_c) = mvt._b_terms(p, b0), mvt._c_terms(p, c0)
+    value = slope - fpc
+    if not mvt._residual_ok(value, slope, fpc, tol):
         raise NotASolution(f"|F({b0!r}, {c0!r})| = {abs(value)!r} exceeds tolerance")
 
     g1, g2 = mvt.g1_g2(p, b0, c0)
@@ -204,10 +204,10 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
     """
     xs = np.linspace(p.a0, p.b0, grid_n + 1)
     gv = np.asarray(expr.evaluate(p.tape, xs), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(gv))))
+    scale = float(np.max(np.abs(gv)))
     if abs(gv[0]) > 1e-9 * scale or abs(gv[-1]) > 1e-9 * scale:
         raise ValueError("problem is not normalized: g(a0) or g(b0) is nonzero")
-    if float(np.max(np.abs(gv))) <= 1e-12 * scale:
+    if scale == 0.0:
         raise DegenerateProblem("g vanishes identically on the grid")
 
     i_max = int(np.argmax(gv))

@@ -32,6 +32,7 @@ STOP_RANGE = "range exhausted"
 STOP_DEGENERATE = "degenerate F_c"
 STOP_DOMAIN = "domain edge"
 STOP_CORRECTOR = "corrector failure"
+STOP_STALLED = "step below float spacing"
 
 
 @dataclass
@@ -80,7 +81,7 @@ def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
     for _ in range(80):
         step = at[0] / m
         t, t_old = t - step, t
-        if not np.isfinite(t) or abs(t - t_pred) > leash:
+        if not abs(t - t_pred) <= leash:  # or t is not finite
             return None, STOP_CORRECTOR
         if t != t_old:
             at = at_s(t)
@@ -102,15 +103,15 @@ def _bisect_correct(p, b0, G, b, b_prev, c_prev, slope, h, dc):
                        max(4.0 * abs(dc), h, 1e-6 * (b0 - p.a0), 1e-12), p.a0, b)
     if c is None:
         return None, STOP_CORRECTOR
-    c_terms = mvt._c_terms(p, c)
-    return c, tuple(float(v) for v in (*mvt._f(b_terms, c_terms), b_terms[0], c_terms[0]))
+    (slope, f_b), (fpc, f_c) = b_terms, mvt._c_terms(p, c)
+    return c, (slope - fpc, f_b, f_c, slope, fpc)
 
 
 def _march(G, start, direction, s_limit, step, tol, correct, s_span, point):
     """Walk the branch t = T(s) of G(s, t) = 0 from start toward s_limit.
 
-    G(s) gives t -> (G, G_s, G_t, slope, f'(c)), as floats, at a fixed s,
-    and start is the seed (s, t, (G, G_s, G_t)).  A step goes to an s_next
+    G(s) gives t -> (G, G_s, G_t, slope, f'(c)) at a fixed s, and start
+    is the seed (s, t, (G, G_s, G_t)).  A step goes to an s_next
     with lo < s_next <= hi for s_span = (lo, hi).  There correct(G, s_next,
     s, t, slope, h, dt) returns the new t and G's tuple at it, or None and a
     stop reason; dt is the change in t of the last step.  The new point must
@@ -126,6 +127,8 @@ def _march(G, start, direction, s_limit, step, tol, correct, s_span, point):
         h = min(step, remaining)
         for _ in range(2):  # the step, then half of it
             s_next = s + direction * h
+            if s_next == s:
+                return points, STOP_STALLED
             if not s_span[0] < s_next <= s_span[1]:
                 return points, STOP_DOMAIN
             t_next, at = correct(G, s_next, s, t, slope, h, dt)
@@ -164,19 +167,19 @@ def _branch(p, order, start, s_range, step, tol, correct, s_span, **fields):
         fixed = s_terms(p, s)
 
         def at(t):
-            b_terms, c_terms = order(fixed, t_terms(p, t))
-            value, f_b, f_c = (float(v) for v in mvt._f(b_terms, c_terms))
-            return (value, *order(f_b, f_c), b_terms[0], c_terms[0])
+            (slope, f_b), (fpc, f_c) = order(fixed, t_terms(p, t))
+            return (slope - fpc, *order(f_b, f_c), slope, fpc)
 
         return at
 
     def point(s, t, value):
-        b, c = order(s, t)
-        return mvt.SolutionPoint(b, c, abs(value)) if p.a0 < c < b <= p.domain[1] else None
+        # the walk's numbers are numpy scalars where f's jets are; a point's are floats
+        b, c = order(float(s), float(t))
+        return mvt.SolutionPoint(b, c, float(abs(value))) if p.a0 < c < b <= p.domain[1] else None
 
     up, stop_upper = _march(G, start, +1, s_range[1], step, tol, correct, s_span, point)
     down, stop_lower = _march(G, start, -1, s_range[0], step, tol, correct, s_span, point)
-    return Branch(points=down[::-1] + [mvt.SolutionPoint(b, c, abs(start[2][0]))] + up,
+    return Branch(points=down[::-1] + [mvt.SolutionPoint(b, c, float(abs(start[2][0])))] + up,
                   seed_index=len(down), stop_lower=stop_lower,
                   stop_upper=stop_upper, **fields)
 
@@ -209,9 +212,9 @@ def trace_b_of_c(p: mvt.Problem, b0: float, c0: float, c_range, step=None,
         raise ValueError(f"seed b0 must be finite, got {b0!r}")
     if not (lo <= c0 <= hi):
         raise ValueError("seed c0 must lie inside c_range")
-    b_terms, c_terms = mvt._b_terms(p, b0), mvt._c_terms(p, c0)
-    value, f_b, f_c = (float(v) for v in mvt._f(b_terms, c_terms))
-    if not mvt._residual_ok(value, b_terms[0], c_terms[0], tol):
+    (slope, f_b), (fpc, f_c) = mvt._b_terms(p, b0), mvt._c_terms(p, c0)
+    value = slope - fpc
+    if not mvt._residual_ok(value, slope, fpc, tol):
         raise NotASolution(f"|F({b0!r}, {c0!r})| = {abs(value)!r} exceeds tolerance")
     if abs(f_b) <= NONZERO_B * max(1.0, abs(f_c), abs(value)):
         raise SeedNotRegular("f'(b0) = f'(c0) at the seed; B(c) is not guaranteed")

@@ -13,8 +13,9 @@ Each recurrence is written once, as a helper on coefficient lists.  Wider
 jets run the helpers step by step on a stack.  Values and jets of orders 1-2,
 the ones that f' and F and its partials need, run as straight-line Python
 traced from that same stack run once per width: the helpers, run on
-symbols, write their arithmetic as code instead of doing it, so both runs
-agree bit for bit.  `lower` keeps the tapes of the trees it lowered last,
+symbols, write their arithmetic as code instead of doing it, with what the
+trace knows folded away (constants, products with 1 and with the zeros that
+pad a jet), so both runs agree bit for bit.  `lower` keeps the tapes of the trees it lowered last,
 keyed by repr, so equal trees, parsed twice or rebuilt by each
 `mvt.normalize`, share one tape and its compiled code.
 """
@@ -357,7 +358,7 @@ def _div(a, b, node=None):
 
 def _ipow(a, n):
     # repeated squaring keeps jet division out of integer powers
-    result = [1.0] + [0.0] * (len(a) - 1)
+    result = _const(1.0, None, len(a))
     base = a
     while True:
         if n & 1:
@@ -436,8 +437,7 @@ def _cos(a):
 # the three kinds of ^, by their exponent
 
 def _inverse_ipow(a, n, node):
-    one = [1.0] + [0.0] * (len(a) - 1)
-    return _div(one, _ipow(a, n), node)
+    return _div(_const(1.0, None, len(a)), _ipow(a, n), node)
 
 def _odd_root(a, power, odd, node):
     # a^(p/q) with q odd: sign-aware, defined for negative bases; at a zero
@@ -468,10 +468,10 @@ def _exp_product(log_base, e):
 # ---------------------------------------------------------------------------
 
 def _const(value, x0, width):
-    return [value] + [0.0] * (width - 1)
+    return [value] + [_ZERO] * (width - 1)
 
 def _var(x0, width):
-    return [x0, 1.0] + [0.0] * (width - 2) if width > 1 else [x0]
+    return [x0, 1.0] + [_ZERO] * (width - 2) if width > 1 else [x0]
 
 
 _UNARY = {"neg": _neg, "sin": _sin, "cos": _cos, "exp": _exp}
@@ -500,9 +500,10 @@ def _run(steps, x0, width, out=None):
 # classify, run a few times per problem, and their code would take longer to
 # compile than to run
 COMPILED_WIDTH = 3
+_ZERO = float("0")  # the zero that pads jets, a structural zero: an object no literal is
 # the longest tape compiled: tracing and Python's compiler take time and
-# memory in proportion to the code, for width 3 at this length about 150 ms
-# and a 27 MB tracemalloc peak on a sum of sin(x)*x^2 terms, on a 2-core
+# memory in proportion to the code, for width 3 at this length 120-170 ms
+# and a 16 MB tracemalloc peak on a sum of sin(x)*x^2 terms, on a 2-core
 # x86-64 machine, and the length of an expression text is unbounded
 _COMPILED_STEPS = 2000
 
@@ -520,8 +521,9 @@ class Tape:
     A jet of width up to COMPILED_WIDTH runs as straight-line code, compiled
     once per width, when that width is first asked for, from a trace of the
     stack run: the same helpers, run on symbols, write their arithmetic as
-    code, so both runs do it alike.  Wider jets, and every jet of a tape
-    longer than _COMPILED_STEPS, run the steps on the stack.
+    code, folded where the trace knows a value, so both runs give the same
+    numbers of the same types for a float or float array x0.  Wider jets,
+    and every jet of a tape longer than _COMPILED_STEPS, run on the stack.
     `lower` gives equal trees one tape, so they share its compiled code too.
     """
 
@@ -539,6 +541,16 @@ class Tape:
                 run = self._compiled[width] = _compile_run(self.steps, width)
             return run(x0)
         return _run(self.steps, x0, width)
+
+    def checked_run(self, x0, width):
+        """run(x0, width), raising DomainError unless every coefficient is
+        finite; a float value, as of a float x0, has float coefficients."""
+        coeffs = self.run(x0, width)
+        finite = (map(math.isfinite, coeffs) if isinstance(coeffs[0], float)
+                  else (np.isfinite(c).all() for c in coeffs))
+        if not all(finite):
+            raise DomainError("non-finite jet coefficient")
+        return coeffs
 
 
 # the tapes of the trees lowered last, by repr, least recent first: equal
@@ -614,8 +626,14 @@ _ATOM = 4
 def _operator(op, prec):
     # the method and the reflected method of a left-associative binary operator
     fmt = f"{{}} {op} {{}}"
-    return (lambda a, b: a.src.op(fmt, prec, (a, prec), (b, prec + 1)),
-            lambda a, b: a.src.op(fmt, prec, (b, prec), (a, prec + 1)))
+    return (lambda a, b: a.src.op(fmt, prec, a, b),
+            lambda a, b: a.src.op(fmt, prec, b, a))
+
+
+def _facts(v):
+    return (v.known, v.numpy, v.plus0) if isinstance(v, _Sym) else (
+        v if type(v) in (int, float) else None, isinstance(v, np.generic),
+        not (v == 0 and math.copysign(1.0, v) < 0))
 
 
 class _Sym:
@@ -626,13 +644,18 @@ class _Sym:
     Until its step ends, code is a format of args, the operands paired with
     the least precedence each takes without parentheses, and reads counts
     the operations that read it; then code is the value's source, of
-    precedence prec.
+    precedence prec.  numpy: it may be a numpy scalar where x0 is a float;
+    plus0: it is never -0.0; known: the float it is where its operands are
+    finite (a zero of either sign), so it is written only once read, reads
+    None until then; free: known from x0 and constants alone.
     """
 
-    __slots__ = ("src", "code", "prec", "args", "reads")
+    __slots__ = ("src", "code", "prec", "args", "reads", "numpy", "plus0", "known", "free")
 
-    def __init__(self, src, code, prec=_ATOM, args=None):
-        self.src, self.code, self.prec, self.args, self.reads = src, code, prec, args, 0
+    def __init__(self, src, code, prec=_ATOM, args=None, numpy=False, plus0=False, known=None):
+        self.src, self.code, self.prec, self.args = src, code, prec, args
+        self.reads = 0 if known is None else None
+        self.numpy, self.plus0, self.known, self.free = numpy, plus0, known, True
 
     __add__, __radd__ = _operator("+", 1)
     __sub__, __rsub__ = _operator("-", 1)
@@ -643,7 +666,7 @@ class _Sym:
     __le__ = _operator("<=", 0)[0]
 
     def __neg__(self):
-        return self.src.op("-{}", 3, (self, 3))
+        return self.src.write("-{}", 3, [(self, 3)], self.numpy, False, self.known and -self.known)
 
     def __array_ufunc__(self, ufunc, method, *inputs):
         return self.src.call(ufunc, *inputs)
@@ -653,17 +676,17 @@ class _Source:
     """The source of a compiled run, and the namespace it runs in, written
     by running the tape's steps on _Syms.
 
-    Each step's operations wait in `pending` until the step ends.  Then a
-    value read exactly once in the step is written into the line that reads
-    it; the step's results and every other value get a local, and a local
-    is deleted at the end of the step that makes it or that takes it off the
-    stack.  Objects other than ints and finite floats are bound in the
-    namespace, not printed, so that their types survive.
+    Operations on constants alone are done, as on the stack; the others
+    wait in `pending` until their step ends.  Then a value read exactly once
+    in the step is written into the line that reads it; the step's results
+    and every other value get a local, and a local is deleted at the end of
+    the step that makes it or that takes it off the stack.  Objects other
+    than ints and finite floats are bound in the namespace, not printed.
     """
 
     def __init__(self):
         self.lines, self.pending, self.locals = [], [], {}
-        self.ns = {"_any": _any, "_fail": _fail}
+        self.ns, self.zeros = {"_any": _any, "_fail": _fail}, {id(_ZERO): _ZERO}
         self.x0 = _Sym(self, "x0")
 
     def atom(self, v):
@@ -677,39 +700,71 @@ class _Source:
         self.ns[name] = obj
         return name
 
-    def op(self, fmt, prec, *operands):
-        """A pending _Sym of fmt, of precedence prec, on operands: pairs of a
-        value and the least precedence it takes without parentheses."""
-        args = []
-        for v, least in operands:
-            if not isinstance(v, _Sym):
-                v = self.atom(v)
-            v.reads += 1
-            args.append((v, least))
-        sym = _Sym(self, fmt, prec, args)
-        self.pending.append(sym)
-        return sym
+    def op(self, fmt, prec, a, b):
+        """a op b, for the operator of fmt: a, or b, where the other is a 1
+        that multiplies or divides it, or a zero added or subtracted that
+        keeps its sign of zero, of a type its own absorbs.  A structural
+        zero times a value, and an operation on known values, are known; a
+        known operand of a value of a type that absorbs its own is its number."""
+        o, (ka, na, pa), (kb, nb, pb) = fmt[3], _facts(a), _facts(b)
+        if isinstance(a, _Sym) and na >= nb and (
+                o in "*/" and kb == 1 or o in "+-" and kb == 0 and (pa or o == "-" and pb)):
+            return a
+        if isinstance(b, _Sym) and nb >= na and (
+                o == "*" and ka == 1 or o == "+" and ka == 0 and pb):
+            return b
+        known = None
+        if o in "+-*/" and ka is not None and kb is not None and (o != "/" or kb):
+            known = {"+": ka + kb, "-": ka - kb, "*": ka * kb}[o] if o != "/" else ka / kb
+        elif o == "*" and any(id(v) in self.zeros or isinstance(v, _Sym) and v.known == 0
+                              for v in (a, b)):
+            known = 0.0
+        elif isinstance(a, _Sym) and isinstance(b, _Sym):
+            a, b = (ka, b) if ka and nb >= na else (a, kb) if kb and na >= nb else (a, b)
+        return self.write(fmt, prec, [(a, prec), (b, prec + 1)], na or nb,
+                          o == "+" and (pa or pb) or o == "-" and pa, known)
 
     def call(self, fn, *operands):
         self.ns[fn.__name__] = fn
         fmt = f"{fn.__name__}({', '.join(['{}'] * len(operands))})"
-        return self.op(fmt, _ATOM, *((v, 0) for v in operands))
+        return self.write(fmt, _ATOM, [(v, 0) for v in operands], True)
+
+    def write(self, fmt, prec, operands, numpy=False, plus0=False, known=None):
+        """A _Sym of fmt, of precedence prec, on operands: pairs of a value
+        and the least precedence it takes without parentheses."""
+        args = [(v if isinstance(v, _Sym) else self.atom(v), least) for v, least in operands]
+        sym = _Sym(self, fmt, prec, args, numpy, plus0, known)
+        sym.free = known is not None and all(v.free for v, _ in args)
+        return sym if known is not None else self.read(sym)
+
+    def read(self, sym):
+        # sym, pending, its operands read; an unwritten value is written as a copy
+        if sym.reads is None:
+            sym = _Sym(self, sym.code, sym.prec, sym.args, sym.numpy, sym.plus0, sym.known)
+            sym.reads, sym.free = 0, False
+        sym.args = [(self.read(v) if v.reads is None else v, least) for v, least in sym.args]
+        for v, _ in sym.args:
+            v.reads += 1
+        self.pending.append(sym)
+        return sym
 
     def check(self, cond, node, why):
-        cond.reads += 1
-        self.pending.append((cond, node, why))
+        self.write(f"if _any({{}}): _fail({self.bind(node)}, {why!r})", 0, [(cond, 0)])
 
-    def end_step(self, stack):
-        """Write the pending lines of the step whose result is stack[-1]."""
-        result = stack[-1] = [v if isinstance(v, _Sym) else self.atom(v) for v in stack[-1]]
-        for v in result:
-            v.reads += 2  # read in a later step, so never written into a line of this one
+    def end_step(self, stack, last=False):
+        """Write the pending lines of the step whose result is stack[-1]: a
+        zero past its value is a structural zero, a free known value waits."""
+        result = stack[-1]
+        for k, v in enumerate(result):
+            if not isinstance(v, _Sym):
+                if k and type(v) is float and v == 0:
+                    self.zeros[id(v)] = v  # kept alive, so that no other float takes its id
+                result[k] = self.atom(v) if last else v
+            elif not v.free or last:
+                v = result[k] = self.read(v) if v.reads is None else v
+                v.reads += 2  # read in a later step, so never written into a line of this one
         lines = self.lines
         for item in self.pending:
-            if item.__class__ is tuple:
-                cond, node, why = item
-                lines.append(f"if _any({cond.code}): _fail({self.bind(node)}, {why!r})")
-                continue
             code = item.code.format(*[a.code if a.prec >= least else f"({a.code})"
                                       for a, least in item.args])
             item.code, item.args = code, None
@@ -721,9 +776,9 @@ class _Source:
                 item.prec = _ATOM
                 self.locals[name] = None
                 code = f"{name} = {code}"
-            lines.append(code)  # a value never read is computed, as on the stack
+            lines.append(code)  # a value never read, or a check, is computed as on the stack
         self.pending.clear()
-        live = {v.code for jet in stack for v in jet}
+        live = {v.code for jet in stack for v in jet if isinstance(v, _Sym)}
         dead = [name for name in self.locals if name not in live]
         if dead:
             lines.append(f"del {', '.join(dead)}")
@@ -735,18 +790,16 @@ def _compile_run(steps, width):
     """The steps as one function of x0 that returns the coefficient list of
     the jet of the given width: the stack run, traced on a _Sym."""
     src = _Source()
-    result = _run(steps, src.x0, width, src.end_step)
+    try:
+        result = _run(steps, src.x0, width, src.end_step)
+    except DomainError as e:  # a check of constants: it fails wherever the run gets to it
+        src.lines.append(f"_fail(None, {str(e)!r})")
+    else:
+        src.end_step([result], last=True)
+        src.lines.append(f"return [{', '.join(v.code for v in result)}]")
     body = "".join(f"    {line}\n" for line in src.lines)
-    code = compile(f"def run(x0):\n{body}    return [{', '.join(v.code for v in result)}]\n",
-                   f"<tape, width {width}>", "exec")
-    exec(code, src.ns)
+    exec(compile(f"def run(x0):\n{body}", f"<tape, width {width}>", "exec"), src.ns)
     return src.ns["run"]
-
-
-def _finite(c):
-    if isinstance(c, float):
-        return math.isfinite(c)
-    return bool(np.all(np.isfinite(np.asarray(c, dtype=float))))
 
 
 def evaluate(f: ExprNode | Tape, x):
@@ -771,10 +824,7 @@ def jet_eval(f: ExprNode | Tape, x0, n: int, max_order: int = MAX_JET_ORDER) -> 
     if n > max_order:
         raise OrderOverflow(f"jet order {n} exceeds maximum {max_order}")
     tape = f if isinstance(f, Tape) else lower(f)
-    coeffs = tape.run(x0, n + 1)
-    if not all(map(_finite, coeffs)):
-        raise DomainError("non-finite jet coefficient")
-    return Jet(x0, tuple(coeffs))
+    return Jet(x0, tuple(tape.checked_run(x0, n + 1)))
 
 
 def vanishing_order(coeffs, tol: float = 1e-9, start: int = 0):

@@ -62,6 +62,8 @@ class Problem:
     domain: Optional[tuple] = None
 
     def __post_init__(self):
+        for end in ("a0", "b0"):  # floats, as the compiled runs of the tape take
+            object.__setattr__(self, end, float(getattr(self, end)))
         if not (np.isfinite(self.a0) and np.isfinite(self.b0) and self.a0 < self.b0):
             raise ValueError("need finite endpoints with a0 < b0")
         padded = self.domain is None
@@ -143,31 +145,26 @@ def _b_terms(p, b):
     """The terms of F that need only b: the secant slope
     (f(b) - f(a0)) / (b - a0) and F_b."""
     _endpoint_guard(p, b)
-    jb = expr.jet_eval(p.tape, b, 1).coeffs
+    jb = p.tape.checked_run(b, 2)
     d, rise = b - p.a0, jb[0] - p.fa
     return rise / d, (jb[1] * d - rise) / (d * d)
 
 
 def _c_terms(p, c):
     """The terms of F that need only c: f'(c) and F_c = -f''(c)."""
-    jc = expr.jet_eval(p.tape, c, 2).coeffs
+    jc = p.tape.checked_run(c, 3)
     return jc[1], -2.0 * jc[2]
 
 
 def _fprime(p, c):
     """f'(c), from an order-1 jet: F(b, c) is slope - f'(c) at a fixed b."""
-    return expr.jet_eval(p.tape, c, 1).coeffs[1]
-
-
-def _f(b_terms, c_terms):
-    """F, F_b, F_c from the terms that need only b and those that need only c."""
-    (slope, f_b), (fpc, f_c) = b_terms, c_terms
-    return slope - fpc, f_b, f_c
+    return p.tape.checked_run(c, 2)[1]
 
 
 def big_f(p: Problem, b, c):
     """F, F_b, F_c at (b, c); b and c may be scalars or numpy arrays."""
-    return _f(_b_terms(p, b), _c_terms(p, c))
+    (slope, f_b), (fpc, f_c) = _b_terms(p, b), _c_terms(p, c)
+    return slope - fpc, f_b, f_c
 
 
 def mean_value_implicit(p: Problem) -> Implicit2D:
@@ -297,7 +294,9 @@ def _slope(p, b):
     bad = ~((p.a0 < b) & (b <= p.domain[1]))
     if bad.any():
         raise ValueError(f"b = {float(b[bad][0])!r} outside (a0, domain max]")
-    return _b_terms(p, b)[0]
+    _endpoint_guard(p, b)
+    # the value, not the order-1 jet of _b_terms: its F_b overflows at large b
+    return (p.tape.checked_run(b, 1)[0] - p.fa) / (b - p.a0)
 
 
 def _grid_block(p, b, slope, tol, grid_n):
@@ -320,8 +319,10 @@ def _grid_block(p, b, slope, tol, grid_n):
     fprime = np.broadcast_to(_fprime(p, cs), cs.shape)
     fv = slope[:, None] - fprime
     av = np.abs(fv)
-    fprime_scale = np.maximum(1.0, np.abs(fprime[:, :: max(1, grid_n // 64)]).max(axis=1))
-    live = av.max(axis=1) > 1e-12 * fprime_scale
+    # F's terms: f(b) / (b - a0) and f(a0) / (b - a0), bounded by these, and f'
+    scale = np.maximum(np.abs(slope) + abs(p.fa) / (b - p.a0),
+                       np.abs(fprime[:, :: max(1, grid_n // 64)]).max(axis=1))
+    live = av.max(axis=1) > 1e-12 * scale
 
     mid = av[:, 1:-1]
     r, i = np.nonzero((mid <= av[:, :-2]) & (mid <= av[:, 2:])
@@ -414,29 +415,14 @@ def _root_near(fn, c, w, lo, hi):
     return None
 
 
-class LocalSeries:
-    """A single-variable function of a local coordinate t, centered at t = 0.
-
-    Callable for values (scalars or arrays) and exposes Taylor coefficients
-    at 0 to any order up to the jet maximum.
-    """
-
-    def __init__(self, value_fn, series_fn):
-        self._value = value_fn
-        self._series = series_fn
-
-    def __call__(self, t):
-        return self._value(t)
-
-    def series(self, order: int):
-        return self._series(order)
-
-
 def g1_g2(p: Problem, b0: float, c0: float):
     """Split G(x, y) = F(b0+x, c0+y) as g1(x) - g2(y), both zero at 0.
 
     g1(x) = (f(b0+x) - f(a0)) / ((b0+x) - a0) - f'(c0)
     g2(y) = f'(c0+y) - f'(c0)
+
+    Each takes floats or arrays, and its series(order) gives its Taylor
+    coefficients at 0 up to that order.
     """
     fa = float(p.fa)
     fpc0 = float(_fprime(p, c0))
@@ -464,4 +450,5 @@ def g1_g2(p: Problem, b0: float, c0: float):
         d[0] = 0.0  # d[0] == fpc0 by construction
         return tuple(d)
 
-    return LocalSeries(g1_value, g1_series), LocalSeries(g2_value, g2_series)
+    g1_value.series, g2_value.series = g1_series, g2_series
+    return g1_value, g2_value

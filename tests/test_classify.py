@@ -331,6 +331,18 @@ def scalar_bisection_branch(p, b0, c0, b_range, step, tol=mvt.DEFAULT_TOL):
 
 
 class TestGuaranteedBranch:
+    def test_a_tiny_cubic(self):
+        # g = x^3 - 1e-12 x on [0, 1e-6] is of size 4e-19, and not
+        # degenerate; c0, and the branch through it, are as close as the
+        # absolute width 1e-16 to which c0 is bisected
+        s = 1e-6
+        c0, branch = classify.guaranteed_branch(mva.Problem(mva.parse("x^3"), 0.0, s))
+        assert abs(c0 - s / math.sqrt(3.0)) <= 1e-16
+        assert branch.stop_lower == branch.stop_upper == "range exhausted"
+        assert len(branch.points) == 41
+        for q in branch.points:
+            assert abs(q.c - q.b / math.sqrt(3.0)) <= 1e-16
+
     def test_parabola(self, parabola):
         c0, branch = classify.guaranteed_branch(parabola)
         assert abs(c0 - 1.0) <= 1e-10

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -24,6 +25,14 @@ class TestAbscissae:
         want = [(6 - math.sqrt(21)) / 6, (6 + math.sqrt(21)) / 6]
         for line, w in zip(lines, want):
             assert abs(float(line) - w) < 1e-9
+
+    def test_a_large_b_warns_nothing(self, capsys):
+        # the scan takes only the secant slope; F_b would square b - a0,
+        # which overflows at b = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("abscissae", "-f", "sin(x)", "-a", "0", "-b", "1e200") == 0
+        assert capsys.readouterr().err == ""
 
     def test_numerical_failure_exit_code(self, capsys):
         assert run("abscissae", "-f", "x", "-a", "0", "-b", "1") == 2

@@ -2,6 +2,7 @@
 they hold, the memory compiling them takes, and chains of operations too
 long to write into one line."""
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -38,6 +39,26 @@ def test_compiled_runs_hold_no_more_memory(text, width):
     compiled = _peak(tape.run, xs, width)
     with mock.patch.object(expr, "_COMPILED_STEPS", 0):
         assert compiled <= _peak(tape.run, xs, width)
+
+
+# the lines of the body of the quintic's traced run of width 3, with what
+# the trace knows folded away: 74 when nothing was
+QUINTIC_WIDTH_3_LINES = 56
+
+
+def test_the_quintic_traces_to_folded_code(monkeypatch):
+    # no product with a literal 0.0 or 1.0 is left in the code, nor a check
+    # of a constant: the trace does the arithmetic of constants, drops
+    # products with 1 and with the zeros that pad a jet, and decides checks
+    sources = []
+    monkeypatch.setattr(expr, "compile", lambda text, *args: sources.append(text)
+                        or compile(text, *args), raising=False)
+    expr._compile_run(expr.lower(expr.parse(QUINTIC_SAME_SIGN)).steps, 3)
+    (source,) = sources
+    assert not re.search(r"\* [01]\.0\b|\b[01]\.0 \*", source), source
+    assert all(re.search(r"\bx0\b|\bt\d+\b", cond)
+               for cond in re.findall(r"_any\((.*)\):", source)), source
+    assert len(source.splitlines()) - 1 <= QUINTIC_WIDTH_3_LINES
 
 
 def _sum_of_terms(steps):

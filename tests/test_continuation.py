@@ -20,6 +20,14 @@ class TestTraceCOfB:
         assert br.points[0].b <= 0.5 + 1e-9
         assert br.points[-1].b >= 3.5 - 1e-9
 
+    def test_a_step_below_the_float_spacing_stops_the_walk(self):
+        # 1.0 + 1e-17 == 1.0, so the step leaves b where it is; the walk
+        # used to take it 100001 times each way, each time a copy of the seed
+        p = mva.Problem(mva.parse("x^2"), 0, 1)
+        br = continuation.trace_c_of_b(p, 1.0, 0.5, (0.5, 1.5), step=1e-17)
+        assert [(q.b, q.c) for q in br.points] == [(1.0, 0.5)]
+        assert br.stop_lower == br.stop_upper == continuation.STOP_STALLED
+
     def test_walk_stops_at_the_domain_edge(self, parabola):
         # below b = a0 = 0 there is no interval [a0, b], whatever b_range says
         br = continuation.trace_c_of_b(parabola, 2.0, 1.0, (-1.0, 3.0))

@@ -1,9 +1,10 @@
-"""Byte identity of scan output on the six polynomial corpus problems.
+"""Byte identity of scan and branch output on polynomial corpus problems.
 
-The hashes are of to_csv, to_json and to_svg of 400-column scans.  These
-problems use only + - * / and ^ with integer exponents, so the output does
-not depend on the platform's libm.  A change that alters answers on purpose
-must update the hashes and say so.
+The scan hashes are of to_csv, to_json and to_svg of 400-column scans, the
+branch hashes of the output of the branch walker.  These problems use only
++ - * / and ^ with integer exponents, so the output does not depend on the
+platform's libm.  A change that alters answers on purpose must update the
+hashes and say so.
 """
 
 import hashlib
@@ -11,7 +12,7 @@ import hashlib
 import pytest
 
 import mvabscissa as mva
-from mvabscissa import scanner
+from mvabscissa import classify, cli, continuation, scanner
 
 from conftest import (CUBIC, PARABOLA, QUARTIC_INFLECTION, QUINTIC_SAME_SIGN,
                       SEXTIC_OPPOSITE)
@@ -60,3 +61,50 @@ def test_scan_output_is_byte_identical(case):
     digests = tuple(hashlib.sha256(out(res).encode()).hexdigest()
                     for out in (scanner.to_csv, scanner.to_json, scanner.to_svg))
     assert digests == GOLDEN[case]
+
+
+def _readme_trace(tmp_path):
+    out = tmp_path / "branch.csv"
+    assert cli.run(["trace", "-f", "-x^2+2*x", "-a", "0", "-b", "2", "-c", "1",
+                    "--b-min", "0.5", "--b-max", "3.5", "--step", "0.01", "-o", str(out)]) == 0
+    return out.read_text()
+
+
+def _b_of_c_quartic(tmp_path):
+    p = mva.Problem(mva.parse(QUARTIC_INFLECTION), 0.0, 3.0)
+    return scanner.to_json(continuation.trace_b_of_c(p, 3.0, 1.0, (0.9, 1.1), step=0.002))
+
+
+def _guaranteed_x4(tmp_path):
+    c0, branch = classify.guaranteed_branch(mva.Problem(mva.parse("x^4"), -1.0, 1.0),
+                                            b_range=(0.8, 1.2))
+    return f"{c0!r}\n{scanner.to_json(branch)}"
+
+
+def _quintic_seeds(tmp_path):
+    # the two branches past the quintic's TWO_BRANCHES point (3, 1)
+    p = mva.Problem(mva.parse(QUINTIC_SAME_SIGN), 0.0, 3.0)
+    report = classify.classify_point(p, 3.0, 1.0)
+    pair = continuation.branch_seeds_after_degeneracy(p, 3.0, 1.0, report, step0=0.002)
+    return "".join(scanner.to_json(continuation.trace_c_of_b(p, b, c, (b, b + 0.15), step=0.002))
+                   for b, c in pair)
+
+
+# the walker's answers, by the chord corrector (the README's trace, the
+# quintic), the bisection corrector (x^4, a UNIQUE_ODD seed) and b = B(c):
+# sha256 of the README trace CSV and of the branches' JSON
+WALKS = {
+    _readme_trace:
+        "70d5524d30289356486062059b94046a3c19d9d831782d7ce4bd357bd28c5596",
+    _b_of_c_quartic:
+        "d206ff964e436559daa0ab5d8c4fdd99af4aa877e7ea3289be0c250aff047f50",
+    _guaranteed_x4:
+        "1bd73f17474728dbaa0e607bacef41dc41f60576c0ec5d582c386a629c7e6b98",
+    _quintic_seeds:
+        "8c44746e91060eda062ba7fadcf3e487f3067b018f63f09f37d81e503d448967",
+}
+
+
+@pytest.mark.parametrize("walk", list(WALKS), ids=[w.__name__[1:] for w in WALKS])
+def test_branch_output_is_byte_identical(walk, tmp_path):
+    assert hashlib.sha256(walk(tmp_path).encode()).hexdigest() == WALKS[walk]

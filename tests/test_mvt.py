@@ -23,6 +23,13 @@ class TestProblem:
         with pytest.raises(ValueError):
             mva.Problem(mva.parse("x"), 2.0, 1.0)
 
+    def test_endpoints_are_floats(self):
+        # the compiled runs of the tape take floats: an int endpoint would
+        # give f(a0) and the secant of int arithmetic
+        p = mva.Problem(mva.parse("x^3"), 0, 10 ** 6)
+        assert type(p.a0) is float and type(p.b0) is float
+        assert type(p.fa) is float
+
     def test_default_domain_pads_by_one_width(self):
         p = mva.Problem(mva.parse("x^2"), 0.0, 2.0)
         assert p.domain == (-2.0, 4.0)
@@ -306,6 +313,13 @@ class TestAbscissae:
             for b in bs:
                 assert mvt.abscissae(p, b) == scalar_abscissae(p, b)
 
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-7])
+    def test_a_tiny_cubic_is_not_degenerate(self, s):
+        # F's terms are of size s^2: the degeneracy test scales with them,
+        # not with 1
+        (c,) = mvt.abscissae(mva.Problem(mva.parse("x^3"), 0, s), s)
+        assert abs(c - s / math.sqrt(3.0)) <= 1e-15 * (s / math.sqrt(3.0))
 
     def test_parabola_vertex(self, parabola):
         cs = mvt.abscissae(parabola, 2.0)

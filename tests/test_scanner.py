@@ -53,6 +53,13 @@ class TestScan:
             assert res.degenerate_columns == list(range(count))
             assert res.points == []
 
+    def test_a_constant_up_to_rounding_is_degenerate(self):
+        # F of sin^2 + cos^2 is rounding noise next to f(a0) / (b - a0),
+        # one of the terms of its secant slope
+        p = mva.Problem(mva.parse("sin(x)^2 + cos(x)^2"), 0.0, 1.0)
+        res = scanner.scan(p, 0.2, 1.0, 5)
+        assert res.degenerate_columns == list(range(5)) and res.points == []
+
     def test_degenerate_and_live_columns_share_a_block(self):
         # f = 0 for x <= 0 and x^2 after: F(b, .) vanishes for b < 0, and for
         # b > 0 the one abscissa is c = b^2 / (2 (b + 1)).  Columns 16-19 are

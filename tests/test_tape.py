@@ -117,6 +117,20 @@ def _on_stack(tape, x0, n):
 @example(expr.Binary("^", expr.Var(), _third), 0.0, [1.0, 0.0])
 @example(expr.Binary("^", expr.Var(), expr.Const(0.5)), -1.0, [1.0, 0.0])
 @example(expr.Binary("^", expr.Var(), expr.Var()), 0.0, [1.0, -2.0])
+# the folds of a traced run: an inf factor of a dropped product with a
+# structural zero, results of -0.0 (a sum of -0.0 and a dropped product is
+# +0.0), a dropped numpy scalar, checks of constants that always fail, and a
+# Const(0.0) factor, which is no structural zero
+@example(expr.Binary("*", expr.Const(2.0),
+                     expr.Unary("exp", expr.Unary("exp", expr.Unary("exp", expr.Var())))),
+         2.0, [2.0, 0.0])
+@example(expr.Binary("/", expr.Unary("neg", expr.Binary("*", expr.Var(), expr.Var())),
+                     expr.Const(2.0)), 0.0, [-0.0, 0.0])
+@example(expr.Binary("*", expr.Const(2.0), expr.Unary("log", expr.Var())), 2.0, [2.0])
+@example(expr.Binary("^", expr.Const(0.0), expr.Var()), 1.0, [1.0, -2.0])
+@example(expr.Binary("/", expr.Binary("^", expr.Var(), expr.Var()), expr.Const(0.0)),
+         1.0, [1.0, -1.0])
+@example(expr.Binary("*", expr.Var(), expr.Const(0.0)), -1.0, [-1.0, 2.0])
 def test_tape_matches_the_recursive_evaluator(tree, x, xs):
     tape = expr.lower(tree)
     for x0 in (x, np.array(xs)):
