@@ -65,7 +65,7 @@ def classify_point(p: mvt.Problem, b0: float, c0: float,
     (slope, f_b), (fpc, f_c) = mvt._b_terms(p, b0), mvt._c_terms(p, c0)
     value = slope - fpc
     if not mvt._residual_ok(value, slope, fpc, tol):
-        raise NotASolution(f"|F({b0!r}, {c0!r})| = {abs(value)!r} exceeds tolerance")
+        raise NotASolution(f"|F({b0!r}, {c0!r})| = {float(abs(value))!r} exceeds tolerance")
 
     g1, g2 = mvt.g1_g2(p, b0, c0)
     s1 = g1.series(kmax)

@@ -215,7 +215,7 @@ def trace_b_of_c(p: mvt.Problem, b0: float, c0: float, c_range, step=None,
     (slope, f_b), (fpc, f_c) = mvt._b_terms(p, b0), mvt._c_terms(p, c0)
     value = slope - fpc
     if not mvt._residual_ok(value, slope, fpc, tol):
-        raise NotASolution(f"|F({b0!r}, {c0!r})| = {abs(value)!r} exceeds tolerance")
+        raise NotASolution(f"|F({b0!r}, {c0!r})| = {float(abs(value))!r} exceeds tolerance")
     if abs(f_b) <= NONZERO_B * max(1.0, abs(f_c), abs(value)):
         raise SeedNotRegular("f'(b0) = f'(c0) at the seed; B(c) is not guaranteed")
     start = (float(c0), float(b0), (value, f_c, f_b))
