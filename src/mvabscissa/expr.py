@@ -716,8 +716,8 @@ class _Source:
         known = None
         if o in "+-*/" and ka is not None and kb is not None and (o != "/" or kb):
             known = {"+": ka + kb, "-": ka - kb, "*": ka * kb}[o] if o != "/" else ka / kb
-        elif o == "*" and any(id(v) in self.zeros or isinstance(v, _Sym) and v.known == 0
-                              for v in (a, b)):
+        elif o == "*" and (id(a) in self.zeros or id(b) in self.zeros or ka == 0
+                           and isinstance(a, _Sym) or kb == 0 and isinstance(b, _Sym)):
             known = 0.0
         elif isinstance(a, _Sym) and isinstance(b, _Sym):
             a, b = (ka, b) if ka and nb >= na else (a, kb) if kb and na >= nb else (a, b)
