@@ -118,9 +118,9 @@ def _on_stack(tape, x0, n):
 @example(expr.Binary("^", expr.Var(), expr.Const(0.5)), -1.0, [1.0, 0.0])
 @example(expr.Binary("^", expr.Var(), expr.Var()), 0.0, [1.0, -2.0])
 # the folds of a traced run: an inf factor of a dropped product with a
-# structural zero, results of -0.0 (a sum of -0.0 and a dropped product is
-# +0.0), a dropped numpy scalar, checks of constants that always fail, and a
-# Const(0.0) factor, which is no structural zero
+# structural zero, results of -0.0 (and -0.0 minus a product of -0.0 and a
+# structural zero, which is +0.0), a dropped numpy scalar, checks of
+# constants that always fail, and a Const(0.0) factor, no structural zero
 @example(expr.Binary("*", expr.Const(2.0),
                      expr.Unary("exp", expr.Unary("exp", expr.Unary("exp", expr.Var())))),
          2.0, [2.0, 0.0])
