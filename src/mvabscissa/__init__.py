@@ -11,7 +11,7 @@ from .expr import (ExprNode, Jet, evaluate, jet_eval, order_of_vanishing,
 from .mvt import (Problem, SolutionPoint, abscissae, big_f, g1_g2,
                   mean_value_implicit, normalize, solution_point)
 from .scanner import ScanResult, emit, scan
-from .solver import (Implicit2D, IterationTrace, SolverConfig, build_k,
+from .solver import (IterationTrace, SolverConfig, build_k,
                      certify_neighborhood, fixed_point, implicit_derivative,
                      implicit_solve)
 
@@ -24,7 +24,7 @@ __all__ = [
     "Problem", "SolutionPoint", "abscissae", "big_f", "g1_g2",
     "mean_value_implicit", "normalize", "solution_point",
     "ScanResult", "emit", "scan",
-    "Implicit2D", "IterationTrace", "SolverConfig", "build_k",
+    "IterationTrace", "SolverConfig", "build_k",
     "certify_neighborhood", "fixed_point", "implicit_derivative",
     "implicit_solve",
     "errors",

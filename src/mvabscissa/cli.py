@@ -7,10 +7,9 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-
-import numpy as np
 
 from . import classify, continuation, expr, mvt, scanner, solver
 from .errors import MvaError
@@ -25,6 +24,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="mvabscissa",
                   description="Mean value abscissae: solve, classify, trace, scan.")
@@ -139,18 +139,12 @@ def _cmd_guaranteed(args):
 
 
 def _cmd_fixed_point(args):
-    f1 = expr.parse(args.f1)
-    f2 = expr.parse(args.f2)
-    tape1, tape2 = expr.lower(f1), expr.lower(f2)
+    tape1, tape2 = map(expr.lower, (expr.parse(args.f1), expr.parse(args.f2)))
 
-    def d(tape, t):
-        return expr.jet_eval(tape, t, 1).coeffs[1]
+    def F(x, y):
+        (v1, d1), (v2, d2) = tape1.checked_run(x, 2), tape2.checked_run(y, 2)
+        return v1 - v2, d1, -d2
 
-    F = solver.Implicit2D(
-        value=lambda x, y: expr.evaluate(tape1, x) - expr.evaluate(tape2, y)
-        + 0.0 * np.asarray(x, dtype=float) + 0.0 * np.asarray(y, dtype=float),
-        dx=lambda x, y: d(tape1, x) + 0.0 * np.asarray(y, dtype=float),
-        dy=lambda x, y: -d(tape2, y) + 0.0 * np.asarray(x, dtype=float))
     cfg = solver.SolverConfig(tol=args.tol)
     y = solver.implicit_solve(F, args.x0, args.y0, args.x, cfg)
     print(f"{y:.15g}")

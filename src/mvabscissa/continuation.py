@@ -205,7 +205,7 @@ def trace_c_of_b(p: mvt.Problem, b0: float, c0: float, b_range, step=None,
 
 
 def trace_b_of_c(p: mvt.Problem, b0: float, c0: float, c_range, step=None,
-                 tol: float = mvt.DEFAULT_TOL, kmax: int = classify.DEFAULT_KMAX) -> Branch:
+                 tol: float = mvt.DEFAULT_TOL) -> Branch:
     """Trace b = B(c) through a seed where F = 0 and f'(b0) != f'(c0)."""
     lo, hi = float(c_range[0]), float(c_range[1])
     if not np.isfinite(b0):

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import expr
 from .errors import DegenerateProblem, DomainError, EndpointCollision, MvaError
-from .solver import Implicit2D
 
 DEFAULT_TOL = 1e-10
 DEFAULT_GRID_N = 2048
@@ -167,19 +166,10 @@ def big_f(p: Problem, b, c):
     return slope - fpc, f_b, f_c
 
 
-def mean_value_implicit(p: Problem) -> Implicit2D:
-    """F(b, c) packaged for the implicit solver (x = b, y = c)."""
-
-    def value(b, c):
-        return big_f(p, b, c)[0]
-
-    def dx(b, c):
-        return big_f(p, b, c)[1]
-
-    def dy(b, c):
-        return _c_terms(p, c)[1] + 0.0 * np.asarray(b, dtype=float)
-
-    return Implicit2D(value=value, dx=dx, dy=dy)
+def mean_value_implicit(p: Problem):
+    """F(b, c) for the implicit solver (x = b, y = c): the function
+    (b, c) -> big_f(p, b, c), looking big_f up at each call."""
+    return lambda b, c: big_f(p, b, c)
 
 
 def normalize(p: Problem) -> Problem:

@@ -7,13 +7,16 @@ F_y(x0, y0) != 0 by iterating the fixed-point map
 
 after certifying on a sampled box that K is a contraction mapping the
 interval I = [y0 - eps, y0 + eps] into itself.
+
+F is one function, F(x, y) -> (F, F_x, F_y), on floats and broadcastable
+arrays, as mvt.big_f is; any of the three may be a scalar.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +33,7 @@ _LIPSCHITZ_SAMPLES = 65
 class SolverConfig:
     epsilon: Optional[float] = None   # half-width of the y-interval; None = scale-aware default
     delta: Optional[float] = None     # half-width of the x-interval
-    rho: float = 0.5                  # contraction constant target
+    rho: float = 0.5                  # contraction constant, certified on each box
     tol: float = 1e-12                # fixed-point residual
     max_iter: int = 200
 
@@ -52,24 +55,12 @@ class IterationTrace:
     converged: bool = False
 
 
-@dataclass(frozen=True)
-class Implicit2D:
-    """A two-variable function with partial derivatives.
-
-    All three callables must accept scalars and numpy arrays alike.
-    """
-
-    value: Callable
-    dx: Callable
-    dy: Callable
-
-
 def fixed_point(K, interval, rho, tol=1e-12, max_iter=200, y_start=None):
     """Iterate y_{n+1} = K(y_n) on the closed interval to the unique fixed point.
 
-    Contractivity is pre-checked by a sampled Lipschitz estimate.  The stopping
-    rule |y_{n+1} - y_n| <= tol * (1 - rho) / rho certifies |y_n - y*| <= tol
-    via the geometric Cauchy bound.
+    Contractivity is pre-checked by a sampled Lipschitz estimate L.  With
+    q = max(rho, L), the stopping rule |y_{n+1} - y_n| <= tol * (1 - q) / q
+    certifies |y_n - y*| <= tol via the geometric Cauchy bound.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -83,6 +74,7 @@ def fixed_point(K, interval, rho, tol=1e-12, max_iter=200, y_start=None):
     lip = float(np.max(np.abs(np.diff(kv)))) / h
     if lip >= 1.0:
         raise NotContraction(f"sampled Lipschitz estimate {lip:.6g} >= 1")
+    rho = max(rho, lip)
 
     slack = 1e-12 * max(1.0, abs(lo), abs(hi))
     y = 0.5 * (lo + hi) if y_start is None else float(y_start)
@@ -110,58 +102,60 @@ def apriori_iteration_bound(y0, y1, rho, tol):
     return max(1, math.ceil(math.log(tol * (1.0 - rho) / d) / math.log(rho)) + 1)
 
 
-def _fy_scale(F, x0, y0):
-    return max(1.0, abs(float(F.dx(x0, y0))))
+def _partials(F, x, y):
+    """(F_x, F_y) at (x, y) as floats; DegenerateFy if F_y is negligible."""
+    _, fx, fy = F(x, y)
+    fx, fy = float(fx), float(fy)
+    if abs(fy) <= FY_DEGENERACY * max(1.0, abs(fx)):
+        # + 0.0: a zero F_y is reported as 0.0, whatever its sign
+        raise DegenerateFy(f"F_y({x!r}, {y!r}) = {fy + 0.0!r} is degenerate")
+    return fx, fy
 
 
-def build_k(F: Implicit2D, x0, y0):
+def build_k(F, x0, y0):
     """The fixed-point map K(y; x) = y - F(x, y) / F_y(x0, y0)."""
-    fy0 = float(F.dy(x0, y0))
-    if abs(fy0) <= FY_DEGENERACY * _fy_scale(F, x0, y0):
-        raise DegenerateFy(f"F_y({x0!r}, {y0!r}) = {fy0!r} is degenerate")
+    fy0 = _partials(F, x0, y0)[1]
 
     def K(y, x):
-        return y - F.value(x, y) / fy0
+        return y - F(x, y)[0] / fy0
 
     return K
 
 
-def certify_neighborhood(F: Implicit2D, x0, y0, config: SolverConfig = None):
+def certify_neighborhood(F, x0, y0, config: SolverConfig = None):
     """Find (epsilon, delta) on which K demonstrably contracts into I.
 
-    Sampled checks on a grid of the box |x-x0| <= delta, |y-y0| <= epsilon:
-      |1 - F_y(x, y)/F_y(x0, y0)| <= 1/2   (contraction of K)
-      |K(y0; x) - y0| <= epsilon/2          (K maps I into I)
-    Box half-widths are halved until both hold.
+    Sampled checks, with rho = config.rho, on a grid of the box
+    |x-x0| <= delta, |y-y0| <= epsilon:
+      |1 - F_y(x, y)/F_y(x0, y0)| <= rho        (contraction of K by rho)
+      |K(y0; x) - y0| <= (1 - rho) * epsilon    (K maps I into I)
+    F is evaluated once a box, at the grid's 64 x values against its 64 y
+    values and y0.  Box half-widths are halved until both hold.
     """
     config = config or SolverConfig()
-    fy0 = float(F.dy(x0, y0))
-    if abs(fy0) <= FY_DEGENERACY * _fy_scale(F, x0, y0):
-        raise DegenerateFy(f"F_y({x0!r}, {y0!r}) = {fy0!r} is degenerate")
-
+    fy0 = _partials(F, x0, y0)[1]
     default = 0.1 * max(1.0, abs(y0))
-    eps = config.epsilon if config.epsilon is not None else default
-    delta = config.delta if config.delta is not None else default
+    eps = config.epsilon or default
+    delta = config.delta or default
+    contain_slack = 1e-12 * max(1.0, abs(y0))
 
     for _ in range(_MAX_HALVINGS):
         xs = np.linspace(x0 - delta, x0 + delta, _CERT_GRID)
-        ys = np.linspace(y0 - eps, y0 + eps, _CERT_GRID)
-        X, Y = np.meshgrid(xs, ys)
-        ok_contract = bool(np.all(np.abs(1.0 - F.dy(X, Y) / fy0) <= 0.5))
-        k_at_y0 = y0 - F.value(xs, np.full_like(xs, y0)) / fy0
-        contain_slack = 1e-12 * max(1.0, abs(y0))
-        ok_contain = bool(np.all(np.abs(k_at_y0 - y0) <= 0.5 * eps + contain_slack))
+        ys = np.append(np.linspace(y0 - eps, y0 + eps, _CERT_GRID), y0)[:, None]
+        value, _, fy = (np.broadcast_to(t, (ys.size, xs.size)) for t in F(xs, ys))
+        ok_contract = bool(np.all(np.abs(1.0 - fy[:-1] / fy0) <= config.rho))
+        k_at_y0 = y0 - value[-1] / fy0
+        ok_contain = bool(np.all(np.abs(k_at_y0 - y0)
+                                 <= (1.0 - config.rho) * eps + contain_slack))
         if ok_contract and ok_contain:
             return eps, delta
+        delta *= 0.5
         if not ok_contract:
             eps *= 0.5
-            delta *= 0.5
-        else:
-            delta *= 0.5
     raise CannotCertify("no contraction neighborhood after 40 halvings")
 
 
-def implicit_solve(F: Implicit2D, x0, y0, x, config: SolverConfig = None):
+def implicit_solve(F, x0, y0, x, config: SolverConfig = None):
     """Solve F(x, y) = 0 for y, continuing from the known zero (x0, y0).
 
     If x lies beyond the certified delta, the solver walks toward x in
@@ -174,10 +168,8 @@ def implicit_solve(F: Implicit2D, x0, y0, x, config: SolverConfig = None):
     for _ in range(256):
         remaining = abs(x - cur_x)
         guess = max(0.1 * max(1.0, abs(cur_y)), 1.05 * remaining)
-        stage_cfg = SolverConfig(
-            epsilon=config.epsilon if config.epsilon is not None else guess,
-            delta=config.delta if config.delta is not None else guess,
-            rho=config.rho, tol=config.tol, max_iter=config.max_iter)
+        stage_cfg = replace(config, epsilon=config.epsilon or guess,
+                            delta=config.delta or guess)
         eps, delta = certify_neighborhood(F, cur_x, cur_y, stage_cfg)
         if remaining <= delta:
             x_next = x
@@ -194,10 +186,7 @@ def implicit_solve(F: Implicit2D, x0, y0, x, config: SolverConfig = None):
     raise CannotCertify("could not walk the implicit solution to the target x")
 
 
-def implicit_derivative(F: Implicit2D, x, y):
+def implicit_derivative(F, x, y):
     """Y'(x) = -F_x(x, y) / F_y(x, y) at a point with F(x, y) ~ 0."""
-    fx = float(F.dx(x, y))
-    fy = float(F.dy(x, y))
-    if abs(fy) <= FY_DEGENERACY * max(1.0, abs(fx)):
-        raise DegenerateFy(f"F_y({x!r}, {y!r}) = {fy!r} is degenerate")
+    fx, fy = _partials(F, x, y)
     return -fx / fy

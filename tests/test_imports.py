@@ -38,3 +38,14 @@ def test_reimport_frees_the_old_package():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout.splitlines()
     assert out == ["True"]
+
+
+def test_import_builds_no_parser():
+    # the CLI's parser is built on its first use, then kept
+    code = ("import mvabscissa.cli as cli; print(cli.build_parser.cache_info().currsize); "
+            "print(cli.build_parser() is cli.build_parser())")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout.splitlines()
+    assert out == ["0", "True"]

@@ -517,9 +517,16 @@ class TestMeanValueImplicit:
     def test_matches_big_f(self, cubic):
         F = mvt.mean_value_implicit(cubic)
         v, fb, fc = (float(t) for t in mvt.big_f(cubic, 2.5, 0.7))
-        assert float(F.value(2.5, 0.7)) == v
-        assert float(F.dx(2.5, 0.7)) == fb
-        assert float(F.dy(2.5, 0.7)) == fc
+        assert tuple(float(t) for t in F(2.5, 0.7)) == (v, fb, fc)
+
+    def test_looks_big_f_up_at_each_call(self, cubic, monkeypatch):
+        # so that a wrapper put on mvt.big_f later, as a tracer does, sees F
+        F = mvt.mean_value_implicit(cubic)
+        calls = []
+        big_f = mvt.big_f
+        monkeypatch.setattr(mvt, "big_f", lambda *args: calls.append(args) or big_f(*args))
+        F(2.5, 0.7)
+        assert calls == [(cubic, 2.5, 0.7)]
 
 
 @settings(max_examples=500, deadline=None)

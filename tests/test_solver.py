@@ -2,14 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from mvabscissa import solver
+from mvabscissa import expr, mvt, solver
 from mvabscissa.errors import (CannotCertify, DegenerateFy, EscapesInterval,
                                MaxIterExceeded, NotContraction)
 
-from conftest import bisect_root
+from conftest import CUBIC, QUINTIC_SAME_SIGN, bisect_root
 
 COS_FIXED_POINT = bisect_root(lambda y: y - math.cos(y), 0.0, 1.0)
 
@@ -18,30 +19,26 @@ def _affine_k(y):
     return 0.5 * y + 1.0
 
 
-# F(b, c) = 2c - b: the reduced parabola condition, zero along c = b/2.
-PARABOLA_F = solver.Implicit2D(
-    value=lambda x, y: 2.0 * np.asarray(y, dtype=float) - np.asarray(x, dtype=float),
-    dx=lambda x, y: -1.0,
-    dy=lambda x, y: 2.0)
+# Each F returns the triple (F, F_x, F_y), as the solver takes it.
 
-# F(x, y) = y^3 + y - x: strictly monotone in y, solvable everywhere.
-CUBIC_F = solver.Implicit2D(
-    value=lambda x, y: np.asarray(y, dtype=float) ** 3
-    + np.asarray(y, dtype=float) - np.asarray(x, dtype=float),
-    dx=lambda x, y: -1.0 + 0.0 * np.asarray(x, dtype=float),
-    dy=lambda x, y: 3.0 * np.asarray(y, dtype=float) ** 2 + 1.0)
+def PARABOLA_F(x, y):
+    """F(b, c) = 2c - b: the reduced parabola condition, zero along c = b/2."""
+    return 2.0 * y - x, -1.0, 2.0
 
-# F(x, y) = y^3 - x: F_y vanishes at the origin.
-DEGENERATE_F = solver.Implicit2D(
-    value=lambda x, y: np.asarray(y, dtype=float) ** 3 - np.asarray(x, dtype=float),
-    dx=lambda x, y: -1.0 + 0.0 * np.asarray(x, dtype=float),
-    dy=lambda x, y: 3.0 * np.asarray(y, dtype=float) ** 2)
 
-# F(x, y) = y - x^2.
-SQUARE_F = solver.Implicit2D(
-    value=lambda x, y: np.asarray(y, dtype=float) - np.asarray(x, dtype=float) ** 2,
-    dx=lambda x, y: -2.0 * np.asarray(x, dtype=float),
-    dy=lambda x, y: 1.0 + 0.0 * np.asarray(y, dtype=float))
+def CUBIC_F(x, y):
+    """F(x, y) = y^3 + y - x: strictly monotone in y, solvable everywhere."""
+    return y ** 3 + y - x, -1.0, 3.0 * y ** 2 + 1.0
+
+
+def DEGENERATE_F(x, y):
+    """F(x, y) = y^3 - x: F_y vanishes at the origin."""
+    return y ** 3 - x, -1.0, 3.0 * y ** 2
+
+
+def SQUARE_F(x, y):
+    """F(x, y) = y - x^2."""
+    return y - x ** 2, -2.0 * x, 1.0
 
 
 class TestFixedPoint:
@@ -96,6 +93,12 @@ class TestFixedPoint:
                                    tol=tol, y_start=0.95)
         assert abs(y1 - y2) <= 2.0 * tol
 
+    def test_stops_by_the_sampled_estimate_when_rho_is_below_it(self):
+        # K contracts by 0.9; stopping by rho = 0.1 alone left y 7.4e-7 from 1
+        y, _ = solver.fixed_point(lambda y: 0.9 * y + 0.1, (0.0, 2.0), rho=0.1,
+                                  tol=1e-8, y_start=0.0, max_iter=1000)
+        assert abs(y - 1.0) <= 1e-8
+
     def test_residual_list_matches_iterates(self):
         _, trace = solver.fixed_point(_affine_k, (0.0, 4.0), rho=0.5, tol=1e-10)
         for i, r in enumerate(trace.residuals):
@@ -111,8 +114,9 @@ class TestBuildK:
         assert K(1.2, 2.4) == 1.2
 
     def test_linear_f(self):
-        F = solver.Implicit2D(value=lambda x, y: np.asarray(y, float) - np.asarray(x, float),
-                              dx=lambda x, y: -1.0, dy=lambda x, y: 1.0)
+        def F(x, y):
+            return y - x, -1.0, 1.0
+
         K = solver.build_k(F, 0.0, 0.0)
         assert K(0.7, 0.25) == 0.25
 
@@ -177,6 +181,14 @@ class TestImplicitSolve:
             with pytest.raises(ValueError, match="finite"):
                 solver.implicit_solve(PARABOLA_F, *args)
 
+    def test_small_rho_is_certified_not_trusted(self):
+        # certified with the parent's contraction 1/2, it was 6.9e-12 off
+        with mpmath.workdps(50):
+            want = float(mpmath.findroot(lambda y: y ** 3 + y - 1, 0.68))
+        got = solver.implicit_solve(CUBIC_F, 0.0, 0.0, 1.0,
+                                    solver.SolverConfig(rho=0.01, tol=1e-12))
+        assert abs(got - want) <= 1e-12
+
     def test_degenerate_target_cannot_certify(self):
         with pytest.raises((CannotCertify, DegenerateFy)):
             solver.implicit_solve(DEGENERATE_F, 1.0, 1.0, -1.0)
@@ -187,8 +199,9 @@ class TestImplicitDerivative:
         assert solver.implicit_derivative(PARABOLA_F, 2.0, 1.0) == 0.5
 
     def test_linear(self):
-        F = solver.Implicit2D(value=lambda x, y: np.asarray(y, float) - np.asarray(x, float),
-                              dx=lambda x, y: -1.0, dy=lambda x, y: 1.0)
+        def F(x, y):
+            return y - x, -1.0, 1.0
+
         assert solver.implicit_derivative(F, 0.0, 0.0) == 1.0
 
     def test_cubic_closed_form(self):
@@ -208,3 +221,59 @@ class TestImplicitDerivative:
     def test_degenerate(self):
         with pytest.raises(DegenerateFy):
             solver.implicit_derivative(DEGENERATE_F, 0.0, 0.0)
+
+
+def certify_on_meshgrid(F, x0, y0, config=None):
+    """certify_neighborhood as it was before F was evaluated once a box:
+    F_y on a 64 x 64 meshgrid and F at y0 apart, with the constants 1/2 of
+    its default rho.  The reference for the broadcast check."""
+    config = config or solver.SolverConfig()
+    _, fx0, fy0 = (float(t) for t in F(x0, y0))
+    if abs(fy0) <= solver.FY_DEGENERACY * max(1.0, abs(fx0)):
+        raise DegenerateFy(f"F_y({x0!r}, {y0!r}) = {fy0!r} is degenerate")
+    default = 0.1 * max(1.0, abs(y0))
+    eps = config.epsilon if config.epsilon is not None else default
+    delta = config.delta if config.delta is not None else default
+    for _ in range(40):
+        xs = np.linspace(x0 - delta, x0 + delta, 64)
+        ys = np.linspace(y0 - eps, y0 + eps, 64)
+        X, Y = np.meshgrid(xs, ys)
+        ok_contract = bool(np.all(np.abs(1.0 - F(X, Y)[2] / fy0) <= 0.5))
+        k_at_y0 = y0 - F(xs, np.full_like(xs, y0))[0] / fy0
+        contain_slack = 1e-12 * max(1.0, abs(y0))
+        ok_contain = bool(np.all(np.abs(k_at_y0 - y0) <= 0.5 * eps + contain_slack))
+        if ok_contract and ok_contain:
+            return eps, delta
+        if not ok_contract:
+            eps *= 0.5
+            delta *= 0.5
+        else:
+            delta *= 0.5
+    raise CannotCertify("no contraction neighborhood after 40 halvings")
+
+
+def test_broadcast_certification_matches_the_meshgrid_reference(monkeypatch):
+    cases = [(PARABOLA_F, 2.0, 1.0, 30.0), (CUBIC_F, 0.0, 0.0, 1.0),
+             (SQUARE_F, 0.0, 0.0, 0.7)]
+    for text in (CUBIC, "sin(x) + x^2/4", "exp(x) - 2*x", QUINTIC_SAME_SIGN):
+        p = mvt.Problem(expr.parse(text), 0.0, 3.0)
+        F = mvt.mean_value_implicit(p)
+        for b in (1.7, 2.6):
+            cs = mvt.abscissae(p, b)
+            assert cs
+            cases += [(F, b, c, x) for c in cs for x in (b - 0.3, b + 0.4)]
+
+    def answers(F, x0, y0, x):
+        try:  # a walk may end at a fold; then its error is the answer
+            walk = solver.implicit_solve(F, x0, y0, x)
+        except (CannotCertify, DegenerateFy, EscapesInterval, MaxIterExceeded,
+                NotContraction) as e:
+            walk = type(e), str(e)
+        return solver.certify_neighborhood(F, x0, y0), walk
+
+    for F, x0, y0, x in cases:
+        got = answers(F, x0, y0, x)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "certify_neighborhood", certify_on_meshgrid)
+            want = answers(F, x0, y0, x)
+        assert got == want, (x0, y0, x)
