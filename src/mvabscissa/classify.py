@@ -96,10 +96,6 @@ def classify_point(p: mvt.Problem, b0: float, c0: float,
         f_pp_c0=-f_c, f_b=f_b, value=value, b_branch_exists=l == 1)
 
 
-def _root(z, power):
-    return z ** (1.0 / power)
-
-
 class MorseChart:
     """Coordinates (u, v) in which g1(x) - g2(y) = sigma1*u^l - sigma2*v^k.
 
@@ -118,7 +114,6 @@ class MorseChart:
         self._s1 = self.g1.series(min(expr.MAX_JET_ORDER, kmax + 8))
         self._s2 = self.g2.series(min(expr.MAX_JET_ORDER, kmax + 8))
         wx0 = 0.5 * min(b0 - p.a0, p.domain[1] - b0 if p.domain[1] > b0 else b0 - p.a0)
-        wx0 = wx0 or 0.5 * (b0 - p.a0)
         wy0 = 0.5 * min(c0 - p.a0, b0 - c0)
         self.window_x = self._find_window(self.u, wx0)
         self.window_y = self._find_window(self.v, wy0)
@@ -165,13 +160,13 @@ class MorseChart:
         r = self.report.sigma1 * self._ratio(self._s1, self.report.l, x)
         if np.any(r <= 0):
             raise OutsideNeighborhood("sigma1 * g1(x)/x^l is not positive here")
-        return np.asarray(x, dtype=float) * _root(r, self.report.l)
+        return np.asarray(x, dtype=float) * r ** (1.0 / self.report.l)
 
     def v(self, y):
         r = self.report.sigma2 * self._ratio(self._s2, self.report.k, y)
         if np.any(r <= 0):
             raise OutsideNeighborhood("sigma2 * g2(y)/y^k is not positive here")
-        return np.asarray(y, dtype=float) * _root(r, self.report.k)
+        return np.asarray(y, dtype=float) * r ** (1.0 / self.report.k)
 
     def _invert(self, fwd, window, target):
         if not float(fwd(-window)) <= target <= float(fwd(window)):

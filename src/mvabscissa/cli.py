@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import classify, continuation, expr, mvt, scanner, solver
@@ -139,10 +140,16 @@ def _cmd_guaranteed(args):
 
 
 def _cmd_fixed_point(args):
-    tape1, tape2 = map(expr.lower, (expr.parse(args.f1), expr.parse(args.f2)))
+    tape1 = expr.lower(expr.parse(args.f1))
+    tape2 = expr.lower(expr.parse(args.f2))
 
     def F(x, y):
-        (v1, d1), (v2, d2) = tape1.checked_run(x, 2), tape2.checked_run(y, 2)
+        # the solver reads F_x only at a single x: on an x-box f1 gives its
+        # value alone, unchecked, and where that is not finite the box shrinks
+        v2, d2 = tape2.checked_run(y, 2)
+        if not isinstance(x, float):
+            return tape1.run(x, 1)[0] - v2, math.nan, -d2
+        v1, d1 = tape1.checked_run(x, 2)
         return v1 - v2, d1, -d2
 
     cfg = solver.SolverConfig(tol=args.tol)
@@ -163,27 +170,19 @@ _COMMANDS = {
 
 def _escape_expr_values(argv):
     """Let expression values start with '-' (e.g. -f "-x^2+2*x")."""
-    out = []
-    i = 0
     flags = {"-f": "--function", "--function": "--function",
              "--f1": "--f1", "--f2": "--f2"}
-    while i < len(argv):
-        tok = argv[i]
-        if tok in flags and i + 1 < len(argv):
-            out.append(f"{flags[tok]}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in flags else None
+        yield tok if value is None else f"{flags[tok]}={value}"
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_escape_expr_values(list(argv)))
+        args = build_parser().parse_args(_escape_expr_values(argv))
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -161,8 +161,8 @@ def _fprime(p, c):
 
 
 def big_f(p: Problem, b, c):
-    """F, F_b, F_c at (b, c); b and c may be scalars or numpy arrays."""
-    (slope, f_b), (fpc, f_c) = _b_terms(p, b), _c_terms(p, c)
+    """F, F_b, F_c at (b, c), scalars or arrays; where both raise, c's terms do."""
+    (fpc, f_c), (slope, f_b) = _c_terms(p, c), _b_terms(p, b)
     return slope - fpc, f_b, f_c
 
 

@@ -9,7 +9,8 @@ after certifying on a sampled box that K is a contraction mapping the
 interval I = [y0 - eps, y0 + eps] into itself.
 
 F is one function, F(x, y) -> (F, F_x, F_y), on floats and broadcastable
-arrays, as mvt.big_f is; any of the three may be a scalar.
+arrays, as mvt.big_f is; any of the three may be a scalar.  F_x is read only
+at a single point.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def certify_neighborhood(F, x0, y0, config: SolverConfig = None):
     config = config or SolverConfig()
     fy0 = _partials(F, x0, y0)[1]
     default = 0.1 * max(1.0, abs(y0))
-    eps = config.epsilon or default
-    delta = config.delta or default
+    eps = config.epsilon if config.epsilon is not None else default
+    delta = config.delta if config.delta is not None else default
     contain_slack = 1e-12 * max(1.0, abs(y0))
 
     for _ in range(_MAX_HALVINGS):
@@ -168,8 +169,9 @@ def implicit_solve(F, x0, y0, x, config: SolverConfig = None):
     for _ in range(256):
         remaining = abs(x - cur_x)
         guess = max(0.1 * max(1.0, abs(cur_y)), 1.05 * remaining)
-        stage_cfg = replace(config, epsilon=config.epsilon or guess,
-                            delta=config.delta or guess)
+        stage_cfg = replace(
+            config, epsilon=config.epsilon if config.epsilon is not None else guess,
+            delta=config.delta if config.delta is not None else guess)
         eps, delta = certify_neighborhood(F, cur_x, cur_y, stage_cfg)
         if remaining <= delta:
             x_next = x

@@ -140,6 +140,20 @@ class TestFixedPoint:
         got = float(capsys.readouterr().out)
         assert abs(got - math.cos(got)) <= 1e-10
 
+    def test_f1_need_not_be_finite_on_the_x_box(self, capsys):
+        # exp(1/x) overflows on the first x-box, which then shrinks
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run("fixed-point", "--f1", "exp(1/x)", "--f2", "x", "--x0", "0.05",
+                       "--y0", "4.851651954097903e8", "--x", "0.06") == 0
+        got = float(capsys.readouterr().out)
+        assert abs(got - math.exp(1.0 / 0.06)) <= 1e-13 * got
+
+    def test_an_x_box_past_the_domain_reports_the_value(self, capsys):
+        # f1 is run for its value alone on the x-box
+        assert run("fixed-point", "--f1", "sqrt(x)", "--f2", "x",
+                   "--x0", "1", "--y0", "1", "--x", "2") == 2
+        assert capsys.readouterr().err == "DomainError: sqrt of negative value in 'sqrt(x)'\n"
+
 
 class TestExitCodes:
     def test_usage_errors(self, capsys):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mvabscissa import expr, mvt, solver
-from mvabscissa.errors import (CannotCertify, DegenerateFy, EscapesInterval,
-                               MaxIterExceeded, NotContraction)
+from mvabscissa.errors import (CannotCertify, DegenerateFy, DomainError,
+                               EndpointCollision, EscapesInterval, MaxIterExceeded,
+                               MvaError, NotContraction)
 
 from conftest import CUBIC, QUINTIC_SAME_SIGN, bisect_root
 
@@ -262,14 +263,24 @@ def test_broadcast_certification_matches_the_meshgrid_reference(monkeypatch):
             cs = mvt.abscissae(p, b)
             assert cs
             cases += [(F, b, c, x) for c in cs for x in (b - 0.3, b + 0.4)]
+    # both sides of the first box fail: its b values reach a0 = 0, where b
+    # collides, and its c values go below 0, where sqrt is undefined
+    sqrt_p = mvt.Problem(expr.parse("sqrt(x)"), 0.0, 1.0)
+    with pytest.raises(EndpointCollision):
+        mvt.big_f(sqrt_p, 0.0, 0.025)
+    with pytest.raises(DomainError):
+        mvt.big_f(sqrt_p, 0.1, -0.075)
+    cases.append((mvt.mean_value_implicit(sqrt_p), 0.1, 0.025, 0.12))
 
     def answers(F, x0, y0, x):
-        try:  # a walk may end at a fold; then its error is the answer
-            walk = solver.implicit_solve(F, x0, y0, x)
-        except (CannotCertify, DegenerateFy, EscapesInterval, MaxIterExceeded,
-                NotContraction) as e:
-            walk = type(e), str(e)
-        return solver.certify_neighborhood(F, x0, y0), walk
+        out = []
+        for call in (lambda: solver.certify_neighborhood(F, x0, y0),
+                     lambda: solver.implicit_solve(F, x0, y0, x)):
+            try:  # a walk may end at a fold or a domain edge; its error is then the answer
+                out.append(call())
+            except MvaError as e:
+                out.append((type(e), str(e)))
+        return out
 
     for F, x0, y0, x in cases:
         got = answers(F, x0, y0, x)
@@ -277,3 +288,7 @@ def test_broadcast_certification_matches_the_meshgrid_reference(monkeypatch):
             m.setattr(solver, "certify_neighborhood", certify_on_meshgrid)
             want = answers(F, x0, y0, x)
         assert got == want, (x0, y0, x)
+    # the reference reads big_f for F_y, so it cannot tell which side raises:
+    # the meshgrid check read F_y from c alone, first, so c's error is raised
+    error = (DomainError, "sqrt of nonpositive value (derivative undefined at 0) in 'sqrt(x)'")
+    assert answers(*cases[-1]) == [error, error]
