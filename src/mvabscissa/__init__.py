@@ -6,8 +6,7 @@ from .classify import (Case, DegeneracyReport, classify_point,
                        morse_coordinates)
 from .continuation import (Branch, branch_seeds_after_degeneracy,
                            trace_b_of_c, trace_c_of_b)
-from .expr import (ExprNode, Jet, evaluate, jet_eval, order_of_vanishing,
-                   parse, to_string)
+from .expr import ExprNode, evaluate, jet_eval, parse, to_string
 from .mvt import (Problem, SolutionPoint, abscissae, big_f, g1_g2,
                   mean_value_implicit, normalize, solution_point)
 from .scanner import ScanResult, emit, scan
@@ -19,8 +18,7 @@ __all__ = [
     "Case", "DegeneracyReport", "classify_point", "find_extremal_abscissa",
     "guaranteed_branch", "morse_coordinates",
     "Branch", "branch_seeds_after_degeneracy", "trace_b_of_c", "trace_c_of_b",
-    "ExprNode", "Jet", "evaluate", "jet_eval", "order_of_vanishing", "parse",
-    "to_string",
+    "ExprNode", "evaluate", "jet_eval", "parse", "to_string",
     "Problem", "SolutionPoint", "abscissae", "big_f", "g1_g2",
     "mean_value_implicit", "normalize", "solution_point",
     "ScanResult", "emit", "scan",

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import expr, mvt
-from .errors import DegenerateProblem, NotASolution, OutsideNeighborhood
+from .errors import DegenerateProblem, OutsideNeighborhood
 
 NONZERO_REL_TOL = 1e-9
 DEFAULT_KMAX = 16
@@ -56,22 +56,37 @@ class DegeneracyReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def vanishing_order(coeffs):
+    """The first index from 1 whose coefficient is above NONZERO_REL_TOL times
+    max(1, the largest coefficient), else None."""
+    scale = max(1.0, max(abs(float(c)) for c in coeffs))
+    for j in range(1, len(coeffs)):
+        if abs(float(coeffs[j])) > NONZERO_REL_TOL * scale:
+            return j
+    return None
+
+
+def _check_kmax(kmax):
+    # a series of order kmax of f' needs f's jet of order kmax + 1
+    if not 1 <= kmax < expr.MAX_JET_ORDER:
+        raise ValueError(f"kmax must be in 1..{expr.MAX_JET_ORDER - 1}, got {kmax!r}")
+
+
 def classify_point(p: mvt.Problem, b0: float, c0: float,
                    kmax: int = DEFAULT_KMAX, tol: float = SOLUTION_TOL) -> DegeneracyReport:
     """Classify the solution point (b0, c0) of F(b, c) = 0, which must pass
-    mvt._residual_ok with tol, or NotASolution is raised."""
+    mvt._residual_ok with tol, or NotASolution is raised.  The orders of
+    vanishing are sought from 1 to kmax, which must lie in 1..MAX_JET_ORDER - 1."""
+    _check_kmax(kmax)
     if not (np.isfinite(b0) and np.isfinite(c0)):
         raise ValueError(f"need a finite point, got ({b0!r}, {c0!r})")
-    (slope, f_b), (fpc, f_c) = mvt._b_terms(p, b0), mvt._c_terms(p, c0)
-    value = slope - fpc
-    if not mvt._residual_ok(value, slope, fpc, tol):
-        raise NotASolution(f"|F({b0!r}, {c0!r})| = {float(abs(value))!r} exceeds tolerance")
+    value, f_b, f_c = mvt._seed_terms(p, b0, c0, tol)
 
     g1, g2 = mvt.g1_g2(p, b0, c0)
     s1 = g1.series(kmax)
     s2 = g2.series(kmax)
-    l = expr.vanishing_order(s1, NONZERO_REL_TOL, start=1)
-    k = expr.vanishing_order(s2, NONZERO_REL_TOL, start=1)
+    l = vanishing_order(s1)
+    k = vanishing_order(s2)
     alpha0 = float(s1[l]) if l is not None else 0.0
     beta0 = float(s2[k]) if k is not None else 0.0
     sigma1 = int(np.sign(alpha0))
@@ -106,13 +121,15 @@ class MorseChart:
 
     _SERIES_CUTOFF = 1e-4
 
-    def __init__(self, p, b0, c0, report, kmax=DEFAULT_KMAX):
+    def __init__(self, p, b0, c0, report):
         if report.case in (Case.REGULAR_C, Case.DEGENERATE):
             raise ValueError(f"no normal-form chart for case {report.case.value}")
         self.report = report
         self.g1, self.g2 = mvt.g1_g2(p, b0, c0)
-        self._s1 = self.g1.series(min(expr.MAX_JET_ORDER, kmax + 8))
-        self._s2 = self.g2.series(min(expr.MAX_JET_ORDER, kmax + 8))
+        # 8 orders past the leading term, for the Horner tails; g2's series
+        # of order n reads f's jet of order n + 1
+        self._s1 = self.g1.series(min(expr.MAX_JET_ORDER - 1, report.l + 8))
+        self._s2 = self.g2.series(min(expr.MAX_JET_ORDER - 1, report.k + 8))
         wx0 = 0.5 * min(b0 - p.a0, p.domain[1] - b0 if p.domain[1] > b0 else b0 - p.a0)
         wy0 = 0.5 * min(c0 - p.a0, b0 - c0)
         self.window_x = self._find_window(self.u, wx0)
@@ -182,9 +199,9 @@ class MorseChart:
 
 
 def morse_coordinates(p: mvt.Problem, b0: float, c0: float,
-                      report: DegeneracyReport, kmax: int = DEFAULT_KMAX) -> MorseChart:
+                      report: DegeneracyReport) -> MorseChart:
     """Build the normal-form coordinate chart at a degenerate solution point."""
-    return MorseChart(p, b0, c0, report, kmax)
+    return MorseChart(p, b0, c0, report)
 
 
 def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
@@ -197,6 +214,7 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
     grid too coarse for f, on which f' does not change sign there, raises
     DegenerateProblem.
     """
+    _check_kmax(kmax)
     xs = np.linspace(p.a0, p.b0, grid_n + 1)
     gv = np.asarray(expr.evaluate(p.tape, xs), dtype=float)
     scale = float(np.max(np.abs(gv)))
@@ -224,9 +242,7 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
             f"a grid of {grid_n} cells is too coarse for f")
     c0 = mvt._bisect_one(gp, lo, hi, glo)
 
-    t = expr.jet_eval(p.tape, c0, kmax + 1).coeffs
-    deriv_series = tuple((j + 1) * t[j + 1] for j in range(kmax + 1))
-    k = expr.vanishing_order(deriv_series, NONZERO_REL_TOL, start=1)
+    k = vanishing_order(mvt._fprime_series(p, c0, kmax))
     if k is None:
         raise DegenerateProblem(f"f' vanishes to order > {kmax} at {c0!r}")
     return c0, k

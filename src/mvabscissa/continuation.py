@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classify, mvt
-from .errors import NotASolution, SeedNotRegular, SeedSearchFailed
+from .errors import SeedNotRegular, SeedSearchFailed
 
 DEGENERACY_THRESHOLD = 1e-7
 NONZERO_B = 1e-9
@@ -54,6 +54,14 @@ class Branch:
             "points": [{"b": q.b, "c": q.c, "residual": q.residual}
                        for q in self.points],
         }
+
+
+def _step(p, b, step, name):
+    """step, or 0.01 * (b - a0) for None; refused unless positive and finite."""
+    step = 0.01 * (b - p.a0) if step is None else step
+    if not 0.0 < step < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {step!r}")
+    return step
 
 
 def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
@@ -158,9 +166,7 @@ def _branch(p, order, start, s_range, step, tol, correct, s_span, **fields):
     b, c = order(*start[:2])
     if not p.a0 < c < b:
         raise ValueError(f"abscissa c={c!r} is not interior to ({p.a0!r}, {b!r})")
-    step = 0.01 * (b - p.a0) if step is None else step
-    if not 0.0 < step < np.inf:
-        raise ValueError(f"step must be positive and finite, got {step!r}")
+    step = _step(p, b, step, "step")
     s_terms, t_terms = order(mvt._b_terms, mvt._c_terms)
 
     def G(s):
@@ -212,10 +218,7 @@ def trace_b_of_c(p: mvt.Problem, b0: float, c0: float, c_range, step=None,
         raise ValueError(f"seed b0 must be finite, got {b0!r}")
     if not (lo <= c0 <= hi):
         raise ValueError("seed c0 must lie inside c_range")
-    (slope, f_b), (fpc, f_c) = mvt._b_terms(p, b0), mvt._c_terms(p, c0)
-    value = slope - fpc
-    if not mvt._residual_ok(value, slope, fpc, tol):
-        raise NotASolution(f"|F({b0!r}, {c0!r})| = {float(abs(value))!r} exceeds tolerance")
+    value, f_b, f_c = mvt._seed_terms(p, b0, c0, tol)
     if abs(f_b) <= NONZERO_B * max(1.0, abs(f_c), abs(value)):
         raise SeedNotRegular("f'(b0) = f'(c0) at the seed; B(c) is not guaranteed")
     start = (float(c0), float(b0), (value, f_c, f_b))
@@ -236,8 +239,7 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
         raise ValueError(f"case {report.case.value} has no nearby branch pair")
     side = 1 if report.case == classify.Case.TWO_BRANCHES \
         else (1 if report.sigma1 * report.sigma2 > 0 else -1)
-    step0 = step0 or 0.01 * (b0 - p.a0)
-    b = b0 + side * step0
+    b = b0 + side * _step(p, b0, step0, "step0")
     if not (p.a0 < b <= p.domain[1] and p.domain[0] <= b):
         raise SeedSearchFailed("stepped endpoint left the domain")
 

@@ -18,7 +18,7 @@ class DomainError(MvaError):
 
 
 class OrderOverflow(MvaError):
-    """Requested jet order exceeds the configured maximum."""
+    """Requested jet order exceeds expr.MAX_JET_ORDER."""
 
 
 # --- solver ---

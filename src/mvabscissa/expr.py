@@ -69,30 +69,6 @@ class Binary:
 ExprNode = Const | Var | Unary | Binary
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Truncated Taylor expansion at x0: coeffs[j] = f^(j)(x0)/j!."""
-
-    x0: float
-    coeffs: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def derivative(self, j: int):
-        """f^(j)(x0), recovered from the j-th coefficient."""
-        fact = 1.0
-        for i in range(2, j + 1):
-            fact *= i
-        return self.coeffs[j] * fact
-
-    def truncate(self, m: int) -> "Jet":
-        if m > self.order:
-            raise ValueError("cannot extend a jet by truncation")
-        return Jet(self.x0, self.coeffs[: m + 1])
-
-
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 # ---------------------------------------------------------------------------
@@ -402,10 +378,9 @@ def _root_log(a):
 
 def _sqrt(a, node=None):
     # the value is defined at 0, the derivative is not
-    if len(a) == 1:
-        _check(a[0] < 0, node, "sqrt of negative value")
-    else:
-        _check(a[0] <= 0, node, "sqrt of nonpositive value (derivative undefined at 0)")
+    _check(a[0] < 0, node, "sqrt of negative value")
+    if len(a) > 1:
+        _check(a[0] == 0, node, "sqrt of nonpositive value (derivative undefined at 0)")
     q = [np.sqrt(a[0])]
     for k in range(1, len(a)):
         s = a[k]
@@ -813,32 +788,16 @@ def evaluate(f: ExprNode | Tape, x):
     return tape.run(x, 1)[0]
 
 
-def jet_eval(f: ExprNode | Tape, x0, n: int, max_order: int = MAX_JET_ORDER) -> Jet:
-    """Taylor coefficients of f at x0 up to order n, by jet arithmetic.
+def jet_eval(f: ExprNode | Tape, x0, n: int) -> tuple:
+    """The tuple of Taylor coefficients t_j = f^(j)(x0)/j! of f at x0 up to
+    order n, by jet arithmetic.
 
     f is an ExprNode, lowered (or its tape looked up) on every call, or the
     Tape of one.
     """
     if n < 0:
         raise ValueError("jet order must be nonnegative")
-    if n > max_order:
-        raise OrderOverflow(f"jet order {n} exceeds maximum {max_order}")
+    if n > MAX_JET_ORDER:
+        raise OrderOverflow(f"jet order {n} exceeds maximum {MAX_JET_ORDER}")
     tape = f if isinstance(f, Tape) else lower(f)
-    return Jet(x0, tuple(tape.checked_run(x0, n + 1)))
-
-
-def vanishing_order(coeffs, tol: float = 1e-9, start: int = 0):
-    """Index of the first coefficient above the relative threshold, else None."""
-    scale = max(1.0, max(abs(float(c)) for c in coeffs))
-    for j in range(start, len(coeffs)):
-        if abs(float(coeffs[j])) > tol * scale:
-            return j
-    return None
-
-
-def order_of_vanishing(f: ExprNode, x0: float, kmax: int = 16, tol: float = 1e-9):
-    """Smallest j with |t_j| above tol * scale at x0, or None up to kmax."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    jet = jet_eval(f, x0, kmax)
-    return vanishing_order(jet.coeffs, tol)
+    return tuple(tape.checked_run(x0, n + 1))

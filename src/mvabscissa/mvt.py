@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from . import expr
-from .errors import DegenerateProblem, DomainError, EndpointCollision, MvaError
+from .errors import (DegenerateProblem, DomainError, EndpointCollision, MvaError,
+                     NotASolution)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_GRID_N = 2048
@@ -158,6 +159,22 @@ def _c_terms(p, c):
 def _fprime(p, c):
     """f'(c), from an order-1 jet: F(b, c) is slope - f'(c) at a fixed b."""
     return p.tape.checked_run(c, 2)[1]
+
+
+def _fprime_series(p, c, order):
+    """The Taylor coefficients of f' at c up to order, from f's jet."""
+    t = expr.jet_eval(p.tape, c, order + 1)
+    return [(j + 1) * t[j + 1] for j in range(order + 1)]
+
+
+def _seed_terms(p, b, c, tol):
+    """F, F_b and F_c at a seed (b, c), which must pass _residual_ok with
+    tol, or NotASolution is raised."""
+    (slope, f_b), (fpc, f_c) = _b_terms(p, b), _c_terms(p, c)
+    value = slope - fpc
+    if not _residual_ok(value, slope, fpc, tol):
+        raise NotASolution(f"|F({b!r}, {c!r})| = {float(abs(value))!r} exceeds tolerance")
+    return value, f_b, f_c
 
 
 def big_f(p: Problem, b, c):
@@ -423,7 +440,7 @@ def g1_g2(p: Problem, b0: float, c0: float):
         return (expr.evaluate(p.tape, bb) - fa) / (bb - p.a0) - fpc0
 
     def g1_series(order):
-        num = list(expr.jet_eval(p.tape, b0, order).coeffs)
+        num = list(expr.jet_eval(p.tape, b0, order))
         num[0] = num[0] - fa
         den = [b0 - p.a0, 1.0] + [0.0] * (order - 1) if order >= 1 else [b0 - p.a0]
         q = expr._div(num, den)
@@ -435,8 +452,7 @@ def g1_g2(p: Problem, b0: float, c0: float):
         return _fprime(p, cc) - fpc0
 
     def g2_series(order):
-        t = expr.jet_eval(p.tape, c0, order + 1).coeffs
-        d = [(j + 1) * t[j + 1] for j in range(order + 1)]
+        d = _fprime_series(p, c0, order)
         d[0] = 0.0  # d[0] == fpc0 by construction
         return tuple(d)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from mvabscissa.errors import DomainError, OrderOverflow
-from mvabscissa.expr import MAX_JET_ORDER, Binary, Const, Jet, Unary, Var, to_string
+from mvabscissa.expr import MAX_JET_ORDER, Binary, Const, Unary, Var, to_string
 
 
 def _fail(node, why):
@@ -101,6 +101,8 @@ def _log(a, node=None):
     return l
 
 def _sqrt(a, node=None):
+    if np.any(a[0] < 0):
+        _fail(node, "sqrt of negative value")
     if np.any(a[0] <= 0):
         _fail(node, "sqrt of nonpositive value (derivative undefined at 0)")
     q = [np.sqrt(a[0])]
@@ -184,16 +186,16 @@ def _pow_jet(u, node, x0, n):
     return _exp(_mul(e, _log(u, node)))
 
 
-def jet_eval(f, x0, n, max_order=MAX_JET_ORDER):
-    """Taylor coefficients of f at x0 up to order n, by jet arithmetic."""
+def jet_eval(f, x0, n):
+    """The tuple of Taylor coefficients of f at x0 up to order n, by jet arithmetic."""
     if n < 0:
         raise ValueError("jet order must be nonnegative")
-    if n > max_order:
-        raise OrderOverflow(f"jet order {n} exceeds maximum {max_order}")
+    if n > MAX_JET_ORDER:
+        raise OrderOverflow(f"jet order {n} exceeds maximum {MAX_JET_ORDER}")
     coeffs = _jet(f, x0, n)
     flat = np.concatenate([np.atleast_1d(np.asarray(c, dtype=float)).ravel() for c in coeffs])
     if not np.all(np.isfinite(flat)):
         raise DomainError("non-finite jet coefficient")
-    return Jet(x0, tuple(coeffs))
+    return tuple(coeffs)
 
 

@@ -103,7 +103,7 @@ def test_criterion_4_derivative_formula():
 def test_criterion_5_inflection_abscissa_dichotomy():
     p = mva.Problem(mva.parse(QUARTIC_INFLECTION), 0.0, 3.0)
     r = classify.classify_point(p, 3.0, 1.0)
-    fp = expr.jet_eval(p.f, 3.0, 1).coeffs[1] - expr.jet_eval(p.f, 1.0, 1).coeffs[1]
+    fp = expr.jet_eval(p.f, 3.0, 1)[1] - expr.jet_eval(p.f, 1.0, 1)[1]
     refused = False
     try:
         continuation.trace_c_of_b(p, 3.0, 1.0, (2.5, 3.5))

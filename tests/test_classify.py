@@ -90,6 +90,24 @@ class TestClassifyPoint:
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 classify.classify_point(parabola, 2.0, 1.0, tol=tol)
 
+    @pytest.mark.parametrize("kmax", [0, -3, expr.MAX_JET_ORDER, 1000])
+    def test_kmax_out_of_range_is_refused(self, quintic_same_sign, kmax):
+        # 0 once gave a DEGENERATE report though no order was examined, and
+        # 32 raised OrderOverflow: f' to order kmax needs f's jet to kmax + 1
+        with pytest.raises(ValueError, match=f"kmax must be in 1..31, got {kmax}"):
+            classify.classify_point(quintic_same_sign, 3.0, 1.0, kmax=kmax)
+        with pytest.raises(ValueError, match=f"kmax must be in 1..31, got {kmax}"):
+            classify.find_extremal_abscissa(mvt.normalize(quintic_same_sign), kmax=kmax)
+
+    def test_kmax_at_the_ends_of_its_range(self, quintic_same_sign):
+        # at kmax 1 the order-2 terms are not read
+        r = classify.classify_point(quintic_same_sign, 3.0, 1.0, kmax=1)
+        assert (r.case, r.k, r.l) == (classify.Case.DEGENERATE, 0, 0)
+        r = classify.classify_point(quintic_same_sign, 3.0, 1.0, kmax=expr.MAX_JET_ORDER - 1)
+        assert (r.case, r.k, r.l) == (classify.Case.TWO_BRANCHES, 2, 2)
+        _, k = classify.find_extremal_abscissa(mvt.normalize(quintic_same_sign), kmax=1)
+        assert k == 1
+
     def test_non_finite_point_is_rejected(self, parabola):
         for b, c in ((2.0, math.nan), (math.inf, 1.0), (math.nan, math.nan)):
             with pytest.raises(ValueError, match="finite"):
@@ -115,7 +133,7 @@ class TestClassifyPoint:
             r = classify.classify_point(p, bb, cc)
             jet = expr.jet_eval(p.f, cc, r.k + 2)
             # independent check: derivative coefficients from the value jet
-            dcoef = [(j + 1) * float(jet.coeffs[j + 1]) for j in range(r.k + 1)]
+            dcoef = [(j + 1) * float(jet[j + 1]) for j in range(r.k + 1)]
             first = next(j for j in range(1, len(dcoef))
                          if abs(dcoef[j]) > 1e-9)
             assert first == r.k
@@ -216,6 +234,64 @@ class TestMorseCoordinates:
                 old = classify.morse_coordinates(p, b0, c0, r)
                 want = inversions(old)
             assert (chart.window_x, chart.window_y) == (old.window_x, old.window_y)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("kmax", [2, 16, 24, 31])
+    def test_chart_at_every_kmax_classify_accepts(self, quintic_same_sign, kmax):
+        # at kmax 24-31 the chart once asked for f's jet of order 33; the
+        # chart reads the orders of the report, which kmax does not change
+        p = quintic_same_sign
+        r = classify.classify_point(p, 3.0, 1.0, kmax=kmax)
+        assert r == classify.classify_point(p, 3.0, 1.0)
+        chart = classify.morse_coordinates(p, 3.0, 1.0, r)
+        assert (len(chart._s1), len(chart._s2)) == (r.l + 9, r.k + 9)
+        default = classify.morse_coordinates(p, 3.0, 1.0, classify.classify_point(p, 3.0, 1.0))
+        assert (chart.window_x, chart.window_y) == (default.window_x, default.window_y)
+        xs = np.linspace(-1.0, 1.0, 101)
+        assert np.array_equal(chart.u(xs * chart.window_x), default.u(xs * chart.window_x))
+        assert np.array_equal(chart.v(xs * chart.window_y), default.v(xs * chart.window_y))
+
+    def test_chart_matches_one_built_from_series_of_order_24(
+            self, quartic_inflection, quintic_same_sign, sextic_opposite, x_fourth,
+            monkeypatch):
+        """The chart reads g1's series to order l + 8 and g2's to k + 8; a
+        chart whose series run to order 24, as they once did, gives the same
+        windows, coordinates and inversions bit for bit."""
+        g1_g2 = mvt.g1_g2
+
+        def g1_g2_of_order_24(p, b0, c0):
+            g1, g2 = g1_g2(p, b0, c0)
+            for g in (g1, g2):
+                g.series = lambda order, series=g.series: series(24)
+            return g1, g2
+
+        def samples(chart):
+            out = []
+            for fwd, inv, w in ((chart.u, chart.x_of_u, chart.window_x),
+                                (chart.v, chart.y_of_v, chart.window_y)):
+                # the Horner tail on a dense grid below the cutoff 1e-4, then
+                # the whole window, and inversions on both
+                near = np.linspace(-1e-4, 1e-4, 20001)
+                across = np.linspace(-1.0, 1.0, 401) * w
+                xs = np.concatenate([near[::500], across[::10]])
+                out += [fwd(near), fwd(across), [inv(float(fwd(float(x)))) for x in xs]]
+            return np.concatenate(out)
+
+        exp_cubic = mva.Problem(mva.parse("exp(x) - x^3"), -1.0, 4.734582395767517)
+        for p, b0, c0 in ((quartic_inflection, 3.0, 1.0), (quintic_same_sign, 3.0, 1.0),
+                          (sextic_opposite, 3.0, 1.0), (x_fourth, 1.0, 0.0),
+                          (exp_cubic, 4.734582395767517, 0.20448144933991552)):
+            r = classify.classify_point(p, b0, c0)
+            chart = classify.morse_coordinates(p, b0, c0, r)
+            assert (len(chart._s1), len(chart._s2)) == (r.l + 9, r.k + 9)
+            got = samples(chart)
+            with monkeypatch.context() as m:
+                m.setattr(mvt, "g1_g2", g1_g2_of_order_24)
+                wide = classify.morse_coordinates(p, b0, c0, r)
+                assert len(wide._s1) == len(wide._s2) == 25
+                want = samples(wide)
+            assert (chart.window_x, chart.window_y) == (wide.window_x, wide.window_y)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 

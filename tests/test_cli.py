@@ -212,6 +212,22 @@ class TestExitCodes:
         assert "step must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_kmax_out_of_range_is_a_usage_error(self, tmp_path, capsys):
+        # --kmax 0 once printed a DEGENERATE report with k = l = 0, and -3,
+        # -1 and 32 exited with unrelated messages, 32 with OrderOverflow
+        quartic = ("-f", "x^4", "-a", "-1", "-b", "1")
+        for kmax in ("0", "-3", "32"):
+            assert run("classify", *quartic, "-c", "0", "--kmax", kmax) == 1
+            assert capsys.readouterr().err == f"error: kmax must be in 1..31, got {kmax}\n"
+        for kmax in ("-1", "0", "32"):
+            assert run("guaranteed", *quartic, "--kmax", kmax) == 1
+            assert capsys.readouterr().err == f"error: kmax must be in 1..31, got {kmax}\n"
+        assert run("trace", *quartic, "-c", "0", "--b-min", "0.9", "--b-max", "1.1",
+                   "--kmax", "0", "-o", str(tmp_path / "o.csv")) == 1
+        assert "kmax must be in 1..31" in capsys.readouterr().err
+        assert run("classify", *quartic, "-c", "0", "--kmax", "31") == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 3
+
     def test_non_finite_fixed_point_input_is_a_usage_error(self, capsys):
         # each once exited 2 with a numerical failure
         for x0, x in (("nan", "1.2"), ("1", "nan")):

@@ -283,6 +283,20 @@ class TestBranchSeeds:
         for b, c in seeds:
             assert abs(float(mvt.big_f(quintic_same_sign, b, c)[0])) <= 1e-10
 
+    def test_default_step_is_a_hundredth_of_the_width(self, quintic_same_sign):
+        rep = classify.classify_point(quintic_same_sign, 3.0, 1.0)
+        seeds = continuation.branch_seeds_after_degeneracy(quintic_same_sign, 3.0, 1.0, rep)
+        assert [b for b, _ in seeds] == [3.03, 3.03]
+
+    @pytest.mark.parametrize("step0", [0.0, -0.002, math.nan, math.inf])
+    def test_bad_step0_is_refused(self, quintic_same_sign, step0):
+        # 0 once meant the default, b = 3.03; -0.002 gave seeds on the other
+        # side, at b = 2.998; nan and inf said the endpoint left the domain
+        rep = classify.classify_point(quintic_same_sign, 3.0, 1.0)
+        with pytest.raises(ValueError, match="step0 must be positive and finite"):
+            continuation.branch_seeds_after_degeneracy(
+                quintic_same_sign, 3.0, 1.0, rep, step0=step0)
+
     def test_isolated_case_is_a_precondition_error(self, sextic_opposite):
         rep = classify.classify_point(sextic_opposite, 3.0, 1.0)
         with pytest.raises(ValueError):

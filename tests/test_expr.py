@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvabscissa import expr
+from mvabscissa import classify, expr
 from mvabscissa.errors import DomainError, ExprSyntaxError, OrderOverflow
 
 from conftest import poly_derivative, poly_text
@@ -84,22 +84,25 @@ class TestEvaluate:
 
 class TestJetEval:
     def test_sine_maclaurin(self):
-        j = expr.jet_eval(expr.parse("sin(x)"), 0.0, 5)
+        t = expr.jet_eval(expr.parse("sin(x)"), 0.0, 5)
         want = [0.0, 1.0, 0.0, -1.0 / 6.0, 0.0, 1.0 / 120.0]
-        assert np.allclose(j.coeffs, want, atol=1e-16)
+        assert type(t) is tuple
+        assert np.allclose(t, want, atol=1e-16)
 
     def test_pure_quartic(self):
-        j = expr.jet_eval(expr.parse("x^4"), 0.0, 4)
-        assert list(j.coeffs) == [0.0, 0.0, 0.0, 0.0, 1.0]
+        t = expr.jet_eval(expr.parse("x^4"), 0.0, 4)
+        assert t == (0.0, 0.0, 0.0, 0.0, 1.0)
 
     def test_cubic_at_two(self):
-        j = expr.jet_eval(expr.parse("x^3 - 3*x^2 + 2*x"), 2.0, 2)
-        assert np.allclose(j.coeffs, [0.0, 2.0, 3.0], atol=1e-13)
+        t = expr.jet_eval(expr.parse("x^3 - 3*x^2 + 2*x"), 2.0, 2)
+        assert np.allclose(t, [0.0, 2.0, 3.0], atol=1e-13)
 
     def test_derivative_accessor(self):
-        j = expr.jet_eval(expr.parse("exp(x)"), 0.0, 6)
+        # the j-th derivative is t_j * j!
+        t = expr.jet_eval(expr.parse("exp(x)"), 0.0, 6)
+        assert len(t) == 7
         for order in range(7):
-            assert abs(j.derivative(order) - 1.0) < 1e-12
+            assert abs(t[order] * math.factorial(order) - 1.0) < 1e-12
 
     def test_order_overflow(self):
         with pytest.raises(OrderOverflow):
@@ -107,24 +110,36 @@ class TestJetEval:
 
     def test_rational_exponent_on_negative_base(self):
         # odd-denominator rational powers keep the sign of the base
-        j = expr.jet_eval(expr.parse("x^(1/3)"), -8.0, 1)
-        assert abs(j.coeffs[0] - (-2.0)) < 1e-12
-        assert abs(j.coeffs[1] - 1.0 / 12.0) < 1e-12
+        t = expr.jet_eval(expr.parse("x^(1/3)"), -8.0, 1)
+        assert abs(t[0] - (-2.0)) < 1e-12
+        assert abs(t[1] - 1.0 / 12.0) < 1e-12
 
 
 class TestOrderOfVanishing:
+    """The order of vanishing read from the coefficient tuple: a nonzero t_0,
+    or classify.vanishing_order, the first t_j from j = 1 above the relative
+    threshold."""
+
     def test_quartic_power(self):
-        assert expr.order_of_vanishing(expr.parse("x^4"), 0.0) == 4
+        t = expr.jet_eval(expr.parse("x^4"), 0.0, 16)
+        assert t[0] == 0.0 and classify.vanishing_order(t) == 4
 
     def test_nonvanishing(self):
-        assert expr.order_of_vanishing(expr.parse("exp(x)"), 0.0) == 0
+        t = expr.jet_eval(expr.parse("exp(x)"), 0.0, 16)
+        assert t[0] == 1.0 and classify.vanishing_order(t) == 1
 
     def test_simple_zero_of_product(self):
-        node = expr.parse("x^2*(x - 1)")
-        assert expr.order_of_vanishing(node, 1.0, kmax=8) == 1
+        t = expr.jet_eval(expr.parse("x^2*(x - 1)"), 1.0, 8)
+        assert t[0] == 0.0 and classify.vanishing_order(t) == 1
 
     def test_all_below_threshold_returns_none(self):
-        assert expr.order_of_vanishing(expr.parse("0*x"), 0.5, kmax=6) is None
+        t = expr.jet_eval(expr.parse("0*x"), 0.5, 6)
+        assert t[0] == 0.0 and classify.vanishing_order(t) is None
+
+    def test_threshold_is_relative_to_the_largest_coefficient(self):
+        # 1e-9 * 1e3 = 1e-6: a t_1 of 1e-7 is below it, a t_2 of 1e3 is not
+        assert classify.vanishing_order((0.0, 1e-7, 1e3)) == 2
+        assert classify.vanishing_order((0.0, 1e-7, 1.0)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +155,13 @@ def test_jet_matches_symbolic_polynomial_derivatives(coeffs, point_index):
     x0 = float(xs[point_index])
     node = expr.parse(poly_text(coeffs))
     n = len(coeffs) + 1
-    jet = expr.jet_eval(node, x0, n)
+    t = expr.jet_eval(node, x0, n)
     for j in range(n + 1):
         d = poly_derivative(coeffs, j)
         want = 0.0
         for a in reversed(d):
             want = want * x0 + a
-        got = float(jet.coeffs[j]) * math.factorial(j)
+        got = float(t[j]) * math.factorial(j)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
@@ -180,11 +195,10 @@ def test_truncation_consistency_on_random_trees():
             full = expr.jet_eval(node, x0, 8)
         except DomainError:
             continue
-        if not np.all(np.isfinite(full.coeffs)):
+        if not np.all(np.isfinite(full)):
             continue
         for m in (0, 2, 5):
-            direct = expr.jet_eval(node, x0, m)
-            assert direct.coeffs == full.truncate(m).coeffs
+            assert expr.jet_eval(node, x0, m) == full[:m + 1]
         checked += 1
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mvabscissa
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -18,6 +20,17 @@ def test_import_loads_no_scipy_mpmath_or_sympy():
                          text=True, timeout=60, check=True).stdout.splitlines()
     assert Path(out[0]).resolve().is_relative_to(SRC)
     assert out[1] == "[]"
+
+
+def test_every_public_name_resolves():
+    # a name dropped from the imports but left in __all__ breaks only
+    # `from mvabscissa import *`
+    missing = [name for name in mvabscissa.__all__ if not hasattr(mvabscissa, name)]
+    assert missing == []
+    assert len(set(mvabscissa.__all__)) == len(mvabscissa.__all__)
+    namespace = {}
+    exec("from mvabscissa import *", namespace)
+    assert set(mvabscissa.__all__) <= set(namespace)
 
 
 def test_reimport_frees_the_old_package():

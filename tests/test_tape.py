@@ -49,7 +49,7 @@ def _outcome(jet_eval, f, x0, n):
     raised."""
     with np.errstate(all="ignore"):
         try:
-            return jet_eval(f, x0, n).coeffs
+            return jet_eval(f, x0, n)
         except Exception as e:  # the types and messages themselves are compared
             return type(e), str(e)
 
@@ -70,8 +70,8 @@ def _reference_value(tree, x0):
     with np.errstate(all="ignore"):
         try:
             ref = reference_value.evaluate(tree, x0)
-        except (DomainError, ZeroDivisionError):  # a float power of zero
-            return None
+        except (DomainError, ZeroDivisionError, OverflowError):
+            return None  # a float power of zero, or one past the float range
     return ref if np.all(np.isfinite(ref)) else None
 
 
@@ -131,6 +131,11 @@ def _on_stack(tape, x0, n):
 @example(expr.Binary("/", expr.Binary("^", expr.Var(), expr.Var()), expr.Const(0.0)),
          1.0, [1.0, -1.0])
 @example(expr.Binary("*", expr.Var(), expr.Const(0.0)), -1.0, [-1.0, 2.0])
+# a value with no derivative whose reference value overflows a Python float
+@example(expr.Binary("+", expr.Binary("^", expr.Binary("/", expr.Const(0.5), expr.Var()),
+                                      expr.Const(2.0)),
+                     expr.Binary("^", expr.Var(), expr.Var())),
+         -9.247079215165566e-210, [0.0])
 def test_tape_matches_the_recursive_evaluator(tree, x, xs):
     tape = expr.lower(tree)
     for x0 in (x, np.array(xs)):
@@ -184,8 +189,8 @@ def test_signed_zero_constants_keep_their_own_code(monkeypatch):
             for n in range(3):
                 want = _outcome(reference_jet.jet_eval, tree, 0.0, n)
                 assert _same(_outcome(expr.jet_eval, tree, 0.0, n), want), (tree, n)
-    assert np.signbit(expr.jet_eval(minus, 0.0, 0).coeffs[0])
-    assert not np.signbit(expr.jet_eval(plus, 0.0, 0).coeffs[0])
+    assert np.signbit(expr.jet_eval(minus, 0.0, 0)[0])
+    assert not np.signbit(expr.jet_eval(plus, 0.0, 0)[0])
 
 
 def test_normalized_problems_compile_once(monkeypatch):
@@ -236,11 +241,27 @@ def test_value_is_the_order_0_jet(tree, x, xs):
         for n in range(4):
             with np.errstate(all="ignore"):
                 try:
-                    want = expr.jet_eval(tape, x0, n).coeffs[0]
+                    want = expr.jet_eval(tape, x0, n)[0]
                 except DomainError:
                     continue
                 got = expr.evaluate(tree, x0)
             assert _same((got,), (want,)), (tree, x0, n)
+
+
+@pytest.mark.parametrize("on_stack", [False, True], ids=["compiled", "stack"])
+def test_sqrt_names_a_negative_base_at_every_width(on_stack, monkeypatch):
+    # a negative base has no value, so no jet; a zero base has a value alone
+    if on_stack:
+        monkeypatch.setattr(expr, "_COMPILED_STEPS", 0)
+    tape = expr.lower(expr.parse("sqrt(x)"))
+    for width in range(1, 6):
+        for x in (-1.0, np.array([0.0, -1.0])):
+            with pytest.raises(DomainError, match="^sqrt of negative value in 'sqrt.x.'$"):
+                tape.run(x, width)
+        if width > 1:
+            with pytest.raises(DomainError, match="derivative undefined at 0"):
+                tape.run(0.0, width)
+    assert tape.run(0.0, 1) == [0.0]
 
 
 def test_a_float_and_an_array_give_the_same_values():
