@@ -434,8 +434,10 @@ def _log_base(a, node, even_root=False):
            "nonpositive base with non-odd-rational exponent")
     return _root_log(a)
 
-def _exp_product(log_base, e):
-    return _exp(_mul(e, log_base))
+def _exp_product(log_base, e, zero=False):
+    # zero: a positive even-root exponent whose float underflows to 0.0; log(0) =
+    # -inf reads as 0, so that a zero base gives 1, as 0.0 ** 0.0, not exp(nan)
+    return _exp(_mul(e, [np.maximum(log_base[0], 0.0)] + log_base[1:] if zero else log_base))
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +584,10 @@ def _emit_pow(node, steps):
                                  node=node)))
     else:
         # exp(e * log(base)): the exponent's own jet is needed
-        steps.append((1, partial(_log_base, node=node, even_root=fr is not None and fr > 0)))
+        even_root = fr is not None and fr > 0
+        steps.append((1, partial(_log_base, node=node, even_root=even_root)))
         _emit(node.right, steps)
-        steps.append((2, _exp_product))
+        steps.append((2, partial(_exp_product, zero=even_root and float(fr) == 0)))
 
 
 # ---------------------------------------------------------------------------

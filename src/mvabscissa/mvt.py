@@ -7,7 +7,7 @@ right endpoint b and a mean value abscissa c for f on [a0, b].
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
 from typing import Optional
 
@@ -24,6 +24,10 @@ DEFAULT_GRID_N = 2048
 # ran a scan 10-15 % slower; with its mmap and trim thresholds raised, both
 # sizes ran alike, so the gap is the allocator's, not the cache's.
 _BLOCK_POINTS = 2 ** 14
+# the most brackets _bisect steps one at a time on floats: an array step costs
+# about as much for 1 bracket as for 10.  On sin(100*x), 8 brackets took 1.38 ms
+# as arrays, 1.22 ms as floats; 16 took 1.40 and 2.19 ms (2-core x86-64).
+_FLOAT_BRACKETS = 8
 
 
 def _check_domain(tape, lo, hi):
@@ -208,7 +212,8 @@ def abscissae(p: Problem, b, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     Sign changes of F(b, .) on a uniform grid are refined by bisection.  A
     root where F(b, .) touches zero is a zero of F_c = -f'', so it is found
     by bisecting F_c across the grid window where |F| has a small local
-    minimum.
+    minimum.  A few brackets, the usual case, step on Python floats, a
+    fraction of the cost of array steps; many step as arrays (see _bisect).
     """
     (points,) = solve_columns(p, [b], tol, grid_n)
     if points is None:
@@ -223,10 +228,11 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     array evaluation of f' per block.  Then the brackets of all columns are
     bisected together: the sign changes of F with one array evaluation of F
     per step, and the touching-root windows, at whose ends F has one sign, as
-    sign changes of F_c with one of F_c per step.  Each column keeps the
-    roots that pass _residual_ok, |F| <= tol * max(1, |slope| + |f'(c)|),
-    and deduplicates them.  A column on which F(b, .) vanishes identically
-    gives None instead of a list.
+    sign changes of F_c with one of F_c per step; a set of at most
+    _FLOAT_BRACKETS steps faster, and to the same roots, on floats.  Each
+    column keeps the roots that pass _residual_ok, |F| <= tol * max(1,
+    |slope| + |f'(c)|), and deduplicates them.  A column on which F(b, .)
+    vanishes identically gives None instead of a list.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
@@ -239,10 +245,10 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     width_tol = 1e-15 * (b_arr - p.a0)
     roots = np.empty(col.size)
     bi, ti = np.nonzero(~touch)[0], np.nonzero(touch)[0]
-    roots[bi] = _bisect(lambda i, c: slope[col[bi[i]]] - _fprime(p, c),
-                        lo[bi], hi[bi], flo[bi], width_tol[col[bi]])
+    roots[bi] = _bisect(lambda s, c: s - _fprime(p, c), lo[bi], hi[bi], flo[bi],
+                        width_tol[col[bi]], slope[col[bi]])
     if ti.size:
-        roots[ti] = _bisect(lambda i, c: _c_terms(p, c)[1], lo[ti], hi[ti],
+        roots[ti] = _bisect(lambda c: _c_terms(p, c)[1], lo[ti], hi[ti],
                             _c_terms(p, lo[ti])[1], width_tol[col[ti]])
 
     inside = (p.a0 < roots) & (roots < b_arr[col])
@@ -347,22 +353,27 @@ def _grid_block(p, b, slope, tol, grid_n):
     return slope, live, row, cs[row, lo], cs[row, hi], fv[row, lo], width[order] == 2
 
 
-def _bisect(fn, lo, hi, flo, width_tol):
-    """Bisection of sign-change brackets; fn(idx, c) is F at c for brackets idx.
+def _bisect(fn, lo, hi, flo, width_tol, *params):
+    """Bisection of sign-change brackets; fn(*params, c) is F at c, given
+    the params (arrays, an entry a bracket) of the brackets c lies in.
 
     Only the sign of flo = F(lo) is used: a midpoint where F is positive
-    exactly when F(lo) is becomes the new lo.  All brackets step at once, and
-    a bracket stops when it is no wider than its width_tol or when a step
-    leaves it unchanged (that step would repeat forever, e.g. on two adjacent
-    floats).  Returns the midpoints.
+    exactly when F(lo) is becomes the new lo.  A bracket stops when it is no
+    wider than its width_tol or when a step leaves it unchanged (that step
+    would repeat forever, e.g. on two adjacent floats).  Returns the
+    midpoints.  Up to _FLOAT_BRACKETS brackets step one at a time, on floats
+    in _bisect_one, which is cheaper for a few; more step all at once.
     """
+    if lo.size <= _FLOAT_BRACKETS:
+        rows = zip(*(a.tolist() for a in (lo, hi, flo, width_tol, *params)))
+        return np.array([_bisect_one(partial(fn, *q), l, h, f, w) for l, h, f, w, *q in rows])
     up = flo > 0
     lo, hi = lo.copy(), hi.copy()
     active = np.nonzero(hi - lo > width_tol)[0]
     while active.size:
         l, h = lo[active], hi[active]
         mid = 0.5 * (l + h)
-        fm = fn(active, mid)
+        fm = fn(*(q[active] for q in params), mid)
         zero = fm == 0.0
         same = (fm > 0) == up[active]
         lo[active] = nl = np.where(same | zero, mid, l)
@@ -371,17 +382,18 @@ def _bisect(fn, lo, hi, flo, width_tol):
     return 0.5 * (lo + hi)
 
 
-def _bisect_one(fn, lo, hi, flo):
+def _bisect_one(fn, lo, hi, flo, width_tol=None):
     """_bisect on the one bracket [lo, hi], where fn(c) is F at the float c
-    and F(lo) = flo.  The bracket stops at the width 1e-16 * max(1, |lo|, |hi|)
-    of its start, or when a step leaves it unchanged.
+    and F(lo) = flo.  The bracket stops at width_tol, by default the width
+    1e-16 * max(1, |lo|, |hi|) of its start, or when a step leaves it unchanged.
 
-    It runs on Python floats rather than as _bisect on one-element arrays:
-    the same midpoints, exact-zero and sign rule and stops, so the same
-    result bit for bit, at a fraction of the cost of a step.
+    It runs on Python floats rather than as _bisect's loop on one-element
+    arrays: the same midpoints, exact-zero and sign rule and stops, so the
+    same result bit for bit, at a fraction of the cost of a step.
     """
     lo, hi = float(lo), float(hi)
-    width_tol = 1e-16 * max(1.0, abs(lo), abs(hi))
+    if width_tol is None:
+        width_tol = 1e-16 * max(1.0, abs(lo), abs(hi))
     up = float(flo) > 0
     while hi - lo > width_tol:
         mid = 0.5 * (lo + hi)

@@ -1,7 +1,9 @@
-"""Byte identity of scan and branch output on polynomial corpus problems.
+"""Byte identity of scan, single-query and branch output on polynomial
+corpus problems.
 
 The scan hashes are of to_csv, to_json and to_svg of 400-column scans, the
-branch hashes of the output of the branch walker.  These problems use only
+query hashes of the abscissae of one b, the branch hashes of the output of
+the branch walker.  These problems use only
 + - * / and ^ with integer exponents, so the output does not depend on the
 platform's libm.  A change that alters answers on purpose must update the
 hashes and say so.
@@ -12,7 +14,7 @@ import hashlib
 import pytest
 
 import mvabscissa as mva
-from mvabscissa import classify, cli, continuation, scanner
+from mvabscissa import classify, cli, continuation, mvt, scanner
 
 from conftest import (CUBIC, PARABOLA, QUARTIC_INFLECTION, QUINTIC_SAME_SIGN,
                       SEXTIC_OPPOSITE)
@@ -61,6 +63,48 @@ def test_scan_output_is_byte_identical(case):
     digests = tuple(hashlib.sha256(out(res).encode()).hexdigest()
                     for out in (scanner.to_csv, scanner.to_json, scanner.to_svg))
     assert digests == GOLDEN[case]
+
+
+# (text, a0, b0, b) -> sha256 of the abscissae as float.hex, joined by spaces:
+# the corpus queries, x^4 at a b whose root brackets end on adjacent floats,
+# and x^3 on [0, s] at b = s for s = 1e-3 ... 1e6
+QUERIES = {
+    (CUBIC, 0.0, 3.0, 2.5):
+        "408c252b1f12c58a9109050a22cb910e0e899fa34fdf42782c899276d0e755ef",
+    (PARABOLA, 0.0, 2.0, 2.0):
+        "fd60998e44d3feb9c4bea3e46e5e9f0e12495076a26964274424f2afcab23a1c",
+    (QUINTIC_SAME_SIGN, 0.0, 3.0, 3.0):
+        "aecd03357c1df6aa87a0cc4c8e122803e1428665f1f11f1decc93e5c9f8ffc73",
+    ("x^4", -1.0, 1.0, -0.8927318295739348):
+        "b7140cd091203ce240b5fe3dacac6682da6acb95db9f30ca4c9c296058212388",
+    ("x^3", 0.0, 1e-3, 1e-3):
+        "635d930d5e7e58c74f25bc6ac3c734bdc6bfebbb8ea0f70949be3f556a6a3323",
+    ("x^3", 0.0, 1e-2, 1e-2):
+        "ed950f36c7c06db830eff9aaf128445ac05e33297357243f470abc2e2f96ad08",
+    ("x^3", 0.0, 1e-1, 1e-1):
+        "03d7057d03a8aa5988d65dc02777330a6b52dfc043678c77e46d9a03d815ac5f",
+    ("x^3", 0.0, 1.0, 1.0):
+        "64bb0c3c69a4ff67719c50513fba884f9809fce40e0fec15bb3e0641bd60a556",
+    ("x^3", 0.0, 1e1, 1e1):
+        "2e5c01066cba8eb6151732db11399acb5ce75c43043e1cac78da6005739efaab",
+    ("x^3", 0.0, 1e2, 1e2):
+        "e6b7bad9005546165410056d751a7f8fdfab09054330c97db826c7814f3c83a8",
+    ("x^3", 0.0, 1e3, 1e3):
+        "7391e53a41227c823019bdd0717aa20266ebb15041105ade92bcb0cbde48846e",
+    ("x^3", 0.0, 1e4, 1e4):
+        "5322d4f23964ba22f8a3653ad5dc71d21dac3b3f28185db83b77fd818c0554c2",
+    ("x^3", 0.0, 1e5, 1e5):
+        "4b7606cdd8a33fe4d5c92382948af4173d47141cbf0923b2ff458871378fd4af",
+    ("x^3", 0.0, 1e6, 1e6):
+        "779f357d36abfd33e4f5ccea3e664b6d33d1514dac47796d873795c8cc90ca0f",
+}
+
+
+@pytest.mark.parametrize("case", list(QUERIES), ids=[f"{c[0]} b={c[3]!r}" for c in QUERIES])
+def test_abscissae_are_bit_identical(case):
+    text, a0, b0, b = case
+    cs = mvt.abscissae(mva.Problem(mva.parse(text), a0, b0), b)
+    assert hashlib.sha256(" ".join(c.hex() for c in cs).encode()).hexdigest() == QUERIES[case]
 
 
 def _readme_trace(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -464,24 +465,87 @@ def _bracket_function(kind, root, sign):
     return lambda c: c * math.nan
 
 
+def _array_loop(fn, lo, hi, flo, width_tol, *params):
+    """_bisect with every bracket set stepped as arrays, none on floats."""
+    with mock.patch.object(mvt, "_FLOAT_BRACKETS", 0):
+        return mvt._bisect(fn, lo, hi, flo, width_tol, *params)
+
+
+# a bracket's width_tol: solve_columns' 1e-15 * (b - a0), or any other
+WIDTH_TOLS = st.one_of(st.floats(1e-6, 1e6).map(lambda w: 1e-15 * w), st.floats(0.0, 1.0))
+
+
 @settings(max_examples=500, deadline=None)
 @given(lo=st.floats(-1e6, 1e6), hi=st.floats(-1e6, 1e6), at=st.floats(-0.2, 1.2),
        sign=st.sampled_from([1.0, -1.0]),
        kind=st.sampled_from(["simple", "triple", "flat", "nan"]),
-       flo=st.one_of(st.floats(), st.sampled_from([-1.0, 1.0])))
-@example(lo=0.0, hi=2.0, at=0.5, sign=1.0, kind="simple", flo=-1.0)  # an exact zero midpoint
+       flo=st.one_of(st.floats(), st.sampled_from([-1.0, 1.0])),
+       width_tol=st.one_of(st.none(), WIDTH_TOLS))  # None: _bisect_one's default
+@example(lo=0.0, hi=2.0, at=0.5, sign=1.0, kind="simple", flo=-1.0,
+         width_tol=None)  # an exact zero midpoint
 @example(lo=1.0, hi=float(np.nextafter(1.0, 2.0)), at=0.5, sign=1.0, kind="simple",
-         flo=-1.0)  # adjacent floats
-@example(lo=2.0, hi=1.0, at=0.5, sign=1.0, kind="simple", flo=1.0)  # lo > hi
-@example(lo=1.0, hi=1.0, at=0.5, sign=1.0, kind="simple", flo=0.0)  # lo == hi
-@example(lo=-1.0, hi=3.0, at=0.25, sign=1.0, kind="simple", flo=math.nan)
-def test_bisect_one_is_bisect_on_one_bracket(lo, hi, at, sign, kind, flo):
+         flo=-1.0, width_tol=None)  # adjacent floats
+@example(lo=1.0, hi=float(np.nextafter(1.0, 2.0)), at=0.5, sign=1.0, kind="simple",
+         flo=-1.0, width_tol=1e-15 * 1e-3)  # adjacent floats, wider than width_tol
+@example(lo=-0.8927318295739348, hi=-0.8927318295739347, at=0.5, sign=-1.0,
+         kind="triple", flo=1.0, width_tol=1e-15 * 0.1)  # adjacent floats, below 1
+@example(lo=0.0, hi=1.0, at=0.3, sign=1.0, kind="simple", flo=-1.0,
+         width_tol=0.25)  # a width that reaches width_tol exactly
+@example(lo=2.0, hi=1.0, at=0.5, sign=1.0, kind="simple", flo=1.0, width_tol=None)  # lo > hi
+@example(lo=1.0, hi=1.0, at=0.5, sign=1.0, kind="simple", flo=0.0, width_tol=None)  # lo == hi
+@example(lo=-1.0, hi=3.0, at=0.25, sign=1.0, kind="simple", flo=math.nan, width_tol=None)
+def test_bisect_one_is_bisect_on_one_bracket(lo, hi, at, sign, kind, flo, width_tol):
     fn = _bracket_function(kind, lo + at * (hi - lo), sign)
-    want = mvt._bisect(lambda _, c: fn(c), np.array([lo]), np.array([hi]), np.array([flo]),
-                       np.array([1e-16 * max(1.0, abs(lo), abs(hi))]))[0]
-    got = mvt._bisect_one(fn, lo, hi, flo)
+    tol = 1e-16 * max(1.0, abs(lo), abs(hi)) if width_tol is None else width_tol
+    want = _array_loop(fn, np.array([lo]), np.array([hi]), np.array([flo]), np.array([tol]))[0]
+    got = mvt._bisect_one(fn, lo, hi, flo, width_tol)
     assert type(got) is float
     assert np.float64(got).tobytes() == want.tobytes()
+
+
+@st.composite
+def _brackets(draw):
+    """lo, hi, root, F's sign, F(lo) and width_tol of one bracket: of any
+    width, a few floats wide, or narrower than 1."""
+    lo = draw(st.floats(-1e6, 1e6))
+    hi = draw(st.one_of(
+        st.floats(-1e6, 1e6),
+        st.integers(0, 3).map(lambda k: float(lo + k * np.spacing(lo))),
+        st.floats(1e-12, 1.0).map(lambda w: lo + w)))
+    root = lo + draw(st.floats(-0.2, 1.2)) * (hi - lo)
+    flo = draw(st.one_of(st.floats(), st.sampled_from([-1.0, 1.0])))
+    return lo, hi, root, draw(st.sampled_from([1.0, -1.0])), flo, draw(WIDTH_TOLS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(brackets=st.lists(_brackets(), min_size=1, max_size=8),
+       kind=st.sampled_from(["simple", "triple", "flat", "nan"]))
+def test_float_route_is_the_array_loop(brackets, kind):
+    assert len(brackets) <= mvt._FLOAT_BRACKETS
+    lo, hi, root, sign, flo, width_tol = map(np.array, zip(*brackets))
+
+    def fn(root, sign, c):  # each bracket's function, given its root and sign
+        return _bracket_function(kind, root, sign)(c)
+
+    got = mvt._bisect(fn, lo, hi, flo, width_tol, root, sign)
+    want = _array_loop(fn, lo, hi, flo, width_tol, root, sign)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_many_roots_in_one_column_take_the_array_loop(monkeypatch):
+    # the route goes by the number of brackets, not of columns: one column of
+    # sin(5000*x) has hundreds of brackets, which would step slowly as floats
+    sizes = []
+
+    def recording(fn, lo, *rest):
+        sizes.append(lo.size)
+        return bisect(fn, lo, *rest)
+
+    bisect = mvt._bisect
+    monkeypatch.setattr(mvt, "_bisect", recording)
+    roots = mvt.abscissae(mva.Problem(mva.parse("sin(5000*x)"), 0.0, 1.0), 1.0)
+    assert len(roots) > mvt._FLOAT_BRACKETS
+    assert max(sizes) > mvt._FLOAT_BRACKETS
 
 
 class TestG1G2:

@@ -30,6 +30,10 @@ EXPONENTS = st.sampled_from([
     expr.Unary("neg", expr.Const(2.0)), _third, expr.Unary("neg", _third),
     expr.Binary("/", expr.Const(2.0), expr.Const(3.0)), expr.Const(0.5), expr.Const(1.5)])
 
+# x^(0.1^(4^5)): a positive exponent with an even denominator whose float is 0.0
+_underflowing_power = expr.Binary("^", expr.Var(), expr.Binary(
+    "^", expr.Const(0.1), expr.Binary("^", expr.Const(4.0), expr.Const(5.0))))
+
 
 def _extend(children):
     return st.one_of(
@@ -136,6 +140,9 @@ def _on_stack(tape, x0, n):
                                       expr.Const(2.0)),
                      expr.Binary("^", expr.Var(), expr.Var())),
          -9.247079215165566e-210, [0.0])
+# a positive even-root power whose float underflows to 0.0: 0.0 ** 0.0 at a zero base
+@example(_underflowing_power, 0.0, [0.0, 1.0])
+@example(_underflowing_power, 0.5, [0.5, 2.0])
 def test_tape_matches_the_recursive_evaluator(tree, x, xs):
     tape = expr.lower(tree)
     for x0 in (x, np.array(xs)):
@@ -271,8 +278,28 @@ def test_a_float_and_an_array_give_the_same_values():
     assert all(expr.evaluate(f, float(x)) == v for x, v in zip(xs, values))
 
 
+@settings(max_examples=300, deadline=None)
+@given(TREES, POINTS, st.sampled_from([2, 3]))
+@example(expr.Unary("sin", expr.Binary("*", expr.Const(100.0), expr.Var())), 0.3, 2)
+@example(expr.Unary("log", expr.Var()), 0.0, 3)
+@example(expr.Binary("/", expr.Const(1.0), expr.Binary("-", expr.Var(), expr.Var())), 1.0, 2)
+def test_a_float_and_a_one_element_array_give_the_same_bits(tree, x, width):
+    # what _bisect's float route assumes: F on a float is F on that element
+    # of an array, bit for bit, and fails with the same message where it fails
+    tape = expr.lower(tree)
+    with np.errstate(all="ignore"):
+        on_float, on_array = (_outcome(expr.Tape.run, tape, x0, width)
+                              for x0 in (x, np.array([x])))
+    if isinstance(on_float[0], type) or isinstance(on_array[0], type):
+        assert on_float == on_array, (tree, x)
+    else:
+        assert [np.float64(u).tobytes() for u in on_float] == \
+            [np.broadcast_to(v, (1,)).astype(float).tobytes() for v in on_array], (tree, x)
+
+
 @pytest.mark.parametrize("text", ["sqrt(x)", "x^(1/3)", "x^(2/3)", "x^0.5", "x^2.5",
-                                  "x^(-1/3)", "x^-2", "1/x", "log(x)", "x^x"])
+                                  "x^(-1/3)", "x^-2", "1/x", "log(x)", "x^x",
+                                  "x^(0.1^1024)"])
 @pytest.mark.parametrize("x", [0.0, -0.0, -1.0, [0.0, 1.0]], ids=repr)
 @pytest.mark.parametrize("on_stack", [False, True], ids=["compiled", "stack"])
 def test_value_at_the_edge_of_its_domain(text, x, on_stack, monkeypatch):
