@@ -189,10 +189,7 @@ class _Parser:
             self.error("unexpected end of input")
         kind, value, pos = tok
         if kind == "num":
-            try:
-                v = float(value)
-            except ValueError:
-                raise ExprSyntaxError(f"malformed number {value!r}", pos) from None
+            v = float(value)  # every number token is a float literal
             if not np.isfinite(v):
                 raise ExprSyntaxError(f"non-finite number {value!r}", pos)
             return Const(v), 1

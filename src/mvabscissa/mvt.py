@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -224,82 +223,67 @@ def abscissae(p: Problem, b, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
 def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     """The abscissae of every b in bs, as lists of SolutionPoint sorted by c.
 
-    The columns are gridded in blocks of up to _BLOCK_POINTS grid points, one
-    array evaluation of f' per block.  Then the brackets of all columns are
-    bisected together: the sign changes of F with one array evaluation of F
-    per step, and the touching-root windows, at whose ends F has one sign, as
-    sign changes of F_c with one of F_c per step; a set of at most
-    _FLOAT_BRACKETS steps faster, and to the same roots, on floats.  Each
-    column keeps the roots that pass _residual_ok, |F| <= tol * max(1,
-    |slope| + |f'(c)|), and deduplicates them.  A column on which F(b, .)
-    vanishes identically gives None instead of a list.
+    The secant slopes of all columns are evaluated in one array call, and the
+    columns are gridded in blocks of up to _BLOCK_POINTS grid points, one
+    array evaluation of f' per block.  A block that raises is redone one
+    column at a time, so that the first column to fail raises what it raises
+    on its own.  Then the brackets of all columns are bisected together, each
+    set once: the sign changes of F with one array evaluation of F per step,
+    and the touching-root windows, at whose ends F has one sign, as sign
+    changes of F_c with one of F_c per step; a set of at most _FLOAT_BRACKETS
+    steps faster, and to the same roots, on floats.  Each column keeps the
+    roots that pass _residual_ok, |F| <= tol * max(1, |slope| + |f'(c)|),
+    and deduplicates them.  A column on which F(b, .) vanishes identically
+    gives None instead of a list.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
     bs = [float(b) for b in bs]
     if not bs:
         return []
-    slope, live, col, lo, hi, flo, touch = _grid_columns(p, bs, tol, grid_n)
-
-    b_arr = np.array(bs)
-    width_tol = 1e-15 * (b_arr - p.a0)
-    roots = np.empty(col.size)
-    bi, ti = np.nonzero(~touch)[0], np.nonzero(touch)[0]
-    roots[bi] = _bisect(lambda s, c: s - _fprime(p, c), lo[bi], hi[bi], flo[bi],
-                        width_tol[col[bi]], slope[col[bi]])
-    if ti.size:
-        roots[ti] = _bisect(lambda c: _c_terms(p, c)[1], lo[ti], hi[ti],
-                            _c_terms(p, lo[ti])[1], width_tol[col[ti]])
-
-    inside = (p.a0 < roots) & (roots < b_arr[col])
-    roots, col = roots[inside], col[inside]
-    fprime = _fprime(p, roots)
-    residual = np.abs(slope[col] - fprime)
-    kept = _residual_ok(residual, slope[col], fprime, tol)
-    roots, col, residual = roots[kept], col[kept], residual[kept]
-
-    # dedup (radius (b-a0)/grid_n, smaller c wins)
-    out = [[] if ok else None for ok in live]
-    rows = zip(col.tolist(), roots.tolist(), residual.tolist())
-    for k, column in groupby(rows, key=lambda row: row[0]):
-        points = out[k]
-        for _, c, r in sorted(column):
-            if points and c - points[-1].c < (bs[k] - p.a0) / grid_n:
-                continue
-            points.append(SolutionPoint(bs[k], c, r))
-    return out
-
-
-def _grid_columns(p, bs, tol, grid_n):
-    """Grid the columns block by block and gather what the blocks found.
-
-    The secant slopes of all columns are evaluated in one array call.  A
-    block that raises is redone one column at a time, so that the first
-    column to fail raises what it raises on its own.  Returns the slope of
-    every column, whether it is live (not degenerate), and for all brackets
-    in column order: their column, lo, hi, F(lo), and whether they are
-    touching-root windows.
-    """
     b = np.array(bs)
     try:
         slope = _slope(p, b)
     except (ValueError, MvaError):
         slope = None  # each block takes its own slopes
     per_block = max(1, _BLOCK_POINTS // grid_n)
-    parts = []
+    blocks = []
     for k in range(0, b.size, per_block):
         block = slice(k, k + per_block)
         try:
-            found = _grid_block(p, b[block], None if slope is None else slope[block],
-                                tol, grid_n)
+            s, live, (row, *brackets), (trow, *windows) = _grid_block(
+                p, b[block], None if slope is None else slope[block], tol, grid_n)
         except (ValueError, MvaError):
             for j in range(k, min(k + per_block, b.size)):
                 _grid_block(p, b[j:j + 1], None, tol, grid_n)
             raise
-        block_slope, block_live, row, *brackets = found
-        parts.append((block_slope, block_live, row + k, *brackets))
-    slope, live, col, lo, hi, flo, touch = map(np.concatenate, zip(*parts))
-    return slope, live.tolist(), col, lo, hi, flo, touch
+        blocks.append((s, live, row + k, *brackets, trow + k, *windows))
+    slope, live, col, lo, hi, flo, tcol, tlo, thi = map(np.concatenate, zip(*blocks))
+    del blocks  # frees the per-block arrays, which the concatenations copy
+
+    width_tol = 1e-15 * (b - p.a0)
+    roots = _bisect(lambda s, c: s - _fprime(p, c), lo, hi, flo, width_tol[col], slope[col])
+    if tcol.size:
+        roots = np.concatenate([roots, _bisect(lambda c: _c_terms(p, c)[1], tlo, thi,
+                                               _c_terms(p, tlo)[1], width_tol[tcol])])
+        col = np.concatenate([col, tcol])
+
+    inside = (p.a0 < roots) & (roots < b[col])
+    roots, col = roots[inside], col[inside]
+    fprime = _fprime(p, roots)
+    residual = np.abs(slope[col] - fprime)
+    kept = _residual_ok(residual, slope[col], fprime, tol)
+    roots, col, residual = roots[kept], col[kept], residual[kept]
+
+    # dedup in each column by c, then residual (radius (b-a0)/grid_n, smaller c wins)
+    out = [[] if ok else None for ok in live.tolist()]
+    order = np.lexsort((residual, roots, col))
+    for k, c, r in zip(col[order].tolist(), roots[order].tolist(), residual[order].tolist()):
+        points = out[k]
+        if points and c - points[-1].c < (bs[k] - p.a0) / grid_n:
+            continue
+        points.append(SolutionPoint(bs[k], c, r))
+    return out
 
 
 def _slope(p, b):
@@ -320,11 +304,11 @@ def _grid_block(p, b, slope, tol, grid_n):
     and F(b, c) = slope - f'(c) is evaluated on it as in big_f, with the
     secant slopes given, or computed here if they are None.  Returns the
     slopes, whether each column is live (F does not vanish identically on its
-    grid), and, in column order, the brackets to refine in live columns as
-    (row, lo, hi, F(lo), touch): the sign changes (touch False), each exact
-    grid zero c as (c, c, 0, False), and the three-point windows around local
-    minima of |F| that pass _residual_ok between values of one sign (touch
-    True), where a touching root may lie.
+    grid), and the brackets to refine in live columns, in two sets: the sign
+    changes, with each exact grid zero c as the bracket [c, c], as (row, lo,
+    hi, F(lo)); and the three-point windows around local minima of |F| that
+    pass _residual_ok between values of one sign, where a touching root may
+    lie, as (row, lo, hi).
     """
     if slope is None:
         slope = _slope(p, b)
@@ -340,17 +324,13 @@ def _grid_block(p, b, slope, tol, grid_n):
     mid = av[:, 1:-1]
     r, i = np.nonzero((mid <= av[:, :-2]) & (mid <= av[:, 2:])
                       & (fv[:, :-2] * fv[:, 2:] > 0))
-    touch = _residual_ok(mid[r, i], slope[r], fprime[r, i + 1], tol)
-    found = [np.nonzero(fv[:, :-1] * fv[:, 1:] < 0),
-             np.nonzero(fv == 0.0),
-             (r[touch], i[touch])]
-    row = np.concatenate([r for r, _ in found])
-    lo = np.concatenate([i for _, i in found])
-    width = np.concatenate([np.full(i.size, w) for (_, i), w in zip(found, (1, 0, 2))])
-    order = np.argsort(row, kind="stable")
-    order = order[live[row[order]]]
-    row, lo, hi = row[order], lo[order], (lo + width)[order]
-    return slope, live, row, cs[row, lo], cs[row, hi], fv[row, lo], width[order] == 2
+    near = _residual_ok(mid[r, i], slope[r], fprime[r, i + 1], tol) & live[r]
+    r, i = r[near], i[near]
+    (sr, si), (zr, zi) = np.nonzero(fv[:, :-1] * fv[:, 1:] < 0), np.nonzero(fv == 0.0)
+    row, lo, hi = np.concatenate([sr, zr]), np.concatenate([si, zi]), np.concatenate([si + 1, zi])
+    kept = live[row]
+    row, lo, hi = row[kept], lo[kept], hi[kept]
+    return slope, live, (row, cs[row, lo], cs[row, hi], fv[row, lo]), (r, cs[r, i], cs[r, i + 2])
 
 
 def _bisect(fn, lo, hi, flo, width_tol, *params):

@@ -108,6 +108,8 @@ def _pow_value(base, exp_node, x, node):
             return np.sign(base) * mag if fr.numerator % 2 else mag
         if np.any(base < 0):
             _fail(node, "negative base with even-root exponent")
+        if fr < 0 and np.any(base == 0):
+            _fail(node, "zero base with negative exponent")
         return base ** float(fr)
     e = _eval(exp_node, x)
     if np.any(base <= 0):

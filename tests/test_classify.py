@@ -331,6 +331,17 @@ class TestFindExtremalAbscissa:
         with pytest.raises(DegenerateProblem, match="too coarse"):
             classify.find_extremal_abscissa(p, grid_n=4)
 
+    def test_identically_zero_g_is_degenerate(self):
+        p = mvt.normalize(mva.Problem(mva.parse("x"), 0.0, 1.0))
+        with pytest.raises(DegenerateProblem, match="g vanishes identically"):
+            classify.find_extremal_abscissa(p)
+
+    def test_extremum_flatter_than_kmax_is_degenerate(self):
+        # f' = 4 (x - 0.5)^3 vanishes to order 3 at the minimum 0.5
+        p = mvt.normalize(mva.Problem(mva.parse("(x-0.5)^4"), 0.0, 1.0))
+        with pytest.raises(DegenerateProblem, match=r"f' vanishes to order > 2 at"):
+            classify.find_extremal_abscissa(p, kmax=2)
+
     def test_requires_normalized_input(self, cubic):
         with pytest.raises(ValueError):
             classify.find_extremal_abscissa(cubic)

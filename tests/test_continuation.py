@@ -7,7 +7,7 @@ import pytest
 
 import mvabscissa as mva
 from mvabscissa import classify, continuation, mvt
-from mvabscissa.errors import NotASolution, SeedNotRegular
+from mvabscissa.errors import NotASolution, SeedNotRegular, SeedSearchFailed
 
 from conftest import cubic_lower, cubic_upper
 
@@ -296,6 +296,36 @@ class TestBranchSeeds:
         with pytest.raises(ValueError, match="step0 must be positive and finite"):
             continuation.branch_seeds_after_degeneracy(
                 quintic_same_sign, 3.0, 1.0, rep, step0=step0)
+
+    @pytest.mark.parametrize("text, fprime, b, want", [
+        # REGULAR_B_ONLY with sigma1 * sigma2 < 0: the step goes to smaller b
+        ("x^4 - (17/3)*x^3 + 11*x^2 - 9*x", [4, -17, 22, -9], 2.998,
+         (0.96064796049, 1.04063252956)),
+        # ONE_SIDED, f' = (x-1)^2 (x-3)^2 (x-3/4), with sigma1 * sigma2 > 0: to larger b
+        ("-27/4*x + 27/2*x^2 - 27/2*x^3 + 7*x^4 - 7/4*x^5 + x^6/6",
+         [1, -35 / 4, 28, -81 / 2, 27, -27 / 4], 3.002, (0.99991047814, 1.00008949781)),
+    ])
+    def test_seeds_past_a_b_only_or_one_sided_point(self, text, fprime, b, want):
+        p = mva.Problem(mva.parse(text), 0.0, 3.0)
+        rep = classify.classify_point(p, 3.0, 1.0)
+        seeds = continuation.branch_seeds_after_degeneracy(p, 3.0, 1.0, rep, step0=0.002)
+        assert [s[0] for s in seeds] == [b, b]
+        got = [c for _, c in seeds]
+        assert got == pytest.approx(want, abs=1e-10)
+        # the oracle: real roots of f'(c) - slope(b), f(0) being 0 and a0 = 0
+        coeffs = np.array(fprime, dtype=float)
+        slope = np.polyval(np.polyint(coeffs), b) / b
+        coeffs[-1] -= slope
+        roots = np.roots(coeffs)
+        real = roots[np.abs(roots.imag) < 1e-9].real
+        for c in got:
+            assert np.min(np.abs(real - c)) <= 1e-9
+
+    def test_a_step_out_of_the_domain_fails(self, quartic_inflection):
+        rep = classify.classify_point(quartic_inflection, 3.0, 1.0)
+        with pytest.raises(SeedSearchFailed, match="stepped endpoint left the domain"):
+            continuation.branch_seeds_after_degeneracy(
+                quartic_inflection, 3.0, 1.0, rep, step0=10.0)
 
     def test_isolated_case_is_a_precondition_error(self, sextic_opposite):
         rep = classify.classify_point(sextic_opposite, 3.0, 1.0)

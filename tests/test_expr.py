@@ -41,6 +41,21 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             expr.parse("(x + 1")
 
+    @pytest.mark.parametrize("text, message, position", [
+        ("2 $ x", "unexpected character '$'", 2),
+        ("x x", "trailing input", 2),
+        ("1e999", "non-finite number '1e999'", 0),
+        (")", "unexpected ')'", 0),
+    ])
+    def test_error_message_and_offset(self, text, message, position):
+        with pytest.raises(ExprSyntaxError) as ei:
+            expr.parse(text)
+        assert str(ei.value) == f"{message} (at offset {position})"
+        assert ei.value.position == position
+
+    def test_trailing_whitespace_parses(self):
+        assert expr.parse("x   ") == expr.Var()
+
     def test_power_is_right_associative(self):
         node = expr.parse("2^3^2")
         assert expr.evaluate(node, 0.0) == 512.0

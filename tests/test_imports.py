@@ -1,5 +1,6 @@
 """The library depends on numpy only."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -62,3 +63,21 @@ def test_import_builds_no_parser():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout.splitlines()
     assert out == ["0", "True"]
+
+
+def test_every_imported_name_is_used():
+    # no linter runs on the package, so an import left behind by a removal
+    # would go unnoticed
+    unused = []
+    for path in sorted((SRC / "mvabscissa").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

@@ -372,15 +372,26 @@ class TestAbscissae:
         assert abs(cs[0] - 21.0) <= 1e-5
         assert abs(cs[1] - 21.4) <= 1e-9
 
-    def test_one_column_call_matches_batched_columns(self, cubic):
-        # 37 columns are four full blocks of the default grid and a partial one
-        for count in (7, 37):
-            bs = np.linspace(0.5, 3.0, count)
-            columns = mvt.solve_columns(cubic, bs)
+    def test_one_column_call_matches_batched_columns(self, cubic, quintic_same_sign):
+        # 37 columns are four full blocks of the default grid and a partial
+        # one.  The quintic's last column, b = 3, holds a touching-root
+        # window; sin(10*x) gives its blocks more brackets than
+        # _FLOAT_BRACKETS, which step as arrays.  touching has f' = (x-1)^2
+        # (x-1-e) and f(3) = f(a0), so F(3, .) touches zero at c = 1, 6.7e-7
+        # from the nearest grid point, and the window's root is the only one
+        # near 1 in its column
+        sine = mva.Problem(mva.parse("sin(10*x)"), 0.0, 1.0)
+        touching = mva.Problem(
+            mva.parse("(x - 1)^4/4 - 1.2499992499993335*(x - 1)^3/3"), -1e-6, 3.0)
+        assert mvt.abscissae(touching, 3.0)[0] == pytest.approx(1.0, abs=1e-12)
+        for p, bs in ((cubic, np.linspace(0.5, 3.0, 7)), (cubic, np.linspace(0.5, 3.0, 37)),
+                      (quintic_same_sign, np.linspace(0.5, 3.0, 37)),
+                      (sine, np.linspace(0.2, 2.0, 37)), (touching, np.linspace(0.5, 3.0, 37))):
+            columns = mvt.solve_columns(p, bs)
             for b, points in zip(bs, columns):
-                assert [q.c for q in points] == mvt.abscissae(cubic, float(b))
+                assert [q.c for q in points] == mvt.abscissae(p, float(b))
                 for q in points:
-                    assert q == mvt.solution_point(cubic, q.b, q.c)
+                    assert q == mvt.solution_point(p, q.b, q.c)
 
     def test_first_failing_column_raises_its_own_error(self):
         # the slopes of all columns are evaluated together; the column that

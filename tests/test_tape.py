@@ -143,6 +143,11 @@ def _on_stack(tape, x0, n):
 # a positive even-root power whose float underflows to 0.0: 0.0 ** 0.0 at a zero base
 @example(_underflowing_power, 0.0, [0.0, 1.0])
 @example(_underflowing_power, 0.5, [0.5, 2.0])
+# an even-root power of a zero base under a negative exponent, raised to 0:
+# undefined, on a float and on an array alike
+@example(expr.Binary("^", expr.Binary("^", expr.Var(), expr.Binary("-", expr.Const(0.0),
+                                                                    expr.Const(0.5))),
+                     expr.Const(0.0)), 0.0, [0.0])
 def test_tape_matches_the_recursive_evaluator(tree, x, xs):
     tape = expr.lower(tree)
     for x0 in (x, np.array(xs)):
