@@ -10,9 +10,8 @@ from .expr import ExprNode, evaluate, jet_eval, parse, to_string
 from .mvt import (Problem, SolutionPoint, abscissae, big_f, g1_g2,
                   mean_value_implicit, normalize, solution_point)
 from .scanner import ScanResult, emit, scan
-from .solver import (IterationTrace, SolverConfig, build_k,
-                     certify_neighborhood, fixed_point, implicit_derivative,
-                     implicit_solve)
+from .solver import (IterationTrace, build_k, certify_neighborhood,
+                     fixed_point, implicit_derivative, implicit_solve)
 
 __all__ = [
     "Case", "DegeneracyReport", "classify_point", "find_extremal_abscissa",
@@ -22,9 +21,8 @@ __all__ = [
     "Problem", "SolutionPoint", "abscissae", "big_f", "g1_g2",
     "mean_value_implicit", "normalize", "solution_point",
     "ScanResult", "emit", "scan",
-    "IterationTrace", "SolverConfig", "build_k",
-    "certify_neighborhood", "fixed_point", "implicit_derivative",
-    "implicit_solve",
+    "IterationTrace", "build_k", "certify_neighborhood", "fixed_point",
+    "implicit_derivative", "implicit_solve",
     "errors",
 ]
 

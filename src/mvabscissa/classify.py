@@ -73,14 +73,15 @@ def _check_kmax(kmax):
 
 
 def classify_point(p: mvt.Problem, b0: float, c0: float,
-                   kmax: int = DEFAULT_KMAX, tol: float = SOLUTION_TOL) -> DegeneracyReport:
+                   kmax: int = DEFAULT_KMAX) -> DegeneracyReport:
     """Classify the solution point (b0, c0) of F(b, c) = 0, which must pass
-    mvt._residual_ok with tol, or NotASolution is raised.  The orders of
-    vanishing are sought from 1 to kmax, which must lie in 1..MAX_JET_ORDER - 1."""
+    mvt._residual_ok with SOLUTION_TOL, or NotASolution is raised.  The
+    orders of vanishing are sought from 1 to kmax, which must lie in
+    1..MAX_JET_ORDER - 1."""
     _check_kmax(kmax)
     if not (np.isfinite(b0) and np.isfinite(c0)):
         raise ValueError(f"need a finite point, got ({b0!r}, {c0!r})")
-    value, f_b, f_c = mvt._seed_terms(p, b0, c0, tol)
+    value, f_b, f_c = mvt._seed_terms(p, b0, c0, SOLUTION_TOL)
 
     g1, g2 = mvt.g1_g2(p, b0, c0)
     s1 = g1.series(kmax)
@@ -204,18 +205,18 @@ def morse_coordinates(p: mvt.Problem, b0: float, c0: float,
     return MorseChart(p, b0, c0, report)
 
 
-def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
-                           grid_n: int = _EXTREMUM_GRID):
+def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX):
     """Interior global extremum c0 of a normalized problem, with the odd
     order of vanishing k of f' at c0.
 
     Requires g(a0) = g(b0) = 0 (apply mvt.normalize first).  c0 is the sign
-    change of f' between the grid neighbours of the grid's extremum, so a
-    grid too coarse for f, on which f' does not change sign there, raises
+    change of f' between the grid neighbours of the grid's extremum of
+    _EXTREMUM_GRID cells.  Where f' does not change sign there, because the
+    grid is too coarse for f or because g is only rounding noise, raises
     DegenerateProblem.
     """
     _check_kmax(kmax)
-    xs = np.linspace(p.a0, p.b0, grid_n + 1)
+    xs = np.linspace(p.a0, p.b0, _EXTREMUM_GRID + 1)
     gv = np.asarray(expr.evaluate(p.tape, xs), dtype=float)
     scale = float(np.max(np.abs(gv)))
     if abs(gv[0]) > 1e-9 * scale or abs(gv[-1]) > 1e-9 * scale:
@@ -228,18 +229,18 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX,
     # global extremum = the larger of |max|, |min|; ties keep the smaller c0
     candidates = sorted([i_max, i_min], key=lambda i: (-abs(float(gv[i])), xs[i]))
     i0 = candidates[0]
-    if i0 in (0, grid_n):
+    if i0 in (0, _EXTREMUM_GRID):
         i0 = candidates[1]
-    if i0 in (0, grid_n):
+    if i0 in (0, _EXTREMUM_GRID):
         raise DegenerateProblem("no interior global extremum found")
 
     gp = functools.partial(mvt._fprime, p)
-    lo, hi = float(xs[max(0, i0 - 1)]), float(xs[min(grid_n, i0 + 1)])
+    lo, hi = float(xs[max(0, i0 - 1)]), float(xs[min(_EXTREMUM_GRID, i0 + 1)])
     glo = gp(lo)
     if not glo * gp(hi) < 0:
         raise DegenerateProblem(
-            f"f' does not change sign across the grid extremum {float(xs[i0])!r}: "
-            f"a grid of {grid_n} cells is too coarse for f")
+            f"f' does not change sign across the grid extremum {float(xs[i0])!r}: a grid "
+            f"of {_EXTREMUM_GRID} cells is too coarse for f, or f is affine up to rounding")
     c0 = mvt._bisect_one(gp, lo, hi, glo)
 
     k = vanishing_order(mvt._fprime_series(p, c0, kmax))

@@ -152,8 +152,7 @@ def _cmd_fixed_point(args):
         v1, d1 = tape1.checked_run(x, 2)
         return v1 - v2, d1, -d2
 
-    cfg = solver.SolverConfig(tol=args.tol)
-    y = solver.implicit_solve(F, args.x0, args.y0, args.x, cfg)
+    y = solver.implicit_solve(F, args.x0, args.y0, args.x, args.tol)
     print(f"{y:.15g}")
     return 0
 

@@ -210,24 +210,23 @@ def trace_c_of_b(p: mvt.Problem, b0: float, c0: float, b_range, step=None,
                    (p.a0, p.domain[1]), seed_case=report.case.value, parameter="b")
 
 
-def trace_b_of_c(p: mvt.Problem, b0: float, c0: float, c_range, step=None,
-                 tol: float = mvt.DEFAULT_TOL) -> Branch:
+def trace_b_of_c(p: mvt.Problem, b0: float, c0: float, c_range, step=None) -> Branch:
     """Trace b = B(c) through a seed where F = 0 and f'(b0) != f'(c0)."""
     lo, hi = float(c_range[0]), float(c_range[1])
     if not np.isfinite(b0):
         raise ValueError(f"seed b0 must be finite, got {b0!r}")
     if not (lo <= c0 <= hi):
         raise ValueError("seed c0 must lie inside c_range")
-    value, f_b, f_c = mvt._seed_terms(p, b0, c0, tol)
+    value, f_b, f_c = mvt._seed_terms(p, b0, c0, mvt.DEFAULT_TOL)
     if abs(f_b) <= NONZERO_B * max(1.0, abs(f_c), abs(value)):
         raise SeedNotRegular("f'(b0) = f'(c0) at the seed; B(c) is not guaranteed")
     start = (float(c0), float(b0), (value, f_c, f_b))
-    return _branch(p, lambda c, b: (b, c), start, (lo, hi), step, tol, _chord_correct,
-                   (-np.inf, np.inf), seed_case="", parameter="c")
+    return _branch(p, lambda c, b: (b, c), start, (lo, hi), step, mvt.DEFAULT_TOL,
+                   _chord_correct, (-np.inf, np.inf), seed_case="", parameter="c")
 
 
 def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
-                                  report, step0=None, tol: float = mvt.DEFAULT_TOL):
+                                  report, step0=None):
     """Two validated (b, c) seeds just past a TWO_BRANCHES / ONE_SIDED point.
 
     Steps |b - b0| = step0 to the allowed side and takes the roots of
@@ -257,5 +256,5 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
     if lo_c is None or hi_c is None:
         raise SeedSearchFailed("no bracketed roots above and below c0")
     for c in (lo_c, hi_c):
-        mvt.solution_point(p, b, c, tol)  # validates residual + interiority
+        mvt.solution_point(p, b, c)  # validates residual + interiority
     return [(b, lo_c), (b, hi_c)]

@@ -119,15 +119,16 @@ def _residual_ok(value, slope, fpc, tol):
     return (abs(value) <= tol) | (abs(value) <= tol * (abs(slope) + abs(fpc)))
 
 
-def solution_point(p: Problem, b, c, tol=DEFAULT_TOL) -> SolutionPoint:
-    """A validated solution point: a0 < c < b and F passes _residual_ok."""
+def solution_point(p: Problem, b, c) -> SolutionPoint:
+    """A validated solution point: a0 < c < b and F passes _residual_ok
+    with DEFAULT_TOL."""
     b, c = float(b), float(c)
     if not (p.a0 < c < b):
         raise ValueError(f"abscissa c={c!r} is not interior to ({p.a0!r}, {b!r})")
     slope, fpc = float(_b_terms(p, b)[0]), float(_fprime(p, c))
     r = abs(slope - fpc)
-    if not _residual_ok(r, slope, fpc, tol):
-        raise ValueError(f"residual {r!r} exceeds tolerance {tol!r} at its scale")
+    if not _residual_ok(r, slope, fpc, DEFAULT_TOL):
+        raise ValueError(f"residual {r!r} exceeds tolerance {DEFAULT_TOL!r} at its scale")
     return SolutionPoint(b, c, r)
 
 

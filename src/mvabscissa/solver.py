@@ -16,8 +16,7 @@ at a single point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,25 +27,7 @@ FY_DEGENERACY = 1e-12
 _CERT_GRID = 64
 _MAX_HALVINGS = 40
 _LIPSCHITZ_SAMPLES = 65
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    epsilon: Optional[float] = None   # half-width of the y-interval; None = scale-aware default
-    delta: Optional[float] = None     # half-width of the x-interval
-    rho: float = 0.5                  # contraction constant, certified on each box
-    tol: float = 1e-12                # fixed-point residual
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (0.0 < self.rho < 1.0):
-            raise ValueError("rho must lie in (0, 1)")
-        if not 0.0 < self.tol < math.inf or self.max_iter < 1:
-            raise ValueError("tol must be positive and finite and max_iter >= 1")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.delta is not None and self.delta <= 0:
-            raise ValueError("delta must be positive")
+RHO = 0.5  # the contraction certified on each box
 
 
 @dataclass
@@ -54,6 +35,11 @@ class IterationTrace:
     iterates: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
     converged: bool = False
+
+
+def _check_tol(tol):
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def fixed_point(K, interval, rho, tol=1e-12, max_iter=200, y_start=None):
@@ -68,6 +54,9 @@ def fixed_point(K, interval, rho, tol=1e-12, max_iter=200, y_start=None):
         raise ValueError("empty interval")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
+    _check_tol(tol)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
     ys = np.linspace(lo, hi, _LIPSCHITZ_SAMPLES)
     kv = np.array([float(K(y)) for y in ys])
@@ -95,14 +84,6 @@ def fixed_point(K, interval, rho, tol=1e-12, max_iter=200, y_start=None):
     raise MaxIterExceeded(f"no convergence in {max_iter} iterations")
 
 
-def apriori_iteration_bound(y0, y1, rho, tol):
-    """Iteration count guaranteed by the geometric Cauchy bound."""
-    d = abs(y1 - y0)
-    if d == 0:
-        return 1
-    return max(1, math.ceil(math.log(tol * (1.0 - rho) / d) / math.log(rho)) + 1)
-
-
 def _partials(F, x, y):
     """(F_x, F_y) at (x, y) as floats; DegenerateFy if F_y is negligible."""
     _, fx, fy = F(x, y)
@@ -123,65 +104,59 @@ def build_k(F, x0, y0):
     return K
 
 
-def certify_neighborhood(F, x0, y0, config: SolverConfig = None):
-    """Find (epsilon, delta) on which K demonstrably contracts into I.
+def certify_neighborhood(F, x0, y0, epsilon, delta):
+    """Find (epsilon, delta) on which K demonstrably contracts into I,
+    starting from the box |x-x0| <= delta, |y-y0| <= epsilon.
 
-    Sampled checks, with rho = config.rho, on a grid of the box
-    |x-x0| <= delta, |y-y0| <= epsilon:
+    Sampled checks, with rho = RHO, on a grid of the box:
       |1 - F_y(x, y)/F_y(x0, y0)| <= rho        (contraction of K by rho)
       |K(y0; x) - y0| <= (1 - rho) * epsilon    (K maps I into I)
     F is evaluated once a box, at the grid's 64 x values against its 64 y
     values and y0.  Box half-widths are halved until both hold.
     """
-    config = config or SolverConfig()
+    if not (0.0 < epsilon < math.inf and 0.0 < delta < math.inf):
+        raise ValueError(f"need a positive finite box, got {epsilon!r}, {delta!r}")
     fy0 = _partials(F, x0, y0)[1]
-    default = 0.1 * max(1.0, abs(y0))
-    eps = config.epsilon if config.epsilon is not None else default
-    delta = config.delta if config.delta is not None else default
     contain_slack = 1e-12 * max(1.0, abs(y0))
 
     for _ in range(_MAX_HALVINGS):
         xs = np.linspace(x0 - delta, x0 + delta, _CERT_GRID)
-        ys = np.append(np.linspace(y0 - eps, y0 + eps, _CERT_GRID), y0)[:, None]
+        ys = np.append(np.linspace(y0 - epsilon, y0 + epsilon, _CERT_GRID), y0)[:, None]
         value, _, fy = (np.broadcast_to(t, (ys.size, xs.size)) for t in F(xs, ys))
-        ok_contract = bool(np.all(np.abs(1.0 - fy[:-1] / fy0) <= config.rho))
+        ok_contract = bool(np.all(np.abs(1.0 - fy[:-1] / fy0) <= RHO))
         k_at_y0 = y0 - value[-1] / fy0
         ok_contain = bool(np.all(np.abs(k_at_y0 - y0)
-                                 <= (1.0 - config.rho) * eps + contain_slack))
+                                 <= (1.0 - RHO) * epsilon + contain_slack))
         if ok_contract and ok_contain:
-            return eps, delta
+            return epsilon, delta
         delta *= 0.5
         if not ok_contract:
-            eps *= 0.5
+            epsilon *= 0.5
     raise CannotCertify("no contraction neighborhood after 40 halvings")
 
 
-def implicit_solve(F, x0, y0, x, config: SolverConfig = None):
-    """Solve F(x, y) = 0 for y, continuing from the known zero (x0, y0).
+def implicit_solve(F, x0, y0, x, tol=1e-12):
+    """Solve F(x, y) = 0 for y, to within tol, continuing from the known
+    zero (x0, y0).
 
     If x lies beyond the certified delta, the solver walks toward x in
     certified steps, re-centering the fixed-point map at each stage.
     """
-    config = config or SolverConfig()
+    _check_tol(tol)
     cur_x, cur_y, x = float(x0), float(y0), float(x)
     if not all(map(math.isfinite, (cur_x, cur_y, x))):
         raise ValueError(f"need finite x0, y0 and x, got {x0!r}, {y0!r}, {x!r}")
     for _ in range(256):
         remaining = abs(x - cur_x)
         guess = max(0.1 * max(1.0, abs(cur_y)), 1.05 * remaining)
-        stage_cfg = replace(
-            config, epsilon=config.epsilon if config.epsilon is not None else guess,
-            delta=config.delta if config.delta is not None else guess)
-        eps, delta = certify_neighborhood(F, cur_x, cur_y, stage_cfg)
+        eps, delta = certify_neighborhood(F, cur_x, cur_y, guess, guess)
         if remaining <= delta:
             x_next = x
         else:
             x_next = cur_x + math.copysign(0.9 * delta, x - cur_x)
         K = build_k(F, cur_x, cur_y)
         cur_y, _ = fixed_point(lambda y: K(y, x_next),
-                               (cur_y - eps, cur_y + eps),
-                               config.rho, config.tol, config.max_iter,
-                               y_start=cur_y)
+                               (cur_y - eps, cur_y + eps), RHO, tol, y_start=cur_y)
         cur_x = x_next
         if cur_x == x:
             return cur_y

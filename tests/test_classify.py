@@ -85,11 +85,6 @@ class TestClassifyPoint:
         with pytest.raises(NotASolution):
             classify.classify_point(p, s, s / math.sqrt(3.0) * (1 + 1e-7))
 
-    def test_tol_must_be_positive_and_finite(self, parabola):
-        for tol in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="tol must be positive and finite"):
-                classify.classify_point(parabola, 2.0, 1.0, tol=tol)
-
     @pytest.mark.parametrize("kmax", [0, -3, expr.MAX_JET_ORDER, 1000])
     def test_kmax_out_of_range_is_refused(self, quintic_same_sign, kmax):
         # 0 once gave a DEGENERATE report though no order was examined, and
@@ -323,13 +318,23 @@ class TestFindExtremalAbscissa:
         assert abs(c0 - 2.0) <= 1e-10
         assert k == 1
 
-    def test_too_coarse_a_grid_is_refused(self):
+    def test_too_coarse_a_grid_is_refused(self, monkeypatch):
         # normalized, g = sin(4x) - x sin(12) / 3; on 4 cells of [0, 3] its
         # largest grid value is at 2.25, but g' = 4 cos(4x) - sin(12) / 3 is
         # positive at both neighbours, 1.5 and 3
+        monkeypatch.setattr(classify, "_EXTREMUM_GRID", 4)
         p = mvt.normalize(mva.Problem(mva.parse("sin(4*x)"), 0.0, 3.0))
-        with pytest.raises(DegenerateProblem, match="too coarse"):
-            classify.find_extremal_abscissa(p, grid_n=4)
+        with pytest.raises(DegenerateProblem, match="a grid of 4 cells is too coarse"):
+            classify.find_extremal_abscissa(p)
+
+    @pytest.mark.parametrize("text", ["sin(x)^2 + cos(x)^2", "exp(log(x+2))"])
+    def test_affine_up_to_rounding_names_both_causes(self, text):
+        # f is affine, so normalized g is rounding noise: no grid can find
+        # a sign change of f', and the refusal says so beside the grid
+        p = mvt.normalize(mva.Problem(mva.parse(text), 0.0, 1.0))
+        with pytest.raises(DegenerateProblem,
+                           match="4096 cells is too coarse for f, or f is affine up to rounding"):
+            classify.find_extremal_abscissa(p)
 
     def test_identically_zero_g_is_degenerate(self):
         p = mvt.normalize(mva.Problem(mva.parse("x"), 0.0, 1.0))

@@ -211,6 +211,12 @@ class TestExitCodes:
                    "-o", str(tmp_path / "o.csv")) == 1
         assert "step must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+        # fixed-point once named max_iter, which it has no flag for
+        for tol in ("0", "-1", "nan", "inf"):
+            assert run("fixed-point", "--f1", "x", "--f2", "x^2", "--x0", "1", "--y0", "1",
+                       "--x", "1.2", "--tol", tol) == 1
+            assert capsys.readouterr().err == (
+                f"error: tol must be positive and finite, got {float(tol)!r}\n")
 
     def test_kmax_out_of_range_is_a_usage_error(self, tmp_path, capsys):
         # --kmax 0 once printed a DEGENERATE report with k = l = 0, and -3,

@@ -177,8 +177,6 @@ class TestWalkInputs:
         # a tol of nan once returned the seed alone
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             continuation.trace_c_of_b(parabola, 2.0, 1.0, (1.5, 2.5), tol=tol)
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            continuation.trace_b_of_c(parabola, 2.0, 1.0, (0.5, 1.5), tol=tol)
 
     def test_seed_must_be_a_solution(self, parabola):
         with pytest.raises(NotASolution):

@@ -10,11 +10,12 @@ hashes and say so.
 """
 
 import hashlib
+import math
 
 import pytest
 
 import mvabscissa as mva
-from mvabscissa import classify, cli, continuation, mvt, scanner
+from mvabscissa import classify, cli, continuation, mvt, scanner, solver
 
 from conftest import (CUBIC, PARABOLA, QUARTIC_INFLECTION, QUINTIC_SAME_SIGN,
                       SEXTIC_OPPOSITE)
@@ -152,3 +153,26 @@ WALKS = {
 @pytest.mark.parametrize("walk", list(WALKS), ids=[w.__name__[1:] for w in WALKS])
 def test_branch_output_is_byte_identical(walk, tmp_path):
     assert hashlib.sha256(walk(tmp_path).encode()).hexdigest() == WALKS[walk]
+
+
+def _cubic_upper(b):
+    # the upper abscissa of CUBIC on [0, 3] in closed form, as perfbench writes it
+    return 1 + math.sqrt(1 + (b * b - 3 * b) / 3)
+
+
+def test_implicit_solver_answers_are_bit_identical(capsys):
+    # perfbench's implicit_solve on the cubic, from (2.5, upper abscissa) to b = 3
+    p = mva.Problem(mva.parse(CUBIC), 0.0, 3.0)
+    F = mvt.mean_value_implicit(p)
+    assert solver.implicit_solve(F, 2.5, _cubic_upper(2.5), 3.0).hex() == "0x1.ffffffffffff1p+0"
+
+    # the README's y^3 + y - x = 0 from its zero (0, 0)
+    def G(x, y):
+        return y ** 3 + y - x, -1.0, 3.0 * y ** 2 + 1.0
+
+    assert solver.implicit_solve(G, 0.0, 0.0, 1.0).hex() == "0x1.5d5a11e52f978p-1"
+
+    # the README's fixed-point command
+    assert cli.run(["fixed-point", "--f1", "x", "--f2", "x^2", "--x0", "1", "--y0", "1",
+                    "--x", "1.2"]) == 0
+    assert capsys.readouterr().out == "1.0954451150103\n"

@@ -1,6 +1,8 @@
 """The library depends on numpy only."""
 
 import ast
+import enum
+import inspect
 import os
 import subprocess
 import sys
@@ -81,3 +83,52 @@ def test_every_imported_name_is_used():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+# every parameter with a default, of every public callable but the enum: an
+# option added or removed must edit this table.  It held 43 before
+# SolverConfig went and the options that every caller left at their
+# defaults became constants; it holds 32.
+OPTIONS = {
+    "DegeneracyReport": (),
+    "classify_point": ("kmax",),
+    "find_extremal_abscissa": ("kmax",),
+    "guaranteed_branch": ("b_range", "step", "kmax", "tol"),
+    "morse_coordinates": (),
+    "Branch": ("points", "seed_index", "stop_lower", "stop_upper", "seed_case", "parameter"),
+    "branch_seeds_after_degeneracy": ("step0",),
+    "trace_b_of_c": ("step",),
+    "trace_c_of_b": ("step", "tol", "kmax"),
+    "evaluate": (),
+    "jet_eval": (),
+    "parse": (),
+    "to_string": (),
+    "Problem": ("domain",),
+    "SolutionPoint": (),
+    "abscissae": ("tol", "grid_n"),
+    "big_f": (),
+    "g1_g2": (),
+    "mean_value_implicit": (),
+    "normalize": (),
+    "solution_point": (),
+    "ScanResult": ("points", "columns", "degenerate_columns"),
+    "emit": (),
+    "scan": ("c_grid_n", "tol"),
+    "IterationTrace": ("iterates", "residuals", "converged"),
+    "build_k": (),
+    "certify_neighborhood": (),
+    "fixed_point": ("tol", "max_iter", "y_start"),
+    "implicit_derivative": (),
+    "implicit_solve": ("tol",),
+}
+
+
+def test_options_inventory():
+    got = {}
+    for name in mvabscissa.__all__:
+        obj = getattr(mvabscissa, name)
+        if not callable(obj) or isinstance(obj, enum.EnumMeta):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        got[name] = tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
+    assert got == OPTIONS

@@ -79,13 +79,6 @@ class TestFixedPoint:
             for n in range(m + 1, len(ys)):
                 assert abs(ys[n] - ys[m]) <= lead * rho ** m / (1.0 - rho) + 1e-15
 
-    def test_apriori_iteration_bound(self):
-        rho, tol = math.sin(1.0), 1e-12
-        y, trace = solver.fixed_point(math.cos, (0.0, 1.0), rho=rho, tol=tol)
-        bound = solver.apriori_iteration_bound(trace.iterates[0],
-                                               trace.iterates[1], rho, tol)
-        assert len(trace.iterates) - 1 <= bound
-
     def test_uniqueness_from_distinct_starts(self):
         tol = 1e-12
         y1, _ = solver.fixed_point(math.cos, (0.0, 1.0), rho=math.sin(1.0),
@@ -104,6 +97,18 @@ class TestFixedPoint:
         _, trace = solver.fixed_point(_affine_k, (0.0, 4.0), rho=0.5, tol=1e-10)
         for i, r in enumerate(trace.residuals):
             assert r == abs(trace.iterates[i + 1] - trace.iterates[i])
+
+    def test_bad_rho_tol_or_max_iter_is_refused(self):
+        # tol = inf once returned cos(0.5) after one step, nan and -1 ran to
+        # MaxIterExceeded, and max_iter = 0 said "no convergence in 0 iterations"
+        rho = math.sin(1.0)
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                solver.fixed_point(math.cos, (0.0, 1.0), rho=rho, tol=tol)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            solver.fixed_point(math.cos, (0.0, 1.0), rho=rho, max_iter=0)
+        with pytest.raises(ValueError, match="rho must lie in"):
+            solver.fixed_point(math.cos, (0.0, 1.0), rho=1.5)
 
 
 class TestBuildK:
@@ -134,30 +139,22 @@ class TestBuildK:
 
 class TestCertifyNeighborhood:
     def test_parabola_keeps_initial_guesses(self):
-        eps, delta = solver.certify_neighborhood(PARABOLA_F, 2.0, 1.0)
-        assert (eps, delta) == (0.1, 0.1)
-        cfg = solver.SolverConfig(epsilon=0.5, delta=0.5)
-        assert solver.certify_neighborhood(PARABOLA_F, 2.0, 1.0, cfg) == (0.5, 0.5)
+        assert solver.certify_neighborhood(PARABOLA_F, 2.0, 1.0, 0.1, 0.1) == (0.1, 0.1)
+        assert solver.certify_neighborhood(PARABOLA_F, 2.0, 1.0, 0.5, 0.5) == (0.5, 0.5)
 
     def test_square_containment_relationship(self):
-        eps, delta = solver.certify_neighborhood(SQUARE_F, 0.0, 0.0)
+        eps, delta = solver.certify_neighborhood(SQUARE_F, 0.0, 0.0, 0.1, 0.1)
         # |K(0; x)| = x^2 <= eps/2 must hold across the delta-box
         assert delta ** 2 <= 0.5 * eps + 1e-12
 
     def test_degenerate_base_point(self):
         with pytest.raises(DegenerateFy):
-            solver.certify_neighborhood(DEGENERATE_F, 0.0, 0.0)
+            solver.certify_neighborhood(DEGENERATE_F, 0.0, 0.0, 0.1, 0.1)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            solver.SolverConfig(rho=1.5)
-        with pytest.raises(ValueError):
-            solver.SolverConfig(epsilon=-1.0)
-        with pytest.raises(ValueError):
-            solver.SolverConfig(tol=0.0)
-        for tol in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                solver.SolverConfig(tol=tol)
+    def test_box_must_be_positive_and_finite(self):
+        for box in ((-1.0, 0.1), (0.1, 0.0), (math.nan, 0.1), (0.1, math.inf)):
+            with pytest.raises(ValueError, match="positive finite box"):
+                solver.certify_neighborhood(PARABOLA_F, 2.0, 1.0, *box)
 
 
 class TestImplicitSolve:
@@ -182,13 +179,19 @@ class TestImplicitSolve:
             with pytest.raises(ValueError, match="finite"):
                 solver.implicit_solve(PARABOLA_F, *args)
 
-    def test_small_rho_is_certified_not_trusted(self):
-        # certified with the parent's contraction 1/2, it was 6.9e-12 off
+    def test_bad_tol_is_refused_before_f_is_evaluated(self):
+        def F(x, y):
+            raise AssertionError("F evaluated")
+
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                solver.implicit_solve(F, 0.0, 0.0, 1.0, tol)
+
+    def test_tol_bounds_the_error(self):
         with mpmath.workdps(50):
             want = float(mpmath.findroot(lambda y: y ** 3 + y - 1, 0.68))
-        got = solver.implicit_solve(CUBIC_F, 0.0, 0.0, 1.0,
-                                    solver.SolverConfig(rho=0.01, tol=1e-12))
-        assert abs(got - want) <= 1e-12
+        for tol in (1e-6, 1e-9, 1e-12):
+            assert abs(solver.implicit_solve(CUBIC_F, 0.0, 0.0, 1.0, tol) - want) <= tol
 
     def test_degenerate_target_cannot_certify(self):
         with pytest.raises((CannotCertify, DegenerateFy)):
@@ -224,17 +227,13 @@ class TestImplicitDerivative:
             solver.implicit_derivative(DEGENERATE_F, 0.0, 0.0)
 
 
-def certify_on_meshgrid(F, x0, y0, config=None):
+def certify_on_meshgrid(F, x0, y0, eps, delta):
     """certify_neighborhood as it was before F was evaluated once a box:
     F_y on a 64 x 64 meshgrid and F at y0 apart, with the constants 1/2 of
-    its default rho.  The reference for the broadcast check."""
-    config = config or solver.SolverConfig()
+    its rho.  The reference for the broadcast check."""
     _, fx0, fy0 = (float(t) for t in F(x0, y0))
     if abs(fy0) <= solver.FY_DEGENERACY * max(1.0, abs(fx0)):
         raise DegenerateFy(f"F_y({x0!r}, {y0!r}) = {fy0!r} is degenerate")
-    default = 0.1 * max(1.0, abs(y0))
-    eps = config.epsilon if config.epsilon is not None else default
-    delta = config.delta if config.delta is not None else default
     for _ in range(40):
         xs = np.linspace(x0 - delta, x0 + delta, 64)
         ys = np.linspace(y0 - eps, y0 + eps, 64)
@@ -274,7 +273,8 @@ def test_broadcast_certification_matches_the_meshgrid_reference(monkeypatch):
 
     def answers(F, x0, y0, x):
         out = []
-        for call in (lambda: solver.certify_neighborhood(F, x0, y0),
+        box = 0.1 * max(1.0, abs(y0))
+        for call in (lambda: solver.certify_neighborhood(F, x0, y0, box, box),
                      lambda: solver.implicit_solve(F, x0, y0, x)):
             try:  # a walk may end at a fold or a domain edge; its error is then the answer
                 out.append(call())
