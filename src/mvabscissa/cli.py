@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("abscissae", help="all mean value abscissae at a fixed b")
     common(sp, ("tol",))
-    sp.add_argument("--c-grid", type=int, default=2048, dest="c_grid")
+    sp.add_argument("--c-grid", type=int, default=2048, dest="c_grid",
+                    help="interior nodes of the grid of f' over [a0, b] (default 2048)")
 
     sp = sub.add_parser("classify", help="degeneracy report at a point (JSON)")
     common(sp, ("kmax",))
@@ -67,7 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--b-min", type=float, required=True)
     sp.add_argument("--b-max", type=float, required=True)
     sp.add_argument("--columns", type=int, default=400)
-    sp.add_argument("--c-grid", type=int, default=2048, dest="c_grid")
+    sp.add_argument("--c-grid", type=int, default=2048, dest="c_grid",
+                    help="interior nodes of the one grid of f' that all columns share, "
+                         "over [a0, b-max] (default 2048)")
     sp.add_argument("-o", "--output", required=True)
     sp.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
 

@@ -18,11 +18,6 @@ from .errors import (DegenerateProblem, DomainError, EndpointCollision, MvaError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_GRID_N = 2048
-# the most grid points in one block of columns, 8 columns of the default grid,
-# so 128 KB a temporary.  With glibc's default malloc, blocks of 16 columns
-# ran a scan 10-15 % slower; with its mmap and trim thresholds raised, both
-# sizes ran alike, so the gap is the allocator's, not the cache's.
-_BLOCK_POINTS = 2 ** 14
 # the most brackets _bisect steps one at a time on floats: an array step costs
 # about as much for 1 bracket as for 10.  On sin(100*x), 8 brackets took 1.38 ms
 # as arrays, 1.22 ms as floats; 16 took 1.40 and 2.19 ms (2-core x86-64).
@@ -207,14 +202,8 @@ def normalize(p: Problem) -> Problem:
 
 
 def abscissae(p: Problem, b, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
-    """All mean value abscissae for f on [a0, b], sorted and deduplicated.
-
-    Sign changes of F(b, .) on a uniform grid are refined by bisection.  A
-    root where F(b, .) touches zero is a zero of F_c = -f'', so it is found
-    by bisecting F_c across the grid window where |F| has a small local
-    minimum.  A few brackets, the usual case, step on Python floats, a
-    fraction of the cost of array steps; many step as arrays (see _bisect).
-    """
+    """All mean value abscissae for f on [a0, b], sorted: solve_columns on
+    the one column b, whose grid is then grid_n + 2 nodes of [a0, b]."""
     (points,) = solve_columns(p, [b], tol, grid_n)
     if points is None:
         raise DegenerateProblem("F(b, .) vanishes identically on the grid")
@@ -222,116 +211,139 @@ def abscissae(p: Problem, b, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
 
 
 def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
-    """The abscissae of every b in bs, as lists of SolutionPoint sorted by c.
-
-    The secant slopes of all columns are evaluated in one array call, and the
-    columns are gridded in blocks of up to _BLOCK_POINTS grid points, one
-    array evaluation of f' per block.  A block that raises is redone one
-    column at a time, so that the first column to fail raises what it raises
-    on its own.  Then the brackets of all columns are bisected together, each
-    set once: the sign changes of F with one array evaluation of F per step,
-    and the touching-root windows, at whose ends F has one sign, as sign
-    changes of F_c with one of F_c per step; a set of at most _FLOAT_BRACKETS
-    steps faster, and to the same roots, on floats.  Each column keeps the
-    roots that pass _residual_ok, |F| <= tol * max(1, |slope| + |f'(c)|),
-    and deduplicates them.  A column on which F(b, .) vanishes identically
-    gives None instead of a list.
-    """
+    """The abscissae of every b in bs, as lists of SolutionPoint sorted by c,
+    or None for a column on which F(b, .) vanishes identically.  F(b, c) =
+    S(b) - f'(c) is separable: f' is evaluated once, on grid_n + 2 nodes of
+    [a0, max(bs)] and at each b, and the brackets of _grid and
+    _critical_points are bisected together; a column keeps the roots that
+    pass _residual_ok.  Where this raises, each column is redone alone, so
+    that the first column to fail raises its own error."""
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
     bs = [float(b) for b in bs]
-    if not bs:
-        return []
-    b = np.array(bs)
     try:
-        slope = _slope(p, b)
+        return _solve(p, np.array(bs), tol, grid_n) if bs else []
     except (ValueError, MvaError):
-        slope = None  # each block takes its own slopes
-    per_block = max(1, _BLOCK_POINTS // grid_n)
-    blocks = []
-    for k in range(0, b.size, per_block):
-        block = slice(k, k + per_block)
-        try:
-            s, live, (row, *brackets), (trow, *windows) = _grid_block(
-                p, b[block], None if slope is None else slope[block], tol, grid_n)
-        except (ValueError, MvaError):
-            for j in range(k, min(k + per_block, b.size)):
-                _grid_block(p, b[j:j + 1], None, tol, grid_n)
-            raise
-        blocks.append((s, live, row + k, *brackets, trow + k, *windows))
-    slope, live, col, lo, hi, flo, tcol, tlo, thi = map(np.concatenate, zip(*blocks))
-    del blocks  # frees the per-block arrays, which the concatenations copy
+        for b in bs if len(bs) > 1 else ():
+            _solve(p, np.array([b]), tol, grid_n)
+        raise
 
-    width_tol = 1e-15 * (b - p.a0)
-    roots = _bisect(lambda s, c: s - _fprime(p, c), lo, hi, flo, width_tol[col], slope[col])
-    if tcol.size:
-        roots = np.concatenate([roots, _bisect(lambda c: _c_terms(p, c)[1], tlo, thi,
-                                               _c_terms(p, tlo)[1], width_tol[tcol])])
-        col = np.concatenate([col, tcol])
 
+def _solve(p, b, tol, grid_n):
+    bad = ~((p.a0 < b) & (b <= p.domain[1]))
+    if bad.any():
+        raise ValueError(f"b = {float(b[bad][0])!r} outside (a0, domain max]")
+    _endpoint_guard(p, b)
+    # the value, not the order-1 jet of _b_terms: its F_b overflows at large b
+    slope = (p.tape.checked_run(b, 1)[0] - p.fa) / (b - p.a0)
+    live, cells, grid = _grid(p, b, slope, grid_n)
+    touch, sides = _critical_points(p, b, slope, live, tol, *grid)
+    col, lo, hi, flo = map(np.concatenate, zip(*cells, *sides))
+    del cells, sides  # frees the sets, which the concatenations copy
+    roots = _bisect(lambda s, c: s - _fprime(p, c), lo, hi, flo,
+                    1e-15 * (b - p.a0)[col], slope[col])
     inside = (p.a0 < roots) & (roots < b[col])
     roots, col = roots[inside], col[inside]
     fprime = _fprime(p, roots)
     residual = np.abs(slope[col] - fprime)
     kept = _residual_ok(residual, slope[col], fprime, tol)
     roots, col, residual = roots[kept], col[kept], residual[kept]
-
-    # dedup in each column by c, then residual (radius (b-a0)/grid_n, smaller c wins)
-    out = [[] if ok else None for ok in live.tolist()]
-    order = np.lexsort((residual, roots, col))
+    for j, c, r, lo, hi in touch:  # a touching root takes the roots of its window
+        kept = (col != j) | (roots < lo) | (roots > hi)
+        roots, col = np.append(roots[kept], c), np.append(col[kept], j)
+        residual = np.append(residual[kept], r)
+    out, bs = [[] if ok else None for ok in live.tolist()], b.tolist()
+    order = np.lexsort((roots, col))
     for k, c, r in zip(col[order].tolist(), roots[order].tolist(), residual[order].tolist()):
-        points = out[k]
-        if points and c - points[-1].c < (bs[k] - p.a0) / grid_n:
-            continue
-        points.append(SolutionPoint(bs[k], c, r))
+        out[k].append(SolutionPoint(bs[k], c, r))
     return out
 
 
-def _slope(p, b):
-    """The secant slopes of F at the array b, each in (a0, domain max]."""
-    bad = ~((p.a0 < b) & (b <= p.domain[1]))
-    if bad.any():
-        raise ValueError(f"b = {float(b[bad][0])!r} outside (a0, domain max]")
-    _endpoint_guard(p, b)
-    # the value, not the order-1 jet of _b_terms: its F_b overflows at large b
-    return (p.tape.checked_run(b, 1)[0] - p.fa) / (b - p.a0)
+def _grid(p, b, slope, grid_n):
+    """f' on the grid cs of grid_n + 2 nodes of [a0, max(b)], v, and at each
+    b, fb, with m each b's last node below it.  Returns whether each column
+    is live; its brackets, as sets (column, lo, hi, F(lo)): the cells below b
+    and the last cell [c_m, b] where F changes sign, one at a0 or b only
+    where F there is neither zero up to rounding nor NaN, and the nodes where
+    F is 0, as [c, c]; and (cs, v, fb, m)."""
+    a0 = p.a0
+    x = np.concatenate([np.linspace(a0, b.max(), grid_n + 2), b])
+    cs = x[:grid_n + 2]
+    try:
+        fp = np.broadcast_to(_fprime(p, x), x.shape)
+    except (ValueError, MvaError):  # f' at a0, max(b) and each b, then the others
+        ends = [_fprime_or_nan(p, c) for c in [a0, cs[-1]] + b.tolist()]
+        fp = np.concatenate([ends[:1], np.broadcast_to(_fprime(p, cs[1:-1]), (grid_n,)), ends[1:]])
+    v, fb, m = fp[:grid_n + 2], fp[grid_n + 2:], np.searchsorted(cs, b) - 1
+    # S strictly between the ranks of f' at the ends of cell r among the
+    # sorted slopes, or at node r + 1 - grid_n
+    order = np.argsort(slope)
+    below, upto = (slope[order].searchsorted(v[:-1], side) for side in ("left", "right"))
+    first = np.concatenate([np.minimum(upto[:-1], upto[1:]), below[1:]])
+    last = np.concatenate([np.maximum(below[:-1], below[1:]), upto[1:]])
+    r = np.flatnonzero(last > first)
+    counts = last[r] - first[r]
+    r = np.repeat(r, counts)  # then each rank in first[r]:last[r]
+    col = order[np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[r]]
+    lo = r - (r >= grid_n) * (grid_n - 1)
+    hi = lo + (r < grid_n)
+    # the range of f' on a column's nodes and b bounds F's terms, with
+    # f(b) / (b - a0) and f(a0) / (b - a0); fmax and fmin pass over a NaN
+    top = np.fmax(np.fmax.accumulate(v[:-1])[m], fb)
+    bottom = np.fmin(np.fmin.accumulate(v[:-1])[m], fb)
+    zero = 1e-12 * np.fmax(np.abs(slope) + abs(p.fa) / (b - a0),
+                           np.fmax(np.abs(top), np.abs(bottom)))
+    live = np.fmax(np.abs(slope - top), np.abs(slope - bottom)) > zero
+    clear_a, clear_b = np.abs(slope - v[0]) > zero, np.abs(slope - fb) > zero
+    kept = live[col] & (hi <= m[col]) & ((lo > 0) | clear_a[col])
+    col, lo, hi = col[kept], lo[kept], hi[kept]
+    f_last = slope - v[m]
+    j = np.flatnonzero(live & clear_b & ((m > 0) | clear_a) & (f_last * (slope - fb) < 0))
+    cells = [(col, cs[lo], cs[hi], slope[col] - v[lo]), (j, cs[m[j]], b[j], f_last[j])]
+    return live, cells, (cs, v, fb, m)
 
 
-def _grid_block(p, b, slope, tol, grid_n):
-    """F(b, .) on grid_n interior points of each column of the block b, and
-    the brackets it yields.
+def _critical_points(p, b, slope, live, tol, cs, v, fb, m):
+    """The critical points c* of f' in the windows of _grid's nodes, the two
+    cells around a node where the differences of f' change sign.  c* is
+    bisected once, if a live column's S lies past f' at the column's nodes
+    of the window, or passes _residual_ok against it; a window that reaches
+    past b ends at b for that column, and counts c* only below b.  Returns
+    the columns whose S passes _residual_ok against f'(c*), as touching
+    roots (column, c*, |F|, window lo, hi); and, for S strictly between f'
+    at the column's nodes and f'(c*), the brackets on either side of c*."""
+    up, down = v[1:] > v[:-1], v[1:] < v[:-1]  # a NaN is neither
+    k = np.flatnonzero(up | down)
+    t = np.flatnonzero(up[k[1:]] != up[k[:-1]])
+    w_lo, w_hi, peak = k[t], k[t + 1] + 1, up[k[t]]
+    # f' at the extreme of each column's nodes in each window, b among them
+    e, clip, pk = v[np.minimum(w_lo[:, None] + 1, m)], w_hi[:, None] > m, peak[:, None]
+    e = np.where(clip, np.where(pk, np.fmax(e, fb), np.fmin(e, fb)), e)
+    near = np.where(pk, slope >= e, slope <= e) | _residual_ok(slope - e, slope, e, tol)
+    w, j = np.nonzero(near & (w_lo[:, None] <= m) & live)
+    if not w.size:
+        return [], []
+    need, at = np.unique(w, return_inverse=True)
+    # F_c = -f'' is negative before a peak of f', positive before a trough
+    c = _bisect(lambda c: _c_terms(p, c)[1], cs[w_lo[need]], cs[w_hi[need]],
+                np.where(peak[need], -1.0, 1.0), np.zeros(need.size))
+    c, fc = c[at], np.broadcast_to(_fprime(p, c), c.shape)[at]
+    s, e, clip, w_lo, w_hi = slope[j], e[w, j], clip[w, j], w_lo[w], w_hi[w]
+    lo, hi = cs[w_lo], np.where(clip, b[j], cs[w_hi])
+    f_hi = s - np.where(clip, fb[j], v[w_hi])
+    touching = (c < b[j]) & _residual_ok(s - fc, s, fc, tol)
+    split = (c < b[j]) & ~touching & np.where(peak[w], s > e, s < e) & (f_hi * (s - fc) < 0)
+    sides = [(j[split], lo[split], c[split], (s - v[w_lo])[split]),
+             (j[split], c[split], hi[split], (s - fc)[split])]
+    return list(zip(*(a[touching].tolist() for a in (j, c, np.abs(s - fc), lo, hi)))), sides
 
-    The grid of the block is one C-contiguous array with a row per column,
-    and F(b, c) = slope - f'(c) is evaluated on it as in big_f, with the
-    secant slopes given, or computed here if they are None.  Returns the
-    slopes, whether each column is live (F does not vanish identically on its
-    grid), and the brackets to refine in live columns, in two sets: the sign
-    changes, with each exact grid zero c as the bracket [c, c], as (row, lo,
-    hi, F(lo)); and the three-point windows around local minima of |F| that
-    pass _residual_ok between values of one sign, where a touching root may
-    lie, as (row, lo, hi).
-    """
-    if slope is None:
-        slope = _slope(p, b)
-    cs = np.linspace(p.a0, b, grid_n + 2, axis=1)[:, 1:-1].copy()
-    fprime = np.broadcast_to(_fprime(p, cs), cs.shape)
-    fv = slope[:, None] - fprime
-    av = np.abs(fv)
-    # F's terms: f(b) / (b - a0) and f(a0) / (b - a0), bounded by these, and f'
-    scale = np.maximum(np.abs(slope) + abs(p.fa) / (b - p.a0),
-                       np.abs(fprime[:, :: max(1, grid_n // 64)]).max(axis=1))
-    live = av.max(axis=1) > 1e-12 * scale
 
-    mid = av[:, 1:-1]
-    r, i = np.nonzero((mid <= av[:, :-2]) & (mid <= av[:, 2:])
-                      & (fv[:, :-2] * fv[:, 2:] > 0))
-    near = _residual_ok(mid[r, i], slope[r], fprime[r, i + 1], tol) & live[r]
-    r, i = r[near], i[near]
-    (sr, si), (zr, zi) = np.nonzero(fv[:, :-1] * fv[:, 1:] < 0), np.nonzero(fv == 0.0)
-    row, lo, hi = np.concatenate([sr, zr]), np.concatenate([si, zi]), np.concatenate([si + 1, zi])
-    kept = live[row]
-    row, lo, hi = row[kept], lo[kept], hi[kept]
-    return slope, live, (row, cs[row, lo], cs[row, hi], fv[row, lo]), (r, cs[r, i], cs[r, i + 2])
+def _fprime_or_nan(p, c):
+    """f'(c) at the float c, or NaN where it does not evaluate."""
+    try:
+        return _fprime(p, c)
+    except (ValueError, MvaError):
+        return np.nan
 
 
 def _bisect(fn, lo, hi, flo, width_tol, *params):

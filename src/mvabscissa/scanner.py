@@ -1,7 +1,9 @@
 """Full zero-set scans of F(b, c) over a b-grid, plus CSV/JSON/SVG output.
 
-Columns are scanned independently of one another (no continuity assumptions),
-so the scanner doubles as an oracle for the continuation module.
+The columns share one grid of f' over [a0, b_max] (see mvt.solve_columns),
+but no continuity assumption: each column's roots are bracketed and refined
+on their own, so the scanner doubles as an oracle for the continuation
+module.
 """
 
 from __future__ import annotations
@@ -94,21 +96,6 @@ def to_csv(obj) -> str:
     for b, c, r, col in _point_rows(obj):
         lines.append(f"{fmt_float(b)},{fmt_float(c)},{fmt_float(r)},{col}")
     return "\n".join(lines) + "\n"
-
-
-def read_csv(text: str):
-    """Parse scan/branch CSV back into (points, columns)."""
-    lines = text.split("\n")
-    if lines[0] != CSV_HEADER:
-        raise MvaError(f"bad CSV header {lines[0]!r}")
-    points, columns = [], []
-    for line in lines[1:]:
-        if not line:
-            continue
-        b, c, r, col = line.split(",")
-        points.append(mvt.SolutionPoint(float(b), float(c), float(r)))
-        columns.append(int(col))
-    return points, columns
 
 
 def to_json(obj) -> str:

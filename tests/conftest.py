@@ -127,3 +127,101 @@ def grid_sign_change_roots(fn, lo, hi, n):
     idx = np.nonzero(fv[:-1] * fv[1:] < 0)[0]
     return [bisect_root(lambda t: float(fn(t)), float(xs[i]), float(xs[i + 1]))
             for i in idx]
+
+
+def read_csv(text):
+    """The rows (b, c, residual, column) of a scan or branch CSV, parsed by
+    plain string handling: the header, LF line ends and one trailing LF."""
+    lines = text.split("\n")
+    assert lines[0] == "b,c,residual,column" and lines[-1] == "" and all(lines[1:-1])
+    return [(float(b), float(c), float(r), int(k))
+            for b, c, r, k in (line.split(",") for line in lines[1:-1])]
+
+
+# ---------------------------------------------------------------------------
+# polynomial oracles by numpy.roots
+# ---------------------------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+
+# the corpus polynomials as coefficient lists, constant first
+CORPUS_COEFFS = {
+    PARABOLA: [0.0, 2.0, -1.0],
+    CUBIC: [0.0, 2.0, -3.0, 1.0],
+    QUARTIC_INFLECTION: [0.0, -9.0, 11.0, -17.0 / 3.0, 1.0],
+    QUINTIC_SAME_SIGN: [0.0, 4.2, -6.4, 14.0 / 3.0, -1.6, 1.0 / 5.0],
+    SEXTIC_OPPOSITE: [0.0, -9.9, 18.3, -17.0, 8.2, -1.9, 1.0 / 6.0],
+    "x^4": [0.0, 0.0, 0.0, 0.0, 1.0],
+}
+
+
+def _terms(coeffs, x):
+    """sum |coeffs[j] x^j|: the size of the terms a float evaluation adds."""
+    return poly_value([abs(a) for a in coeffs], abs(x))
+
+
+def _real_roots(coeffs, lo, hi):
+    z = np.roots(list(reversed(coeffs)))
+    real = np.abs(z.imag) <= 1e-6 * np.maximum(1.0, np.abs(z.real))
+    r = z.real[real]
+    return np.sort(r[(lo < r) & (r < hi)])
+
+
+def poly_abscissae(coeffs, a0, b):
+    """The abscissae of f = sum coeffs[j] x^j on [a0, b] by numpy.roots: the
+    real roots of f' - S in (a0, b), S the secant slope by Horner's rule.
+
+    Returns the roots and, for each, the most a bisected root may differ
+    from it: the bisection width 1e-15 (b - a0) and the first-order effect
+    of rounding F, 16 eps (the terms of S and of f') / |f''|.  The bound is
+    infinite at a double root, where f'' vanishes.
+    """
+    fa, fb = poly_value(coeffs, a0), poly_value(coeffs, b)
+    s = (fb - fa) / (b - a0)
+    d1, d2 = poly_derivative(coeffs, 1), poly_derivative(coeffs, 2)
+    roots = _real_roots([d1[0] - s] + d1[1:], a0, b)
+    rounding = [abs(s) + (_terms(coeffs, a0) + _terms(coeffs, b)) / (b - a0) + _terms(d1, r)
+                for r in roots]
+    slopes = [abs(poly_value(d2, r)) for r in roots]
+    bounds = [1e-15 * (b - a0) + (16 * EPS * t / d if d else math.inf)
+              for t, d in zip(rounding, slopes)]
+    return roots, np.array(bounds)
+
+
+def poly_critical_points(coeffs, lo, hi):
+    """The critical points of f' in (lo, hi), the real roots of f'' by
+    numpy.roots, each with the first-order effect of rounding f'' on a
+    bisected zero of it, 16 eps (the terms of f'') / |f'''|."""
+    d2, d3 = poly_derivative(coeffs, 2), poly_derivative(coeffs, 3)
+    roots = _real_roots(d2, lo, hi)
+    slopes = [abs(poly_value(d3, r)) for r in roots]
+    return roots, np.array([16 * EPS * _terms(d2, r) / d if d else math.inf
+                            for r, d in zip(roots, slopes)])
+
+
+def check_poly_abscissae(got, coeffs, a0, b, scale=1.0, shift=0.0):
+    """got, the abscissae of f(x) = q((x - shift) / scale) on [a0, b], with
+    q = sum coeffs[j] u^j, against numpy.roots on q.  Every root of f' - S
+    whose bound is below 1e-9 (b - a0), a simple root, is matched within its
+    bound.  Every returned root is within the rounding of f'' of a critical
+    point c* of f' where f'(c*) = S, a touching root, or else within its
+    bound of a root.  Returns the touching roots."""
+    u0, u1 = (a0 - shift) / scale, (b - shift) / scale
+    roots, bounds = poly_abscissae(coeffs, u0, u1)
+    roots, bounds = shift + scale * roots, scale * bounds
+    crit, crit_bounds = poly_critical_points(coeffs, u0, u1)
+    s = (poly_value(coeffs, u1) - poly_value(coeffs, u0)) / (u1 - u0)
+    d1 = poly_derivative(coeffs, 1)
+    touch = [(shift + scale * c, scale * e) for c, e in zip(crit, crit_bounds)
+             if abs(poly_value(d1, c) - s) <= 1e-9 * (1.0 + abs(s))]
+    got = np.asarray(got, dtype=float)
+    for r, e in zip(roots, bounds):
+        if e <= 1e-9 * (b - a0):
+            assert got.size and np.min(np.abs(got - r)) <= e, f"missed {r!r} at b = {b!r}"
+    touching = []
+    for c in got.tolist():
+        if any(abs(c - t) <= e for t, e in touch):
+            touching.append(c)
+        else:
+            assert np.any(np.abs(roots - c) <= bounds), f"{c!r} is no root at b = {b!r}"
+    return touching

@@ -6,7 +6,9 @@ import warnings
 
 import pytest
 
-from mvabscissa import classify, cli, scanner
+from mvabscissa import classify, cli
+
+from conftest import read_csv
 
 
 def run(*argv):
@@ -68,8 +70,7 @@ class TestTrace:
                    "-o", str(out)) == 0
         text = out.read_text()
         assert text.startswith("b,c,residual,column\n")
-        points, _ = scanner.read_csv(text)
-        assert max(abs(q.c - q.b / 2.0) for q in points) <= 1e-8
+        assert max(abs(c - b / 2.0) for b, c, _r, _k in read_csv(text)) <= 1e-8
 
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "branch.json"

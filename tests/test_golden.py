@@ -12,49 +12,62 @@ hashes and say so.
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 import mvabscissa as mva
 from mvabscissa import classify, cli, continuation, mvt, scanner, solver
 
-from conftest import (CUBIC, PARABOLA, QUARTIC_INFLECTION, QUINTIC_SAME_SIGN,
-                      SEXTIC_OPPOSITE)
+from conftest import (CORPUS_COEFFS, CUBIC, PARABOLA, QUARTIC_INFLECTION,
+                      QUINTIC_SAME_SIGN, SEXTIC_OPPOSITE, check_poly_abscissae)
 
 COLUMNS = 400
 
 # (text, a0, b0, b_min, b_max) -> sha256 of (csv, json, svg)
 GOLDEN = {
     (PARABOLA, 0.0, 2.0, 0.01, 4.0): (
-        "452eeeb9827325c173525858e451207c0ecb89ce9f18c0578d23955a1727b437",
-        "4a22be833f123ec98df932d8673cc1def5d20347fc95a8ad22ca6dce7351a469",
+        "7b75df1e5bc3239a93552d9a16b33111bccbb76a98850c41be84d3c092e10c82",
+        "bdf9fce40dd0a0e21af68a1b75391dd43b071240af22ca08027eedf65e589855",
         "ef05100a538e4f5cc9ac2ce4ebeca0d2ed632fa6cc335b9759c1c9dd2be274ae",
     ),
     (CUBIC, 0.0, 3.0, 0.1, 3.5): (
-        "8d2900b664bca9db5b72e9f201bbda0685278b3ee1878147c4b83898e9653bb9",
-        "ca4d520e59ffae6f4d13f10592ffddfacb250b197b075550a6b5ffc71245255a",
-        "4fb8e6e26fe7bc6b30fda1077e65c7009aa5e32d33c0367e688eef0ffd79b6da",
+        "d562291be89bbb455c8d59da06b3c2b77c55930b12b51157758a784d387c7fe6",
+        "a06a6e45ed67d2881de489904a6ba6550648017d6a2bdd5e8df58aefb3986bdf",
+        "52728a31d99c114f30a920a2a004ed562e925e778893913fbfe1bb69cc8ebb7f",
     ),
     (QUARTIC_INFLECTION, 0.0, 3.0, 0.1, 3.5): (
-        "cc3ce7ddcb0ef5c6f00e8dd8ddc3b052060b4d5c372a306228e838666aaaceb9",
-        "01aa95f19f15d99db0c3144d5bbd7ea25ce0e5b2b0a6ef9104c6f16b25c807ce",
+        "a48eac75e0d00c391e16cb182b91b1bc457d3c1a31d7551dcd36ef87b6b1f174",
+        "76b668aa6f57e07bcc4728aa4aa78b50eb6fd6f63c3d24a8c9630274ff1c314e",
         "4fca1db30dda29a8365eac5c9e213ee2e4fd7ff0fd31e7781a389e3ea0893454",
     ),
     (QUINTIC_SAME_SIGN, 0.0, 3.0, 0.1, 3.5): (
-        "67b29ddfa8b20642f35f74f89d268f7226ec47902ff54c0d2485678d569db674",
-        "12935b4605f7085c415f126af6a57d5eb6775baf6f52faad7756635a3d3a3036",
+        "bfb8fc5f659d2e6bad37403aae6b052745f4bd60ed8f85b73fa79d5d65c6ac51",
+        "b2e9dc309848eb913303613c00c7767ae0bcea00b5bf3c1343e8985e2e235fc0",
         "db9d8afa7a9eabc35eeb1644c2689c140d582a78254aa0c850251ada73e2622f",
     ),
     (SEXTIC_OPPOSITE, 0.0, 3.0, 0.1, 3.5): (
-        "acd6b7f8a3924132979f04ce745531ee7f19d5b08673d1af28d8f890eea4fba9",
-        "28846230de36e3b4d7c5834fb55ece8af93a85a7cacbf63b9a5a62b1c3044db5",
+        "571a4648fccbc2045128ddddd8faf16f7b91aeac6e3ed3c45146975cdc82f28c",
+        "5bd51c316a6df14b30bd2e9db7dae968fbccc9747d6d74f6e5a90eb9c2e6d2cc",
         "02cb28027837e6099bf2e2f8a9af8a81ea9b4d05565a6dac6d2ecfd816a86afd",
     ),
     ("x^4", -1.0, 1.0, -0.9, 2.0): (
-        "01a2848c3201e378e21b856bb4cf985951cbdbc158493afaa525e98e974f5b13",
-        "42b4f678ac973c1c41bc57e766f4e2fcc958e55d8908d6160ddfae9c3b239ebf",
+        "97fa7206938afa5bef726664aeddc40f18eb1611b91e00d0ad2ecd4c70d3ea29",
+        "6422d060f197fa556c1066a8c00ba34d5a3bce6a7e52b180f2d8414ae81fbf20",
         "f4e0e230d3ce39b4a063983c738c88f50b1367a990efd2f832843f754cd9671a",
     ),
 }
+
+
+@pytest.mark.parametrize("case", list(GOLDEN), ids=[c[0] for c in GOLDEN])
+def test_scan_answers_match_numpy_roots(case):
+    # the check behind the hashes: every column against numpy.roots
+    text, a0, b0, b_min, b_max = case
+    res = scanner.scan(mva.Problem(mva.parse(text), a0, b0), b_min, b_max, COLUMNS)
+    by_column = {}
+    for q, k in zip(res.points, res.columns):
+        by_column.setdefault(k, []).append(q.c)
+    for k, b in enumerate(np.linspace(b_min, b_max, COLUMNS).tolist()):
+        check_poly_abscissae(by_column.get(k, []), CORPUS_COEFFS[text], a0, b)
 
 
 @pytest.mark.parametrize("case", list(GOLDEN), ids=[c[0] for c in GOLDEN])
@@ -75,7 +88,7 @@ QUERIES = {
     (PARABOLA, 0.0, 2.0, 2.0):
         "fd60998e44d3feb9c4bea3e46e5e9f0e12495076a26964274424f2afcab23a1c",
     (QUINTIC_SAME_SIGN, 0.0, 3.0, 3.0):
-        "aecd03357c1df6aa87a0cc4c8e122803e1428665f1f11f1decc93e5c9f8ffc73",
+        "f65d7137f7ede86987f650c95d6f181e34631d15865dad0db32b13a555a5c583",
     ("x^4", -1.0, 1.0, -0.8927318295739348):
         "b7140cd091203ce240b5fe3dacac6682da6acb95db9f30ca4c9c296058212388",
     ("x^3", 0.0, 1e-3, 1e-3):
@@ -99,6 +112,14 @@ QUERIES = {
     ("x^3", 0.0, 1e6, 1e6):
         "779f357d36abfd33e4f5ccea3e664b6d33d1514dac47796d873795c8cc90ca0f",
 }
+
+
+@pytest.mark.parametrize("case", list(QUERIES), ids=[f"{c[0]} b={c[3]!r}" for c in QUERIES])
+def test_abscissae_match_numpy_roots(case):
+    # the check behind the hashes
+    text, a0, b0, b = case
+    coeffs = CORPUS_COEFFS.get(text, [0.0, 0.0, 0.0, 1.0])  # x^3 otherwise
+    check_poly_abscissae(mvt.abscissae(mva.Problem(mva.parse(text), a0, b0), b), coeffs, a0, b)
 
 
 @pytest.mark.parametrize("case", list(QUERIES), ids=[f"{c[0]} b={c[3]!r}" for c in QUERIES])

@@ -7,16 +7,16 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mvabscissa as mva
-from mvabscissa import continuation, expr, mvt
+from mvabscissa import continuation, expr, mvt, scanner
 from mvabscissa.errors import DegenerateProblem, DomainError, EndpointCollision
 
-from conftest import (CUBIC, PARABOLA, QUINTIC_SAME_SIGN, cubic_lower,
-                      cubic_upper, grid_sign_change_roots, poly_text,
-                      x_fourth_branch)
+from conftest import (CORPUS_COEFFS, CUBIC, EPS, PARABOLA, QUINTIC_SAME_SIGN,
+                      SEXTIC_OPPOSITE, check_poly_abscissae, cubic_upper,
+                      grid_sign_change_roots, poly_text, x_fourth_branch)
 
 
 class TestProblem:
@@ -245,73 +245,40 @@ class TestNormalize:
                 assert abs(u - v) <= 1e-9
 
 
-def scalar_abscissae(p, b, tol=mvt.DEFAULT_TOL, grid_n=mvt.DEFAULT_GRID_N):
-    """Reference: one bracket at a time, one scalar F or F_c call per step."""
-    cs = np.linspace(p.a0, b, grid_n + 2)[1:-1]
-    fv = np.asarray(mvt.big_f(p, b, cs)[0], dtype=float)
-
-    def f_of(c):
-        return float(mvt.big_f(p, b, c)[0])
-
-    def f_c(c):
-        return float(mvt.big_f(p, b, c)[2])
-
-    width_tol = 1e-15 * (b - p.a0)
-
-    def bisect(g, lo, hi, glo):
-        while hi - lo > width_tol:
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            if gm == 0.0:
-                lo = hi = mid
-            elif (gm > 0) == (glo > 0):
-                if mid == lo:
-                    break
-                lo, glo = mid, gm
-            else:
-                if mid == hi:
-                    break
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    roots = [bisect(f_of, float(cs[i]), float(cs[i + 1]), float(fv[i]))
-             for i in np.nonzero(fv[:-1] * fv[1:] < 0)[0]]
-    roots += [float(c) for c in cs[fv == 0.0]]
-    slope = float(mvt._b_terms(p, b)[0])
-
-    def small(c):
-        # |F| <= tol * max(1, |slope| + |f'(c)|), the rule of every residual
-        return abs(f_of(c)) <= tol * max(1.0, abs(slope) + abs(float(mvt._c_terms(p, c)[0])))
-
-    # a touching root is a zero of F_c, bisected across the window around a
-    # local minimum of |F| that is small by that rule
-    av = np.abs(fv)
-    for i in range(1, len(cs) - 1):
-        if (av[i] <= av[i - 1] and av[i] <= av[i + 1]
-                and fv[i - 1] * fv[i + 1] > 0 and small(float(cs[i]))):
-            lo = float(cs[i - 1])
-            roots.append(bisect(f_c, lo, float(cs[i + 1]), f_c(lo)))
-    out = []
-    for c in sorted(roots):
-        if p.a0 < c < b and small(c) \
-                and not (out and c - out[-1] < (b - p.a0) / grid_n):
-            out.append(c)
-    return out
+# the quintic shifted by 20, x -> x - 20, on [20, 23]
+SHIFTED = QUINTIC_SAME_SIGN.replace("x", "(x-20)")
 
 
 class TestAbscissae:
-    def test_bit_identical_to_scalar_reference(self, cubic, quintic_same_sign,
-                                               sextic_opposite, x_fourth):
-        # the sextic at b = 3 reports a touching root, a zero of F_c
-        shifted = mva.Problem(mva.parse(QUINTIC_SAME_SIGN.replace("x", "(x-20)")),
-                              20.0, 23.0)
-        sine = mva.Problem(mva.parse("sin(x) + x^2/4"), 0.0, 3.0)
-        for p, bs in ((cubic, (0.7, 2.5, 3.0)), (quintic_same_sign, (2.2, 3.0)),
-                      (sextic_opposite, (3.0,)), (x_fourth, (-0.8927318295739348, 0.3, 1.0)),
-                      (shifted, (23.0,)), (sine, (1.5, 5.0))):
+    def test_roots_match_numpy_roots(self):
+        # the quintic and the sextic at b = 3 have a touching root, a zero of F_c
+        for text, a0, b0, shift, bs in (
+                (CUBIC, 0.0, 3.0, 0.0, (0.7, 2.5, 3.0)),
+                (QUINTIC_SAME_SIGN, 0.0, 3.0, 0.0, (2.2, 3.0)),
+                (SEXTIC_OPPOSITE, 0.0, 3.0, 0.0, (3.0,)),
+                ("x^4", -1.0, 1.0, 0.0, (-0.8927318295739348, 0.3, 1.0)),
+                (SHIFTED, 20.0, 23.0, 20.0, (23.0,))):
+            coeffs = CORPUS_COEFFS[text.replace("(x-20)", "x")]
+            p = mva.Problem(mva.parse(text), a0, b0)
             for b in bs:
-                assert mvt.abscissae(p, b) == scalar_abscissae(p, b)
+                check_poly_abscissae(mvt.abscissae(p, b), coeffs, a0, b, shift=shift)
 
+    @pytest.mark.parametrize("b", [1.5, 5.0])
+    def test_transcendental_roots_match_mpmath(self, b):
+        # f' = cos(c) + c/2 = S; mpmath refines each sign change of a dense grid
+        p = mva.Problem(mva.parse("sin(x) + x^2/4"), 0.0, 3.0)
+        s = (math.sin(b) + b * b / 4.0) / b
+        cs = np.linspace(0.0, b, 200001)[1:-1]
+        fv = np.cos(cs) + cs / 2.0 - s
+        i = np.nonzero(fv[:-1] * fv[1:] < 0)[0]
+        with mpmath.workdps(40):
+            want = [float(mpmath.findroot(lambda c: mpmath.cos(c) + c / 2 - s,
+                                          (cs[k], cs[k + 1]), solver="anderson")) for k in i]
+        got = mvt.abscissae(p, b)
+        assert len(got) == len(want)
+        for c, r in zip(got, want):
+            rounding = 16 * EPS * (abs(s) + 1.0 + abs(r) / 2.0) / abs(-math.sin(r) + 0.5)
+            assert abs(c - r) <= 1e-15 * b + rounding
 
     @pytest.mark.parametrize("s", [1e-9, 1e-7])
     def test_a_tiny_cubic_is_not_degenerate(self, s):
@@ -370,26 +337,44 @@ class TestAbscissae:
         assert abs(cs[0] - 21.0) <= 1e-5
         assert abs(cs[1] - 21.4) <= 1e-9
 
-    def test_one_column_call_matches_batched_columns(self, cubic, quintic_same_sign):
-        # 37 columns are four full blocks of the default grid and a partial
-        # one.  The quintic's last column, b = 3, holds a touching-root
-        # window; sin(10*x) gives its blocks more brackets than
-        # _FLOAT_BRACKETS, which step as arrays.  touching has f' = (x-1)^2
-        # (x-1-e) and f(3) = f(a0), so F(3, .) touches zero at c = 1, 6.7e-7
-        # from the nearest grid point, and the window's root is the only one
-        # near 1 in its column
+    def test_one_column_call_agrees_with_batched_columns(self, cubic, quintic_same_sign):
+        # batched columns share one grid over [a0, max b], a one-column call
+        # grids [a0, b]: the same count of roots, each within its bisection
+        # width and the rounding of F (of f'' for a touching root) of the
+        # numpy.roots oracle, or for sin(10*x) of each other.  The
+        # quintic's last column, b = 3, has a touching root at c = 1;
+        # sin(10*x) gives its columns more brackets than _FLOAT_BRACKETS,
+        # which step as arrays.  touching has f' = (x-1)^2 (x-1-e) and f(3) =
+        # f(a0), so F(3, .) touches zero at c = 1, 6.7e-7 from the nearest
+        # node of a one-column grid
+        e = 1.2499992499993335
         sine = mva.Problem(mva.parse("sin(10*x)"), 0.0, 1.0)
-        touching = mva.Problem(
-            mva.parse("(x - 1)^4/4 - 1.2499992499993335*(x - 1)^3/3"), -1e-6, 3.0)
+        touching = mva.Problem(mva.parse(f"(x - 1)^4/4 - {e!r}*(x - 1)^3/3"), -1e-6, 3.0)
         assert mvt.abscissae(touching, 3.0)[0] == pytest.approx(1.0, abs=1e-12)
-        for p, bs in ((cubic, np.linspace(0.5, 3.0, 7)), (cubic, np.linspace(0.5, 3.0, 37)),
-                      (quintic_same_sign, np.linspace(0.5, 3.0, 37)),
-                      (sine, np.linspace(0.2, 2.0, 37)), (touching, np.linspace(0.5, 3.0, 37))):
+        touched = 0
+        for p, bs, coeffs, shift in (
+                (cubic, np.linspace(0.5, 3.0, 7), CORPUS_COEFFS[CUBIC], 0.0),
+                (cubic, np.linspace(0.5, 3.0, 37), CORPUS_COEFFS[CUBIC], 0.0),
+                (quintic_same_sign, np.linspace(0.5, 3.0, 37),
+                 CORPUS_COEFFS[QUINTIC_SAME_SIGN], 0.0),
+                (sine, np.linspace(0.2, 2.0, 37), None, 0.0),
+                (touching, np.linspace(0.5, 3.0, 37), [0.0, 0.0, 0.0, -e / 3.0, 0.25], 1.0)):
             columns = mvt.solve_columns(p, bs)
-            for b, points in zip(bs, columns):
-                assert [q.c for q in points] == mvt.abscissae(p, float(b))
+            for b, points in zip(bs.tolist(), columns):
+                one = mvt.abscissae(p, b)
+                assert len(points) == len(one)
                 for q in points:
                     assert q == mvt.solution_point(p, q.b, q.c)
+                got = [q.c for q in points]
+                if coeffs is not None:
+                    touched += len(check_poly_abscissae(got, coeffs, p.a0, b, shift=shift))
+                    check_poly_abscissae(one, coeffs, p.a0, b, shift=shift)
+                    continue
+                s = (math.sin(10 * b)) / b
+                for u, w in zip(got, one):
+                    rounding = 16 * EPS * (abs(s) + 10.0) / abs(100 * math.sin(10 * w))
+                    assert abs(u - w) <= 2 * (1e-15 * b + rounding)
+        assert touched == 2  # the quintic's and touching's c = 1, at b = 3
 
     def test_first_failing_column_raises_its_own_error(self):
         # the slopes of all columns are evaluated together; the column that
@@ -460,6 +445,188 @@ class TestAbscissae:
                     f_c = abs(float(mvt.big_f(p, b, c)[2]))
                     if f_c > 1e-3:
                         assert any(abs(c - r) <= res for r in oracle)
+
+
+# f' = (x-1)^2 (x-3)^2 (x-3/4) and f(3) = f(0): at b = 3, c = 0.75 crosses and
+# c = 1 touches; c = 3 is the end b, where F(3, 3) = 0 too
+ONE_SIDED = "-27/4*x + 27/2*x^2 - 27/2*x^3 + 7*x^4 - 7/4*x^5 + x^6/6"
+ONE_SIDED_COEFFS = [0.0, -27 / 4, 27 / 2, -27 / 2, 7.0, -7 / 4, 1 / 6]
+P = np.polynomial.polynomial
+
+
+def _with_roots(roots, a0, b, gain, s):
+    """Coefficients of an f whose f' - S(b) on [a0, b] is gain * (x - t) *
+    prod(x - r), r in roots, and t: f' = g + s with g of zero mean on
+    [a0, b], so S(b) = s, and t the zero that gives g that mean."""
+    base = P.polyfromroots(roots)
+
+    def mean(c):
+        return P.polyval(b, P.polyint(c)) - P.polyval(a0, P.polyint(c))
+
+    t = mean(P.polymulx(base)) / mean(base)
+    g = gain * P.polymul(base, [-t, 1.0])
+    return P.polyint(P.polyadd(g, [s]), lbnd=a0).tolist(), t
+
+
+class TestTouchingRoots:
+    """A touching root is a critical point c* of f' with f'(c*) = S, found
+    whichever nodes the grid has (ROADMAP item 1)."""
+
+    @pytest.mark.parametrize("grid_n", [64, 2047, 2048, 3000])
+    def test_quintic_at_every_grid(self, quintic_same_sign, grid_n):
+        got = mvt.abscissae(quintic_same_sign, 3.0, grid_n=grid_n)
+        assert len(got) == 2 and abs(got[0] - 1.0) <= 1e-15
+        coeffs = CORPUS_COEFFS[QUINTIC_SAME_SIGN]
+        assert check_poly_abscissae(got, coeffs, 0.0, 3.0) == got[:1]
+
+    @pytest.mark.parametrize("s", [10.0, 1e3])
+    @pytest.mark.parametrize("grid_n", [64, 2047, 2048, 3000])
+    def test_rescaled_quintic(self, s, grid_n):
+        # x -> x / s: c = s, within the rounding of f'' there
+        p = mva.Problem(mva.parse(QUINTIC_SAME_SIGN.replace("x", f"(x/{s!r})")), 0.0, 3 * s)
+        got = mvt.abscissae(p, 3 * s, grid_n=grid_n)
+        assert len(got) == 2
+        coeffs = CORPUS_COEFFS[QUINTIC_SAME_SIGN]
+        assert check_poly_abscissae(got, coeffs, 0.0, 3 * s, scale=s) == got[:1]
+
+    @pytest.mark.parametrize("grid_n", [2047, 2048, 3000])
+    def test_one_sided_sextic(self, grid_n):
+        # no root within rounding of c = b = 3, though F(3, 3) = 0 there
+        p = mva.Problem(mva.parse(ONE_SIDED), 0.0, 3.0)
+        got = mvt.abscissae(p, 3.0, grid_n=grid_n)
+        assert len(got) == 2 and got[0] == pytest.approx(0.75, abs=1e-14)
+        assert check_poly_abscissae(got, ONE_SIDED_COEFFS, 0.0, 3.0) == got[1:]
+
+    @pytest.mark.parametrize("delta", [3e-4, 1e-4])
+    def test_two_roots_in_one_cell(self, delta):
+        # S lies past f' at every node of the cell around c0, short of f'(c*):
+        # a root on each side of c*, which no node brackets
+        h = 3.0 / 2049
+        c0 = 1000.5 * h
+        coeffs, _ = _with_roots([c0 - delta, c0 + delta], 0.0, 3.0, 1.0, 0.25)
+        p = mva.Problem(mva.parse(poly_text(coeffs)), 0.0, 3.0)
+        got = mvt.abscissae(p, 3.0)
+        assert len(got) == 3 and got[0] < c0 < got[1]
+        assert check_poly_abscissae(got, coeffs, 0.0, 3.0) == []
+
+    @pytest.mark.parametrize("roots", [(0.0975, 0.0985), (0.0992, 0.0998), (0.09915, 0.09925)])
+    def test_two_roots_in_a_narrow_columns_last_cell(self, roots):
+        # the column b = 0.1 of a scan up to 3.5 ends 0.6 cells past node 58
+        # (0.09907) of the shared grid; the critical point of f' between the
+        # roots lies in the cells around node 58 or 59, whose window reaches
+        # past b
+        coeffs, _ = _with_roots(list(roots), 0.0, 0.1, 1e4, 0.25)
+        p = mva.Problem(mva.parse(poly_text(coeffs)), 0.0, 3.5)
+        got = [q.c for q in mvt.solve_columns(p, np.linspace(0.1, 3.5, 400))[0]]
+        assert len(got) == 3 and got[1] < sum(roots) / 2 < got[2]
+        assert check_poly_abscissae(got, coeffs, 0.0, 0.1) == []
+
+
+class TestEndCells:
+    """Roots in a column's first cell, from a0, and last cell, up to b
+    (ROADMAP item 13)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a0=st.floats(-1.0, 1.0), width=st.floats(0.5, 3.0),
+           grid_n=st.sampled_from([64, 100, 2048]),
+           at=st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+           ends=st.tuples(st.booleans(), st.booleans()),
+           gain=st.floats(0.5, 3.0), sign=st.sampled_from([1.0, -1.0]),
+           s=st.floats(-1.0, 1.0))
+    def test_every_simple_root_is_returned(self, a0, width, grid_n, at, ends, gain, sign, s):
+        # each end root lies in its end cell, or anywhere in (a0, b)
+        b = a0 + width
+        h = width / (grid_n + 1)
+        lo, hi, inner = at
+        roots = [a0 + lo * (h if ends[0] else width), b - hi * (h if ends[1] else width),
+                 a0 + inner * width]
+        with np.errstate(all="ignore"):
+            coeffs, t = _with_roots(roots, a0, b, sign * gain, s)
+        # a t that keeps the coefficients of moderate size, and no two roots
+        # within two cells, where the grid need not see the critical point
+        # of f' between them
+        gaps = np.diff(np.sort(roots + [t]))
+        assume(abs(t - a0) <= 10 * width and np.all(gaps >= max(2 * h, 1e-3 * width)))
+        p = mva.Problem(mva.parse(poly_text(coeffs)), a0, b)
+        check_poly_abscissae(mvt.abscissae(p, b, grid_n=grid_n), coeffs, a0, b)
+
+    @pytest.mark.parametrize("text, a0, b0, b_min, b_max, column, near", [
+        (CUBIC, 0.0, 3.0, 0.1, 3.5, 340, 0.0013781289925864138),
+        ("exp(-x^2)*cos(5*x)", -1.0, 1.0, -0.9, 2.5, 242, 1.1614806936781998),
+        ("sin(10*x)", 0.0, 1.0, 0.1, 12.0, 181, 5.495968300648299),
+        ("sin(10*x)", 0.0, 1.0, 0.1, 12.0, 202, 6.124473026675085),
+        ("sin(10*x)", 0.0, 1.0, 0.1, 12.0, 318, 9.580814480585975),
+        ("sin(10*x)", 0.0, 1.0, 0.1, 12.0, 339, 10.209196733071572),
+    ])
+    def test_perfbench_end_cell_roots(self, text, a0, b0, b_min, b_max, column, near):
+        # perfbench's 400-column scans missed each of these, a root in an
+        # end cell; mpmath at 40 digits gives it
+        res = scanner.scan(mva.Problem(mva.parse(text), a0, b0), b_min, b_max, 400)
+        b = float(np.linspace(b_min, b_max, 400)[column])
+        f = {CUBIC: lambda x: x ** 3 - 3 * x ** 2 + 2 * x,
+             "sin(10*x)": lambda x: mpmath.sin(10 * x),
+             "exp(-x^2)*cos(5*x)": lambda x: mpmath.exp(-x ** 2) * mpmath.cos(5 * x)}[text]
+        with mpmath.workdps(40):
+            s = (f(mpmath.mpf(b)) - f(mpmath.mpf(a0))) / (mpmath.mpf(b) - a0)
+            want = mpmath.findroot(lambda c: mpmath.diff(f, c) - s, near)
+            f_c = float(abs(mpmath.diff(f, want, 2)))
+            scale = float(abs(s) + abs(mpmath.diff(f, want)))
+        got = [q.c for q, k in zip(res.points, res.columns) if k == column]
+        h = (b_max - a0) / (2048 + 1)
+        assert min(want - a0, b - want) < h  # an end cell of the shared grid
+        assert min(abs(c - float(want)) for c in got) <= 1e-15 * (b - a0) + 16 * EPS * scale / f_c
+
+    @pytest.mark.parametrize("text, ratio", [("sqrt(x)", 0.25), ("x^(1/3)", 3.0 ** -1.5)])
+    def test_f_prime_failing_at_a0_makes_no_bracket(self, text, ratio):
+        # f' has no value at a0 = 0; the abscissa is c = ratio * b
+        p = mva.Problem(mva.parse(text), 0.0, 1.0)
+        with pytest.raises(DomainError):
+            mvt._fprime(p, 0.0)
+        for count in (5, 40):
+            res = scanner.scan(p, 0.05, 1.0, count)
+            assert res.columns == list(range(count))
+            for q in res.points:
+                assert abs(q.c - ratio * q.b) <= 1e-13 * q.b
+
+    def test_f_prime_failing_at_b_makes_no_bracket(self):
+        # f = sqrt(1 - x): f' has no value at b = 1, and -1 / (2 sqrt(1 - c))
+        # = -1 at c = 3/4
+        p = mva.Problem(mva.parse("sqrt(1 - x)"), 0.0, 1.0)
+        assert p.domain[1] == 1.0
+        with pytest.raises(DomainError):
+            mvt._fprime(p, 1.0)
+        assert mvt.abscissae(p, 1.0) == [pytest.approx(0.75, abs=1e-15)]
+        columns = mvt.solve_columns(p, np.linspace(0.5, 1.0, 12))
+        assert [q.c for q in columns[-1]] == [pytest.approx(0.75, abs=1e-15)]
+
+
+def test_a_scan_evaluates_f_prime_once_per_node(cubic, monkeypatch):
+    # outside bisection, a 400-column scan runs f' (or wider jets) on the
+    # grid_n + 2 shared nodes and each b in one call, then on its roots; a
+    # grid per column would take 400 * grid_n points
+    sizes, bisecting = [], []
+    run, bisect = expr.Tape.checked_run, mvt._bisect
+
+    def counted(tape, x0, width):
+        if width >= 2 and not bisecting:
+            sizes.append(np.size(x0))
+        return run(tape, x0, width)
+
+    def bisect_counted(*args):
+        bisecting.append(True)
+        try:
+            return bisect(*args)
+        finally:
+            bisecting.pop()
+
+    monkeypatch.setattr(expr.Tape, "checked_run", counted)
+    monkeypatch.setattr(mvt, "_bisect", bisect_counted)
+    bs = np.linspace(0.1, 3.5, 400)
+    columns = mvt.solve_columns(cubic.covering(-3.0, 6.0), bs)
+    roots = sum(map(len, columns))
+    assert max(sizes) == mvt.DEFAULT_GRID_N + 2 + bs.size
+    assert mvt.DEFAULT_GRID_N + 2 + bs.size + roots <= sum(sizes)
+    assert sum(sizes) <= mvt.DEFAULT_GRID_N + 2 + bs.size + 2 * roots
 
 
 def _bracket_function(kind, root, sign):
