@@ -9,8 +9,9 @@ module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from . import mvt
 from .errors import MvaError
 
 CSV_HEADER = "b,c,residual,column"
+_JSON_KEYS = ("b", "c", "residual", "column")
+_NON_FINITE = {"nan", "inf", "-inf"}
 
 _SVG_W, _SVG_H = 800, 600
 _SVG_MARGIN = 40
@@ -54,8 +57,9 @@ class ScanResult:
 def scan(p: mvt.Problem, b_min: float, b_max: float, b_count: int,
          c_grid_n: int = mvt.DEFAULT_GRID_N, tol: float = mvt.DEFAULT_TOL) -> ScanResult:
     """All abscissae for each b on a uniform grid of b_count columns."""
-    if not (p.a0 < b_min < b_max):
-        raise ValueError("need a0 < b_min < b_max")
+    if not (p.a0 < b_min < b_max < np.inf):
+        raise ValueError("need finite a0 < b_min < b_max, "
+                         f"got a0={p.a0!r}, b_min={b_min!r}, b_max={b_max!r}")
     if b_count < 2:
         raise ValueError("b_count must be >= 2")
     p = p.covering(p.domain[0], max(b_max, p.domain[1]))
@@ -78,70 +82,56 @@ def scan(p: mvt.Problem, b_min: float, b_max: float, b_count: int,
 # serialization
 # ---------------------------------------------------------------------------
 
-def fmt_float(v: float) -> str:
-    """Canonical shortest round-trip decimal form."""
-    return repr(float(v))
-
-
-def _point_rows(obj):
-    if isinstance(obj, ScanResult):
-        return [(q.b, q.c, q.residual, col)
-                for q, col in zip(obj.points, obj.columns)]
-    return [(q.b, q.c, q.residual, i) for i, q in enumerate(obj.points)]
+def _texts(obj):
+    """The fields of to_csv: repr(float(v)) of the points' b, c and residual,
+    c and residual made as they are read, and the columns.  b is formatted
+    once per run of points that share one b object, as a scan's column does."""
+    points = obj.points
+    bs, last = [], object()
+    for q in points:
+        if q.b is not last:
+            last, text = q.b, repr(float(q.b))
+        bs.append(text)
+    cs, rs = (map(repr, map(float, map(attrgetter(k), points))) for k in ("c", "residual"))
+    return bs, cs, rs, obj.columns if isinstance(obj, ScanResult) else range(len(points))
 
 
 def to_csv(obj) -> str:
     """CSV with header b,c,residual,column; LF endings; one trailing LF."""
-    lines = [CSV_HEADER]
-    for b, c, r, col in _point_rows(obj):
-        lines.append(f"{fmt_float(b)},{fmt_float(c)},{fmt_float(r)},{col}")
-    return "\n".join(lines) + "\n"
+    flat = tuple(chain.from_iterable(zip(*_texts(obj))))
+    return (CSV_HEADER + "\n" + "%s,%s,%s,%s\n" * (len(flat) // 4)) % flat
 
 
 def to_json(obj) -> str:
     """json.dumps(obj.to_dict(), indent=2) and a trailing LF, byte for byte.
 
-    The points are the last key of to_dict().  When there are points and
-    their values are all floats and ints, the values are written by one
-    json.dumps call without indent, about twice as fast, and set into the
-    indented layout.
+    The points are the last key of to_dict().  When their b, c and residual
+    are all finite floats and their columns ints, json.dumps would write
+    them as the texts of to_csv, so one template sets those texts into the
+    indented layout of the other keys.
     """
-    d = obj.to_dict()
-    points = d["points"]
-    values = [v for q in points for v in q.values()]
-    if not points or not set(map(type, values)) <= {float, int}:
-        return json.dumps(d, indent=2) + "\n"
-    del d["points"]
-    texts = iter(json.dumps(values)[1:-1].split(", "))
-    prefixes, items = {}, []
-    for q in points:
-        keys = tuple(q)
-        if keys not in prefixes:
-            prefixes[keys] = [f"      {json.dumps(k)}: " for k in keys]
-        fields = ",\n".join(map(str.__add__, prefixes[keys], islice(texts, len(keys))))
-        items.append(f"    {{\n{fields}\n    }}")
-    head = json.dumps(d, indent=2)[:-2]
-    body = ",\n".join(items)
-    return f'{head},\n  "points": [\n{body}\n  ]\n}}\n'
-
-
-def _families(rows):
-    """Group points into polyline families by their c-rank within each column."""
-    by_col = {}
-    for b, c, r, col in rows:
-        by_col.setdefault(col, []).append((b, c))
-    families = {}
-    for col in sorted(by_col):
-        for rank, (b, c) in enumerate(sorted(by_col[col], key=lambda t: t[1])):
-            families.setdefault(rank, []).append((b, c))
-    return [families[r] for r in sorted(families)]
+    values = chain.from_iterable(map(attrgetter("b", "c", "residual"), obj.points))
+    if set(map(type, values)) == {float}:
+        *fields, columns = _texts(obj)
+        if isinstance(obj, ScanResult):
+            fields.append(columns)
+        flat = tuple(chain.from_iterable(zip(*fields)))
+        if _NON_FINITE.isdisjoint(flat) and set(map(type, columns)) <= {int}:
+            item = ",\n".join(f'      "{k}": %s' for k in _JSON_KEYS[:len(fields)])
+            body = (f"    {{\n{item}\n    }},\n" * (len(flat) // len(fields)))[:-2]
+            head = json.dumps(replace(obj, points=[]).to_dict(), indent=2)[:-len("[]\n}")]
+            return f"{head}[\n{body % flat}\n  ]\n}}\n"
+    return json.dumps(obj.to_dict(), indent=2) + "\n"
 
 
 def to_svg(obj) -> str:
-    """Standalone SVG 1.1 plot: shaded c >= b region, family polylines, markers."""
-    rows = _point_rows(obj)
-    bs = [r[0] for r in rows] or [0.0, 1.0]
-    cs = [r[1] for r in rows] or [0.0, 1.0]
+    """Standalone SVG 1.1 plot: shaded c >= b region, family polylines, markers.
+
+    Family k joins the points of c-rank k in their columns, in column order."""
+    points = obj.points
+    n = len(points)
+    bs = [q.b for q in points] or [0.0, 1.0]
+    cs = [q.c for q in points] or [0.0, 1.0]
     xmin, xmax = min(bs), max(bs)
     ymin, ymax = min(cs), max(cs)
     xpad = 0.05 * (xmax - xmin) or 0.5
@@ -177,21 +167,30 @@ def to_svg(obj) -> str:
         f'<line x1="{_SVG_MARGIN}" y1="{_SVG_MARGIN}" '
         f'x2="{_SVG_MARGIN}" y2="{_SVG_H - _SVG_MARGIN}" stroke="black"/>')
     for label, x, y, anchor in (
-            (fmt_float(round(xmin, 6)), px(xmin), _SVG_H - _SVG_MARGIN + 15, "start"),
-            (fmt_float(round(xmax, 6)), px(xmax), _SVG_H - _SVG_MARGIN + 15, "end"),
-            (fmt_float(round(ymin, 6)), _SVG_MARGIN - 5, py(ymin), "end"),
-            (fmt_float(round(ymax, 6)), _SVG_MARGIN - 5, py(ymax), "end")):
+            (round(xmin, 6), px(xmin), _SVG_H - _SVG_MARGIN + 15, "start"),
+            (round(xmax, 6), px(xmax), _SVG_H - _SVG_MARGIN + 15, "end"),
+            (round(ymin, 6), _SVG_MARGIN - 5, py(ymin), "end"),
+            (round(ymax, 6), _SVG_MARGIN - 5, py(ymax), "end")):
         parts.append(f'<text x="{x:.2f}" y="{y:.2f}" font-size="10" '
-                     f'text-anchor="{anchor}">{label}</text>')
+                     f'text-anchor="{anchor}">{float(label)!r}</text>')
 
-    for fam in _families(rows):
-        if len(fam) >= 2:
-            pts = " ".join(f"{px(b):.2f},{py(c):.2f}" for b, c in fam)
-            parts.append(f'<polyline points="{pts}" fill="none" '
-                         f'stroke="#1f6fb2" stroke-width="1"/>')
-    for b, c, _r, _col in rows:
-        parts.append(f'<circle cx="{px(b):.2f}" cy="{py(c):.2f}" r="1.5" '
-                     f'fill="#1f3fb2"/>')
+    if n:
+        c = np.array(cs, dtype=float)
+        # overflow and inf - inf give inf and nan without a warning, as on Python floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            xy = np.column_stack((px(np.array(bs, dtype=float)), py(c)))
+        # sorted by column, then by c: a point's rank is its place in its column
+        cols = np.asarray(obj.columns if isinstance(obj, ScanResult) else range(n))
+        order = np.lexsort((c, cols))
+        rank = np.arange(n) - np.searchsorted(cols[order], cols[order])
+        by_rank = order[np.argsort(rank, kind="stable")]
+        for family in np.split(xy[by_rank], np.cumsum(np.bincount(rank))[:-1]):
+            if len(family) >= 2:
+                pts = " ".join(["%.2f,%.2f"] * len(family)) % tuple(family.ravel().tolist())
+                parts.append(f'<polyline points="{pts}" fill="none" '
+                             f'stroke="#1f6fb2" stroke-width="1"/>')
+        parts.append("\n".join(['<circle cx="%.2f" cy="%.2f" r="1.5" fill="#1f3fb2"/>'] * n)
+                     % tuple(xy.ravel().tolist()))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

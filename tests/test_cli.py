@@ -172,6 +172,13 @@ class TestExitCodes:
                    "--tol", "1e-3") == 1
         assert capsys.readouterr().out == ""
 
+    def test_scan_with_an_infinite_b_max_is_a_usage_error(self, tmp_path, capsys):
+        for b0 in ((), ("-b", "1")):
+            assert run("scan", "-f", "x^3", "-a", "0", *b0, "--b-min", "0.5", "--b-max", "inf",
+                       "-o", str(tmp_path / "scan.csv")) == 1
+            assert capsys.readouterr().err.startswith("error: need finite")
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_guaranteed_takes_both_bounds_or_neither(self, capsys):
         for bound in ("--b-min", "--b-max"):
             assert run("guaranteed", "-f", "x^4", "-a", "-1", "-b", "1", bound, "1.1") == 1

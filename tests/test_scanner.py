@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mvabscissa as mva
+import reference_writers
 from mvabscissa import continuation, mvt, scanner
 from mvabscissa.errors import MvaError
 
@@ -91,6 +94,14 @@ class TestScan:
             scanner.scan(parabola, -1.0, 2.0, 10)
         with pytest.raises(ValueError):
             scanner.scan(parabola, 0.5, 2.0, 1)
+
+    def test_non_finite_b_range_names_its_bound(self, parabola):
+        # b_max = inf was refused by Problem.covering, with a message that
+        # named neither b_max nor its value
+        for b_min, b_max, shown in ((0.1, math.inf, "b_max=inf"), (0.1, math.nan, "b_max=nan"),
+                                    (math.nan, 2.0, "b_min=nan")):
+            with pytest.raises(ValueError, match=f"need finite a0 < b_min < b_max, got .*{shown}"):
+                scanner.scan(parabola, b_min, b_max, 10)
 
     def test_completeness_against_finer_oracle(self, cubic):
         res = scanner.scan(cubic, 0.5, 3.0, 12, c_grid_n=512)
@@ -190,6 +201,90 @@ class TestSvg:
         svg = scanner.to_svg(cubic_scan)
         assert "href" not in svg
         assert "url(" not in svg
+
+
+# Hand-built results for the writers' oracle.  Their values are finite
+# floats, as in a scan, or also NaN (optional) and infinities, or also numpy
+# float64s and None, which float() refuses; their columns are ints, or also
+# numpy int64s and bools.  b is drawn from a small pool, so that points
+# share one b object or hold equal b values as distinct objects; signed
+# zeros are drawn often, and the points come in any order.
+def _values(kind, nan=True):
+    floats = st.floats(allow_nan=nan and kind != "finite", allow_infinity=kind != "finite")
+    values = st.one_of(floats, st.sampled_from([0.0, -0.0, 1.0]))
+    return values if kind != "any" else st.one_of(values, floats.map(np.float64), st.none())
+
+
+@st.composite
+def _writer_inputs(draw, c_nan=True):
+    kind = draw(st.sampled_from(["finite", "float", "any"]))
+    pool = draw(st.lists(_values(kind), min_size=1, max_size=4))
+    points = []
+    for _ in range(draw(st.integers(0, 24))):
+        b = draw(st.sampled_from(pool))
+        if b is not None and draw(st.booleans()):
+            b = float(repr(float(b)))   # equal value, another object
+        points.append(mvt.SolutionPoint(b, draw(_values(kind, c_nan)), draw(_values(kind))))
+    if draw(st.booleans()):
+        return continuation.Branch(points=points, parameter=draw(st.sampled_from("bc")))
+    kinds = st.sampled_from(draw(st.sampled_from([[int], [int, np.int64, lambda k: k == 1]])))
+    columns = [draw(kinds)(draw(st.integers(0, 3))) for _ in points]
+    return scanner.ScanResult(
+        expression="x", a0=0.0, domain=(0.0, 1.0), b_min=0.1, b_max=1.0, b_count=4,
+        c_grid_n=64, tol=1e-10, points=points, columns=columns,
+        degenerate_columns=draw(st.lists(st.integers(0, 3), max_size=2)))
+
+
+def _assert_same_output(write, reference, obj):
+    """write(obj) is reference(obj) byte for byte, or raises as it does."""
+    try:
+        want = reference(obj)
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        with pytest.raises(type(e)):
+            write(obj)
+    else:
+        assert write(obj) == want
+
+
+def _json_reference(obj):
+    return json.dumps(obj.to_dict(), indent=2) + "\n"
+
+
+_COLUMN_PAIRS = scanner.ScanResult(
+    expression="x", a0=0.0, domain=(0.0, 1.0), b_min=0.1, b_max=1.0, b_count=4,
+    c_grid_n=64, tol=1e-10, columns=[1, 0, 1, 1, 0],
+    points=[mvt.SolutionPoint(b, c, 0.0) for b, c in
+            ((0.5, 0.0), (0.25, 0.1), (0.5, -0.0), (0.5, -0.2), (0.25, 0.1))])
+
+
+class TestWritersMatchReference:
+    """The bulk writers against the per-point writers they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_writer_inputs())
+    @example(continuation.Branch())
+    @example(_COLUMN_PAIRS)
+    @example(continuation.Branch(points=[mvt.SolutionPoint(math.nan, 0.5, 0.0)]))
+    @example(continuation.Branch(points=[mvt.SolutionPoint(1.0, -math.inf, 0.0)]))
+    @example(continuation.Branch(points=[mvt.SolutionPoint(1.0, 0.5, math.inf)]))
+    def test_csv_and_json(self, obj):
+        _assert_same_output(scanner.to_csv, reference_writers.to_csv, obj)
+        _assert_same_output(scanner.to_json, _json_reference, obj)
+
+    # the SVG ranks c by np.lexsort, which puts NaN last where sorted()
+    # leaves it in place, so c is drawn without NaN; no scan holds a NaN
+    @settings(max_examples=300, deadline=None)
+    @given(_writer_inputs(c_nan=False))
+    @example(continuation.Branch())
+    @example(_COLUMN_PAIRS)
+    def test_svg(self, obj):
+        _assert_same_output(scanner.to_svg, reference_writers.to_svg, obj)
+
+    def test_scans_and_branches(self, cubic_scan, parabola):
+        branch = continuation.trace_c_of_b(parabola, 2.0, 1.0, (1.0, 3.0), step=0.05)
+        for obj in (cubic_scan, branch):
+            assert scanner.to_csv(obj) == reference_writers.to_csv(obj)
+            assert scanner.to_svg(obj) == reference_writers.to_svg(obj)
 
 
 class TestEmit:
