@@ -8,7 +8,6 @@ analysis determines the branch structure.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -234,7 +233,7 @@ def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX):
     if i0 in (0, _EXTREMUM_GRID):
         raise DegenerateProblem("no interior global extremum found")
 
-    gp = functools.partial(mvt._fprime, p)
+    gp = mvt._fprime(p)
     lo, hi = float(xs[max(0, i0 - 1)]), float(xs[min(_EXTREMUM_GRID, i0 + 1)])
     glo = gp(lo)
     if not glo * gp(hi) < 0:

@@ -145,14 +145,15 @@ def _cmd_guaranteed(args):
 def _cmd_fixed_point(args):
     tape1 = expr.lower(expr.parse(args.f1))
     tape2 = expr.lower(expr.parse(args.f2))
+    jet1, jet2 = tape1.jet(2), tape2.jet(2)
 
     def F(x, y):
         # the solver reads F_x only at a single x: on an x-box f1 gives its
         # value alone, unchecked, and where that is not finite the box shrinks
-        v2, d2 = tape2.checked_run(y, 2)
+        v2, d2 = jet2(y)
         if not isinstance(x, float):
             return tape1.run(x, 1)[0] - v2, math.nan, -d2
-        v1, d1 = tape1.checked_run(x, 2)
+        v1, d1 = jet1(x)
         return v1 - v2, d1, -d2
 
     y = solver.implicit_solve(F, args.x0, args.y0, args.x, args.tol)

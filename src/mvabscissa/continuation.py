@@ -2,14 +2,17 @@
 
 One walker follows both kinds of branch: t = T(s) on G(s, t) = 0, where G is
 F for c = C(b), and F with its two arguments and its two partials swapped
-for b = B(c).  Each step is an Euler predictor with slope -G_s/G_t and a
-chord (contraction) corrector.  The corrector stops when a correction is
-below an absolute bound, or when it is no smaller than the one before, which
-marks G's rounding floor.  Where a c = C(b) seed is merely UNIQUE_ODD and
-F_c may vanish, a derivative-free bisection corrects instead, as a loop on
-floats.  A step holds s fixed, so the terms of F that need only s are
-evaluated once per step.  A corrector hands back G, its partials and F's
-two terms at the point it accepts, which serve as the residual check, the
+for b = B(c).  F is separable, the sum of a term of b and a term of c, so
+G(s, t) is the term of s plus the term of t in either case, and G_s and G_t
+are their derivatives.  Each step is an Euler predictor with slope -G_s/G_t
+and a chord (contraction) corrector.  The corrector stops when a correction
+is below an absolute bound, or when it is no smaller than the one before,
+which marks G's rounding floor.  Where a c = C(b) seed is merely UNIQUE_ODD
+and F_c may vanish, a derivative-free bisection corrects instead, as a loop
+on floats.  A step holds s fixed, so the term of s is evaluated once per
+step; an evaluation at a new t is one call of the term of t, with f's jet
+bound once per walk.  A corrector hands back G, its partials and F's two
+terms at the point it accepts, which serve as the residual check, the
 point's residual and the next step's predictor, so each point, the seed
 too, is evaluated once.
 """
@@ -64,10 +67,11 @@ def _step(p, b, step, name):
     return step
 
 
-def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
+def _chord_correct(terms, s, s_prev, t_prev, slope, h, dt):
     """Euler predictor with slope -G_s/G_t, then a re-centered contraction
     iteration for G(s, .) = 0, whose slope m = G_t stays that of the
-    prediction.
+    prediction.  terms is the pair of functions (U, V) with G(s, t) =
+    U(s)[0] + V(t)[0], G_s = U(s)[1] and G_t = V(t)[1].
 
     The iteration stops when a correction is at most 1e-14 * max(1, |t|),
     or, after that test, when a correction is no smaller than the one before:
@@ -80,48 +84,50 @@ def _chord_correct(G, s, s_prev, t_prev, slope, h, dt):
     if abs(g_t) < DEGENERACY_THRESHOLD * max(1.0, abs(g_s)):
         return None, STOP_DEGENERATE
     t_pred = t_prev - g_s / g_t * (s - s_prev)
-    at_s = G(s)
-    at = at_s(t_pred)
-    m = at[2]
-    if abs(m) < DEGENERACY_THRESHOLD * max(1.0, abs(at[1])):
+    (u, u_s), at = terms[0](s), terms[1]
+    v, v_t = at(t_pred)
+    m = v_t
+    if abs(m) < DEGENERACY_THRESHOLD * max(1.0, abs(u_s)):
         return None, STOP_DEGENERATE
     t, leash, last = t_pred, 1.0 + abs(t_pred), np.inf
     for _ in range(80):
-        step = at[0] / m
+        step = (u + v) / m
         t, t_old = t - step, t
         if not abs(t - t_pred) <= leash:  # or t is not finite
             return None, STOP_CORRECTOR
         if t != t_old:
-            at = at_s(t)
+            v, v_t = at(t)
         if abs(step) <= 1e-14 * max(1.0, abs(t)) or abs(step) >= last:
             break
         last = abs(step)
-    return t, at
+    return t, (u + v, u_s, v_t, u, v)
 
 
-def _bisect_correct(p, b0, G, b, b_prev, c_prev, slope, h, dc):
+def _bisect_correct(p, b0, fprime, terms, b, b_prev, c_prev, slope, h, dc):
     """Derivative-free corrector, for a UNIQUE_ODD seed where F_c may vanish:
     the root of F(b, .) nearest c_prev, by mvt._root_near.
 
-    It corrects c = C(b) only, and evaluates F(b, .) as slope - f' from the
-    terms that need only b, which it computes once, rather than through G.
+    It corrects c = C(b) only, where terms is the pair of the functions of
+    F's terms in b and in c, and evaluates F(b, .) as S(b) - f' by the
+    function fprime, with S(b) computed once.
     """
-    b_terms = mvt._b_terms(p, b)
-    c = mvt._root_near(lambda c: b_terms[0] - mvt._fprime(p, c), c_prev,
+    b_terms = terms[0](b)
+    c = mvt._root_near(lambda c: b_terms[0] - fprime(c), c_prev,
                        max(4.0 * abs(dc), h, 1e-6 * (b0 - p.a0), 1e-12), p.a0, b)
     if c is None:
         return None, STOP_CORRECTOR
-    (slope, f_b), (fpc, f_c) = b_terms, mvt._c_terms(p, c)
-    return c, (slope - fpc, f_b, f_c, slope, fpc)
+    (u, f_b), (v, f_c) = b_terms, terms[1](c)
+    return c, (u + v, f_b, f_c, u, v)
 
 
-def _march(G, start, direction, s_limit, step, tol, correct, s_span, point):
+def _march(terms, start, direction, s_limit, step, tol, correct, s_span, point):
     """Walk the branch t = T(s) of G(s, t) = 0 from start toward s_limit.
 
-    G(s) gives t -> (G, G_s, G_t, slope, f'(c)) at a fixed s, and start
-    is the seed (s, t, (G, G_s, G_t)).  A step goes to an s_next
-    with lo < s_next <= hi for s_span = (lo, hi).  There correct(G, s_next,
-    s, t, slope, h, dt) returns the new t and G's tuple at it, or None and a
+    terms is the pair of the functions of F's terms in s and in t, as
+    _chord_correct takes it, and start is the seed (s, t, (G, G_s, G_t)).
+    A step goes to an s_next with lo < s_next <= hi for s_span = (lo, hi).
+    There correct(terms, s_next, s, t, slope, h, dt) returns the new t and
+    (G, G_s, G_t, U, V) at it, for G = U + V of the two terms, or None and a
     stop reason; dt is the change in t of the last step.  The new point must
     pass mvt._residual_ok, and point(s, t, G) must turn it into a
     SolutionPoint rather than None.  Returns the points and the stop reason.
@@ -139,7 +145,7 @@ def _march(G, start, direction, s_limit, step, tol, correct, s_span, point):
                 return points, STOP_STALLED
             if not s_span[0] < s_next <= s_span[1]:
                 return points, STOP_DOMAIN
-            t_next, at = correct(G, s_next, s, t, slope, h, dt)
+            t_next, at = correct(terms, s_next, s, t, slope, h, dt)
             if t_next is None and at == STOP_DEGENERATE:
                 return points, STOP_DEGENERATE
             if t_next is not None and mvt._residual_ok(at[0], at[3], at[4], tol):
@@ -159,32 +165,23 @@ def _branch(p, order, start, s_range, step, tol, correct, s_span, **fields):
     """Walk both ways from the seed and gather the Branch.
 
     order(s, t) is (b, c) for the walk's (s, t); being its own inverse, it
-    also turns F's partials (F_b, F_c) into G's (G_s, G_t), and the terms of
-    F that need only b or only c into those that need only s or only t.
-    start is (s, t, (G, G_s, G_t)) at a seed the caller has judged.
+    also turns the functions of F's terms in b and in c, bound here once,
+    into those in s and in t.  start is (s, t, (G, G_s, G_t)) at a seed the
+    caller has judged.
     """
     b, c = order(*start[:2])
     if not p.a0 < c < b:
         raise ValueError(f"abscissa c={c!r} is not interior to ({p.a0!r}, {b!r})")
     step = _step(p, b, step, "step")
-    s_terms, t_terms = order(mvt._b_terms, mvt._c_terms)
-
-    def G(s):
-        fixed = s_terms(p, s)
-
-        def at(t):
-            (slope, f_b), (fpc, f_c) = order(fixed, t_terms(p, t))
-            return (slope - fpc, *order(f_b, f_c), slope, fpc)
-
-        return at
+    terms = order(mvt._b_terms(p), mvt._c_terms(p))
 
     def point(s, t, value):
         # the walk's numbers are numpy scalars where f's jets are; a point's are floats
         b, c = order(float(s), float(t))
         return mvt.SolutionPoint(b, c, float(abs(value))) if p.a0 < c < b <= p.domain[1] else None
 
-    up, stop_upper = _march(G, start, +1, s_range[1], step, tol, correct, s_span, point)
-    down, stop_lower = _march(G, start, -1, s_range[0], step, tol, correct, s_span, point)
+    up, stop_upper = _march(terms, start, +1, s_range[1], step, tol, correct, s_span, point)
+    down, stop_lower = _march(terms, start, -1, s_range[0], step, tol, correct, s_span, point)
     return Branch(points=down[::-1] + [mvt.SolutionPoint(b, c, float(abs(start[2][0])))] + up,
                   seed_index=len(down), stop_lower=stop_lower,
                   stop_upper=stop_upper, **fields)
@@ -203,7 +200,7 @@ def trace_c_of_b(p: mvt.Problem, b0: float, c0: float, b_range, step=None,
             f"seed classifies as {report.case.value}; no unique local C(b)")
     correct = _chord_correct
     if report.case == classify.Case.UNIQUE_ODD:
-        correct = functools.partial(_bisect_correct, p, b0)
+        correct = functools.partial(_bisect_correct, p, b0, mvt._fprime(p))
     # classify_point has judged the seed, evaluating F, F_b and f'' = -F_c
     start = (float(b0), float(c0), (report.value, report.f_b, -report.f_pp_c0))
     return _branch(p, lambda b, c: (b, c), start, (lo, hi), step, tol, correct,
@@ -242,10 +239,10 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
     if not (p.a0 < b <= p.domain[1] and p.domain[0] <= b):
         raise SeedSearchFailed("stepped endpoint left the domain")
 
-    slope = mvt._b_terms(p, b)[0]
+    slope, fprime = mvt._b_terms(p)(b)[0], mvt._fprime(p)
 
     def F(c):
-        return slope - mvt._fprime(p, c)
+        return slope - fprime(c)
 
     # both roots are needed, so a b <= c0, which leaves no room above c0,
     # fails whatever the search below c0 finds

@@ -316,15 +316,47 @@ def _sub(a, b):
 def _neg(a):
     return [-ai for ai in a]
 
+# Wide jets of polynomials and rational functions end in exact zeros, and
+# most products of _mul and _div multiply by them (Griewank & Walther,
+# Evaluating Derivatives, 2nd ed., ch. 13).  Where every coefficient is a
+# finite Python float, such a product is +0.0 or -0.0, and leaving it out
+# changes no bit: a sum started from 0 never reads -0.0, and neither does a
+# difference started from a numerator coefficient that is not -0.0.
+
+def _finite_floats(a):
+    for v in a:
+        if type(v) is not float or not math.isfinite(v):
+            return False
+    return True
+
+def _last_nonzero(a):
+    k = len(a) - 1
+    while k and a[k] == 0:
+        k -= 1
+    return k
+
 def _mul(a, b):
+    if _finite_floats(a) and _finite_floats(b):
+        m, n = _last_nonzero(a), _last_nonzero(b)
+        return [sum(a[j] * b[k - j] for j in range(max(0, k - n), min(k, m) + 1))
+                if k <= m + n else _ZERO for k in range(len(a))]
     return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))]
 
 def _div(a, b, node=None):
     _check(b[0] == 0, node, "division by zero")
+    if _finite_floats(a) and _finite_floats(b) and not any(
+            v == 0 and math.copysign(1.0, v) < 0 for v in a):
+        c = _quotient(a, b, _last_nonzero(b))
+        if _finite_floats(c):  # else a skipped product of an inf and a zero was a NaN
+            return c
+    return _quotient(a, b, len(b) - 1)
+
+def _quotient(a, b, n):
+    # the series of a / b, with b's coefficients past n left out
     c = []
     for k in range(len(a)):
         s = a[k]
-        for j in range(k):
+        for j in range(max(0, k - n), k):
             s = s - c[j] * b[k - j]
         c.append(s / b[0])
     return c
@@ -497,8 +529,14 @@ class Tape:
     stack run: the same helpers, run on symbols, write their arithmetic as
     code, folded where the trace knows a value, so both runs give the same
     numbers of the same types for a float or float array x0.  Wider jets,
-    and every jet of a tape longer than _COMPILED_STEPS, run on the stack.
+    and every jet of a tape longer than _COMPILED_STEPS, run on the stack;
+    there a product with a zero past the last nonzero coefficient of a wide
+    jet of finite Python floats is left out, which changes no bit.
     `lower` gives equal trees one tape, so they share its compiled code too.
+
+    jet(width) is the checked jet of one width as a function of x0, which
+    a caller that evaluates many times binds once: one call runs the jet and
+    checks that every coefficient is finite.
     """
 
     __slots__ = ("steps", "_compiled")
@@ -507,24 +545,44 @@ class Tape:
         self.steps = steps
         self._compiled = [None] * (COMPILED_WIDTH + 1)
 
+    def _compiled_run(self, width):
+        """The run of the given width as compiled code, compiled on first
+        use, or None where the stack runs it."""
+        if width > COMPILED_WIDTH or len(self.steps) > _COMPILED_STEPS:
+            return None
+        run = self._compiled[width]
+        if run is None:
+            run = self._compiled[width] = _compile_run(self.steps, width)
+        return run
+
     def run(self, x0, width):
         """The coefficient list of the expression's jet of the given width at x0."""
-        if width <= COMPILED_WIDTH and len(self.steps) <= _COMPILED_STEPS:
-            run = self._compiled[width]
-            if run is None:
-                run = self._compiled[width] = _compile_run(self.steps, width)
-            return run(x0)
-        return _run(self.steps, x0, width)
+        run = self._compiled_run(width)
+        return _run(self.steps, x0, width) if run is None else run(x0)
 
-    def checked_run(self, x0, width):
-        """run(x0, width), raising DomainError unless every coefficient is
+    def jet(self, width):
+        """The jet of the given width as a function of x0 that returns
+        run(x0, width), raising DomainError unless every coefficient is
         finite; a float value, as of a float x0, has float coefficients."""
-        coeffs = self.run(x0, width)
-        finite = (map(math.isfinite, coeffs) if isinstance(coeffs[0], float)
-                  else (np.isfinite(c).all() for c in coeffs))
-        if not all(finite):
+        run = self._compiled_run(width)
+        return _checked(partial(_run, self.steps, width=width) if run is None else run)
+
+
+def _checked(run):
+    # run, a function of x0, raising DomainError unless every coefficient is finite
+    isfinite = math.isfinite
+
+    def jet(x0):
+        coeffs = run(x0)
+        if isinstance(coeffs[0], float):
+            for c in coeffs:
+                if not isfinite(c):
+                    raise DomainError("non-finite jet coefficient")
+        elif not all(np.isfinite(c).all() for c in coeffs):
             raise DomainError("non-finite jet coefficient")
         return coeffs
+
+    return jet
 
 
 # the tapes of the trees lowered last, by repr, least recent first: equal
@@ -800,4 +858,4 @@ def jet_eval(f: ExprNode | Tape, x0, n: int) -> tuple:
     if n > MAX_JET_ORDER:
         raise OrderOverflow(f"jet order {n} exceeds maximum {MAX_JET_ORDER}")
     tape = f if isinstance(f, Tape) else lower(f)
-    return tuple(tape.checked_run(x0, n + 1))
+    return tuple(tape.jet(n + 1)(x0))

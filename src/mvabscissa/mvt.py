@@ -1,7 +1,10 @@
 """The mean value condition as an implicit equation F(b, c) = 0.
 
 F(b, c) = (f(b) - f(a0)) / (b - a0) - f'(c).  A zero of F is a pair of a
-right endpoint b and a mean value abscissa c for f on [a0, b].
+right endpoint b and a mean value abscissa c for f on [a0, b].  F is
+separable, S(b) + T(c) with the secant slope S and T = -f', and each term
+with its derivative comes from one function of its own variable, with f's
+jet of its width bound once.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ def solution_point(p: Problem, b, c) -> SolutionPoint:
     b, c = float(b), float(c)
     if not (p.a0 < c < b):
         raise ValueError(f"abscissa c={c!r} is not interior to ({p.a0!r}, {b!r})")
-    slope, fpc = float(_b_terms(p, b)[0]), float(_fprime(p, c))
+    slope, fpc = float(_b_terms(p)(b)[0]), float(_fprime(p)(c))
     r = abs(slope - fpc)
     if not _residual_ok(r, slope, fpc, DEFAULT_TOL):
         raise ValueError(f"residual {r!r} exceeds tolerance {DEFAULT_TOL!r} at its scale")
@@ -140,24 +143,37 @@ def _endpoint_guard(p, b):
         raise EndpointCollision(f"b collides with a0 = {p.a0!r}")
 
 
-def _b_terms(p, b):
-    """The terms of F that need only b: the secant slope
-    (f(b) - f(a0)) / (b - a0) and F_b."""
-    _endpoint_guard(p, b)
-    jb = p.tape.checked_run(b, 2)
-    d, rise = b - p.a0, jb[0] - p.fa
-    return rise / d, (jb[1] * d - rise) / (d * d)
+def _b_terms(p):
+    """The terms of F that need only b, as a function of b: the secant
+    slope S(b) = (f(b) - f(a0)) / (b - a0) and F_b = S'(b)."""
+    jet = p.tape.jet(2)
+
+    def terms(b):
+        _endpoint_guard(p, b)
+        jb = jet(b)
+        d, rise = b - p.a0, jb[0] - p.fa
+        return rise / d, (jb[1] * d - rise) / (d * d)
+
+    return terms
 
 
-def _c_terms(p, c):
-    """The terms of F that need only c: f'(c) and F_c = -f''(c)."""
-    jc = p.tape.checked_run(c, 3)
-    return jc[1], -2.0 * jc[2]
+def _c_terms(p):
+    """The terms of F that need only c, as a function of c: T(c) = -f'(c),
+    so that F(b, c) = S(b) + T(c), and F_c = T'(c) = -f''(c)."""
+    jet = p.tape.jet(3)
+
+    def terms(c):
+        jc = jet(c)
+        return -jc[1], -2.0 * jc[2]
+
+    return terms
 
 
-def _fprime(p, c):
-    """f'(c), from an order-1 jet: F(b, c) is slope - f'(c) at a fixed b."""
-    return p.tape.checked_run(c, 2)[1]
+def _fprime(p):
+    """f' as a function of c, from an order-1 jet: F(b, c) is
+    S(b) - f'(c) at a fixed b."""
+    jet = p.tape.jet(2)
+    return lambda c: jet(c)[1]
 
 
 def _fprime_series(p, c, order):
@@ -169,17 +185,17 @@ def _fprime_series(p, c, order):
 def _seed_terms(p, b, c, tol):
     """F, F_b and F_c at a seed (b, c), which must pass _residual_ok with
     tol, or NotASolution is raised."""
-    (slope, f_b), (fpc, f_c) = _b_terms(p, b), _c_terms(p, c)
-    value = slope - fpc
-    if not _residual_ok(value, slope, fpc, tol):
+    (slope, f_b), (t, f_c) = _b_terms(p)(b), _c_terms(p)(c)
+    value = slope + t
+    if not _residual_ok(value, slope, t, tol):
         raise NotASolution(f"|F({b!r}, {c!r})| = {float(abs(value))!r} exceeds tolerance")
     return value, f_b, f_c
 
 
 def big_f(p: Problem, b, c):
     """F, F_b, F_c at (b, c), scalars or arrays; where both raise, c's terms do."""
-    (fpc, f_c), (slope, f_b) = _c_terms(p, c), _b_terms(p, b)
-    return slope - fpc, f_b, f_c
+    (t, f_c), (slope, f_b) = _c_terms(p)(c), _b_terms(p)(b)
+    return slope + t, f_b, f_c
 
 
 def mean_value_implicit(p: Problem):
@@ -235,18 +251,19 @@ def _solve(p, b, tol, grid_n):
         raise ValueError(f"b = {float(b[bad][0])!r} outside (a0, domain max]")
     _endpoint_guard(p, b)
     # the value, not the order-1 jet of _b_terms: its F_b overflows at large b
-    slope = (p.tape.checked_run(b, 1)[0] - p.fa) / (b - p.a0)
-    live, cells, grid = _grid(p, b, slope, grid_n)
-    touch, sides = _critical_points(p, b, slope, live, tol, *grid)
+    slope = (p.tape.jet(1)(b)[0] - p.fa) / (b - p.a0)
+    fprime = _fprime(p)
+    live, cells, grid = _grid(p, fprime, b, slope, grid_n)
+    touch, sides = _critical_points(p, fprime, b, slope, live, tol, *grid)
     col, lo, hi, flo = map(np.concatenate, zip(*cells, *sides))
     del cells, sides  # frees the sets, which the concatenations copy
-    roots = _bisect(lambda s, c: s - _fprime(p, c), lo, hi, flo,
+    roots = _bisect(lambda s, c: s - fprime(c), lo, hi, flo,
                     1e-15 * (b - p.a0)[col], slope[col])
     inside = (p.a0 < roots) & (roots < b[col])
     roots, col = roots[inside], col[inside]
-    fprime = _fprime(p, roots)
-    residual = np.abs(slope[col] - fprime)
-    kept = _residual_ok(residual, slope[col], fprime, tol)
+    fp = fprime(roots)
+    residual = np.abs(slope[col] - fp)
+    kept = _residual_ok(residual, slope[col], fp, tol)
     roots, col, residual = roots[kept], col[kept], residual[kept]
     for j, c, r, lo, hi in touch:  # a touching root takes the roots of its window
         kept = (col != j) | (roots < lo) | (roots > hi)
@@ -259,21 +276,21 @@ def _solve(p, b, tol, grid_n):
     return out
 
 
-def _grid(p, b, slope, grid_n):
-    """f' on the grid cs of grid_n + 2 nodes of [a0, max(b)], v, and at each
-    b, fb, with m each b's last node below it.  Returns whether each column
-    is live; its brackets, as sets (column, lo, hi, F(lo)): the cells below b
-    and the last cell [c_m, b] where F changes sign, one at a0 or b only
-    where F there is neither zero up to rounding nor NaN, and the nodes where
-    F is 0, as [c, c]; and (cs, v, fb, m)."""
+def _grid(p, fprime, b, slope, grid_n):
+    """f', by the function fprime, on the grid cs of grid_n + 2 nodes of
+    [a0, max(b)], v, and at each b, fb, with m each b's last node below it.
+    Returns whether each column is live; its brackets, as sets (column, lo,
+    hi, F(lo)): the cells below b and the last cell [c_m, b] where F changes
+    sign, one at a0 or b only where F there is neither zero up to rounding
+    nor NaN, and the nodes where F is 0, as [c, c]; and (cs, v, fb, m)."""
     a0 = p.a0
     x = np.concatenate([np.linspace(a0, b.max(), grid_n + 2), b])
     cs = x[:grid_n + 2]
     try:
-        fp = np.broadcast_to(_fprime(p, x), x.shape)
+        fp = np.broadcast_to(fprime(x), x.shape)
     except (ValueError, MvaError):  # f' at a0, max(b) and each b, then the others
-        ends = [_fprime_or_nan(p, c) for c in [a0, cs[-1]] + b.tolist()]
-        fp = np.concatenate([ends[:1], np.broadcast_to(_fprime(p, cs[1:-1]), (grid_n,)), ends[1:]])
+        ends = [_fprime_or_nan(fprime, c) for c in [a0, cs[-1]] + b.tolist()]
+        fp = np.concatenate([ends[:1], np.broadcast_to(fprime(cs[1:-1]), (grid_n,)), ends[1:]])
     v, fb, m = fp[:grid_n + 2], fp[grid_n + 2:], np.searchsorted(cs, b) - 1
     # S strictly between the ranks of f' at the ends of cell r among the
     # sorted slopes, or at node r + 1 - grid_n
@@ -303,15 +320,16 @@ def _grid(p, b, slope, grid_n):
     return live, cells, (cs, v, fb, m)
 
 
-def _critical_points(p, b, slope, live, tol, cs, v, fb, m):
-    """The critical points c* of f' in the windows of _grid's nodes, the two
-    cells around a node where the differences of f' change sign.  c* is
-    bisected once, if a live column's S lies past f' at the column's nodes
-    of the window, or passes _residual_ok against it; a window that reaches
-    past b ends at b for that column, and counts c* only below b.  Returns
-    the columns whose S passes _residual_ok against f'(c*), as touching
-    roots (column, c*, |F|, window lo, hi); and, for S strictly between f'
-    at the column's nodes and f'(c*), the brackets on either side of c*."""
+def _critical_points(p, fprime, b, slope, live, tol, cs, v, fb, m):
+    """The critical points c* of f', by the function fprime, in the windows
+    of _grid's nodes, the two cells around a node where the differences of
+    f' change sign.  c* is bisected once, if a live column's S lies past f'
+    at the column's nodes of the window, or passes _residual_ok against it;
+    a window that reaches past b ends at b for that column, and counts c*
+    only below b.  Returns the columns whose S passes _residual_ok against
+    f'(c*), as touching roots (column, c*, |F|, window lo, hi); and, for S
+    strictly between f' at the column's nodes and f'(c*), the brackets on
+    either side of c*."""
     up, down = v[1:] > v[:-1], v[1:] < v[:-1]  # a NaN is neither
     k = np.flatnonzero(up | down)
     t = np.flatnonzero(up[k[1:]] != up[k[:-1]])
@@ -325,9 +343,10 @@ def _critical_points(p, b, slope, live, tol, cs, v, fb, m):
         return [], []
     need, at = np.unique(w, return_inverse=True)
     # F_c = -f'' is negative before a peak of f', positive before a trough
-    c = _bisect(lambda c: _c_terms(p, c)[1], cs[w_lo[need]], cs[w_hi[need]],
+    c_terms = _c_terms(p)
+    c = _bisect(lambda c: c_terms(c)[1], cs[w_lo[need]], cs[w_hi[need]],
                 np.where(peak[need], -1.0, 1.0), np.zeros(need.size))
-    c, fc = c[at], np.broadcast_to(_fprime(p, c), c.shape)[at]
+    c, fc = c[at], np.broadcast_to(fprime(c), c.shape)[at]
     s, e, clip, w_lo, w_hi = slope[j], e[w, j], clip[w, j], w_lo[w], w_hi[w]
     lo, hi = cs[w_lo], np.where(clip, b[j], cs[w_hi])
     f_hi = s - np.where(clip, fb[j], v[w_hi])
@@ -338,10 +357,11 @@ def _critical_points(p, b, slope, live, tol, cs, v, fb, m):
     return list(zip(*(a[touching].tolist() for a in (j, c, np.abs(s - fc), lo, hi)))), sides
 
 
-def _fprime_or_nan(p, c):
-    """f'(c) at the float c, or NaN where it does not evaluate."""
+def _fprime_or_nan(fprime, c):
+    """f'(c), by the function fprime, at the float c, or NaN where it does
+    not evaluate."""
     try:
-        return _fprime(p, c)
+        return fprime(c)
     except (ValueError, MvaError):
         return np.nan
 
@@ -437,7 +457,8 @@ def g1_g2(p: Problem, b0: float, c0: float):
     coefficients at 0 up to that order.
     """
     fa = float(p.fa)
-    fpc0 = float(_fprime(p, c0))
+    fprime = _fprime(p)
+    fpc0 = float(fprime(c0))
 
     def g1_value(x):
         bb = b0 + np.asarray(x, dtype=float)
@@ -454,7 +475,7 @@ def g1_g2(p: Problem, b0: float, c0: float):
 
     def g2_value(y):
         cc = c0 + np.asarray(y, dtype=float)
-        return _fprime(p, cc) - fpc0
+        return fprime(cc) - fpc0
 
     def g2_series(order):
         d = _fprime_series(p, c0, order)

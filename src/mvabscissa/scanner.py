@@ -82,18 +82,29 @@ def scan(p: mvt.Problem, b_min: float, b_max: float, b_count: int,
 # serialization
 # ---------------------------------------------------------------------------
 
+def _columns(obj):
+    """The column of each point: a ScanResult's columns, which must be as
+    many as its points, or a Branch's point indices."""
+    if not isinstance(obj, ScanResult):
+        return range(len(obj.points))
+    if len(obj.columns) != len(obj.points):
+        raise ValueError(f"ScanResult has {len(obj.points)} points "
+                         f"but {len(obj.columns)} columns")
+    return obj.columns
+
+
 def _texts(obj):
     """The fields of to_csv: repr(float(v)) of the points' b, c and residual,
     c and residual made as they are read, and the columns.  b is formatted
     once per run of points that share one b object, as a scan's column does."""
-    points = obj.points
+    points, columns = obj.points, _columns(obj)
     bs, last = [], object()
     for q in points:
         if q.b is not last:
             last, text = q.b, repr(float(q.b))
         bs.append(text)
     cs, rs = (map(repr, map(float, map(attrgetter(k), points))) for k in ("c", "residual"))
-    return bs, cs, rs, obj.columns if isinstance(obj, ScanResult) else range(len(points))
+    return bs, cs, rs, columns
 
 
 def to_csv(obj) -> str:
@@ -110,6 +121,7 @@ def to_json(obj) -> str:
     them as the texts of to_csv, so one template sets those texts into the
     indented layout of the other keys.
     """
+    _columns(obj)
     values = chain.from_iterable(map(attrgetter("b", "c", "residual"), obj.points))
     if set(map(type, values)) == {float}:
         *fields, columns = _texts(obj)
@@ -128,7 +140,7 @@ def to_svg(obj) -> str:
     """Standalone SVG 1.1 plot: shaded c >= b region, family polylines, markers.
 
     Family k joins the points of c-rank k in their columns, in column order."""
-    points = obj.points
+    points, cols = obj.points, _columns(obj)
     n = len(points)
     bs = [q.b for q in points] or [0.0, 1.0]
     cs = [q.c for q in points] or [0.0, 1.0]
@@ -179,20 +191,33 @@ def to_svg(obj) -> str:
         # overflow and inf - inf give inf and nan without a warning, as on Python floats
         with np.errstate(over="ignore", invalid="ignore"):
             xy = np.column_stack((px(np.array(bs, dtype=float)), py(c)))
-        # sorted by column, then by c: a point's rank is its place in its column
-        cols = np.asarray(obj.columns if isinstance(obj, ScanResult) else range(n))
-        order = np.lexsort((c, cols))
-        rank = np.arange(n) - np.searchsorted(cols[order], cols[order])
-        by_rank = order[np.argsort(rank, kind="stable")]
-        for family in np.split(xy[by_rank], np.cumsum(np.bincount(rank))[:-1]):
-            if len(family) >= 2:
-                pts = " ".join(["%.2f,%.2f"] * len(family)) % tuple(family.ravel().tolist())
-                parts.append(f'<polyline points="{pts}" fill="none" '
-                             f'stroke="#1f6fb2" stroke-width="1"/>')
-        parts.append("\n".join(['<circle cx="%.2f" cy="%.2f" r="1.5" fill="#1f3fb2"/>'] * n)
-                     % tuple(xy.ravel().tolist()))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts += _point_parts(xy, c, np.asarray(cols))
+    parts.append("</svg>\n")
+    return "\n".join(parts)
+
+
+def _point_parts(xy, c, cols):
+    """The family polylines and the markers of the points at the plot
+    coordinates xy, of ordinates c in columns cols.  Each point's
+    coordinates are formatted once, as the text between its marker's cx="
+    and the end of its cy=", which its polyline writes x,y."""
+    sep, end = '" cy="', '" r="1.5" fill="#1f3fb2"/>'
+    pairs = ("\n".join([f"%.2f{sep}%.2f"] * len(xy)) % tuple(xy.ravel().tolist())).split("\n")
+    # sorted by column, then by c: a point's rank is its place in its column
+    order = np.lexsort((c, cols))
+    rank = np.arange(len(xy)) - np.searchsorted(cols[order], cols[order])
+    by_rank = order[np.argsort(rank, kind="stable")]
+    out, ranked = [], np.array(pairs, dtype=object)[by_rank]
+    for family in np.split(ranked, np.cumsum(np.bincount(rank))[:-1]):
+        if len(family) >= 2:
+            pts = " ".join(family.tolist()).replace(sep, ",")
+            out.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1"/>')
+    # the markers, a line each: the pairs joined by the text from the end of
+    # one marker to the cx=" of the next
+    pairs[0] = '<circle cx="' + pairs[0]
+    pairs[-1] += end
+    out.append(f'{end}\n<circle cx="'.join(pairs))
+    return out
 
 
 def _clip_halfplane(corners):

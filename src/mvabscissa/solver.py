@@ -45,9 +45,11 @@ def _check_tol(tol):
 def fixed_point(K, interval, rho, tol=1e-12, max_iter=200, y_start=None):
     """Iterate y_{n+1} = K(y_n) on the closed interval to the unique fixed point.
 
-    Contractivity is pre-checked by a sampled Lipschitz estimate L.  With
-    q = max(rho, L), the stopping rule |y_{n+1} - y_n| <= tol * (1 - q) / q
-    certifies |y_n - y*| <= tol via the geometric Cauchy bound.
+    K takes floats and arrays, elementwise, as F does.  Contractivity is
+    pre-checked by a Lipschitz estimate L from K on 65 points of the
+    interval, sampled in one call.  With q = max(rho, L), the stopping rule
+    |y_{n+1} - y_n| <= tol * (1 - q) / q certifies |y_n - y*| <= tol via
+    the geometric Cauchy bound.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -59,7 +61,7 @@ def fixed_point(K, interval, rho, tol=1e-12, max_iter=200, y_start=None):
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
     ys = np.linspace(lo, hi, _LIPSCHITZ_SAMPLES)
-    kv = np.array([float(K(y)) for y in ys])
+    kv = np.broadcast_to(np.asarray(K(ys), dtype=float), ys.shape)
     h = ys[1] - ys[0]
     lip = float(np.max(np.abs(np.diff(kv)))) / h
     if lip >= 1.0:

@@ -53,7 +53,7 @@ def test_criterion_2_cubic_two_abscissae():
 
 def test_criterion_3_contraction_bound():
     rho = math.sin(1.0)
-    y, trace = solver.fixed_point(math.cos, (0.0, 1.0), rho=rho, tol=1e-12)
+    y, trace = solver.fixed_point(np.cos, (0.0, 1.0), rho=rho, tol=1e-12)
     ys = trace.iterates
     lead = abs(ys[1] - ys[0])
     worst = 0.0

@@ -1,15 +1,16 @@
 """Branch tracing: predictor-corrector marches and post-degeneracy seeds."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
 import mvabscissa as mva
-from mvabscissa import classify, continuation, mvt
+from mvabscissa import classify, continuation, expr, mvt
 from mvabscissa.errors import NotASolution, SeedNotRegular, SeedSearchFailed
 
-from conftest import cubic_lower, cubic_upper
+from conftest import CUBIC, cubic_lower, cubic_upper
 
 
 class TestTraceCOfB:
@@ -200,9 +201,13 @@ class TestEvaluations:
         calls = []
 
         def recorder(name, terms):
-            def record(p, x):
-                calls.append((name, np.asarray(x, dtype=float).tolist()))
-                return terms(p, x)
+            def record(p):
+                bound = terms(p)
+
+                def evaluate(x):
+                    calls.append((name, np.asarray(x, dtype=float).tolist()))
+                    return bound(x)
+                return evaluate
             return record
 
         monkeypatch.setattr(mvt, "_b_terms", recorder("b", mvt._b_terms))
@@ -227,6 +232,37 @@ class TestEvaluations:
         # once per step, and once at the seed, for its check and its point
         assert len([x for name, x in calls if name == "c"]) == len(br.points)
 
+    def test_trace_runs_each_jet_as_often_as_before(self, monkeypatch):
+        # perfbench's `trace cubic upper=True`: on a fresh tape, the calls of
+        # its compiled runs and of its stack runs, by width.  Each corrector
+        # evaluation is one run of width 3, each step one of width 2, and
+        # the seed's classification one each of widths 17 and 18
+        counts = collections.Counter()
+        compile_run, run = expr._compile_run, expr._run
+
+        def counting_compile(steps, width):
+            compiled = compile_run(steps, width)
+
+            def counted(x0):
+                counts["compiled", width] += 1
+                return compiled(x0)
+            return counted
+
+        def counting_run(steps, x0, width, out=None):
+            if not isinstance(x0, expr._Sym):  # not a trace of a compiled run
+                counts["stack", width] += 1
+            return run(steps, x0, width, out)
+
+        monkeypatch.setattr(expr, "_TAPES", {})
+        monkeypatch.setattr(expr, "_compile_run", counting_compile)
+        monkeypatch.setattr(expr, "_run", counting_run)
+        p = mva.Problem(mva.parse(CUBIC), 0.0, 3.0)
+        counts.clear()
+        br = continuation.trace_c_of_b(p, 2.5, cubic_upper(2.5), (1.0, 3.5), step=0.01)
+        assert len(br.points) == 201
+        assert counts == {("compiled", 1): 1, ("compiled", 2): 203, ("compiled", 3): 804,
+                          ("stack", 17): 1, ("stack", 18): 1}
+
     def test_chord_corrector_stops_at_its_rounding_floor(self, monkeypatch,
                                                          quintic_same_sign):
         # past the TWO_BRANCHES point (3, 1), G_t is small and G at rounding
@@ -234,19 +270,15 @@ class TestEvaluations:
         # a corrector that only stops at that bound runs to its cap of 80
         counts, chord = [], continuation._chord_correct
 
-        def counting(G, *args):
+        def counting(terms, *args):
             n = 0
 
-            def counted(s):
-                at = G(s)
+            def counted(t):
+                nonlocal n
+                n += 1
+                return terms[1](t)
 
-                def at_counted(t):
-                    nonlocal n
-                    n += 1
-                    return at(t)
-                return at_counted
-
-            out = chord(counted, *args)
+            out = chord((terms[0], counted), *args)
             counts.append(n)
             return out
 

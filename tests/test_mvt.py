@@ -581,7 +581,7 @@ class TestEndCells:
         # f' has no value at a0 = 0; the abscissa is c = ratio * b
         p = mva.Problem(mva.parse(text), 0.0, 1.0)
         with pytest.raises(DomainError):
-            mvt._fprime(p, 0.0)
+            mvt._fprime(p)(0.0)
         for count in (5, 40):
             res = scanner.scan(p, 0.05, 1.0, count)
             assert res.columns == list(range(count))
@@ -594,7 +594,7 @@ class TestEndCells:
         p = mva.Problem(mva.parse("sqrt(1 - x)"), 0.0, 1.0)
         assert p.domain[1] == 1.0
         with pytest.raises(DomainError):
-            mvt._fprime(p, 1.0)
+            mvt._fprime(p)(1.0)
         assert mvt.abscissae(p, 1.0) == [pytest.approx(0.75, abs=1e-15)]
         columns = mvt.solve_columns(p, np.linspace(0.5, 1.0, 12))
         assert [q.c for q in columns[-1]] == [pytest.approx(0.75, abs=1e-15)]
@@ -605,12 +605,16 @@ def test_a_scan_evaluates_f_prime_once_per_node(cubic, monkeypatch):
     # grid_n + 2 shared nodes and each b in one call, then on its roots; a
     # grid per column would take 400 * grid_n points
     sizes, bisecting = [], []
-    run, bisect = expr.Tape.checked_run, mvt._bisect
+    jet, bisect = expr.Tape.jet, mvt._bisect
 
-    def counted(tape, x0, width):
-        if width >= 2 and not bisecting:
-            sizes.append(np.size(x0))
-        return run(tape, x0, width)
+    def counted(tape, width):
+        run = jet(tape, width)
+
+        def counting(x0):
+            if width >= 2 and not bisecting:
+                sizes.append(np.size(x0))
+            return run(x0)
+        return counting
 
     def bisect_counted(*args):
         bisecting.append(True)
@@ -619,7 +623,7 @@ def test_a_scan_evaluates_f_prime_once_per_node(cubic, monkeypatch):
         finally:
             bisecting.pop()
 
-    monkeypatch.setattr(expr.Tape, "checked_run", counted)
+    monkeypatch.setattr(expr.Tape, "jet", counted)
     monkeypatch.setattr(mvt, "_bisect", bisect_counted)
     bs = np.linspace(0.1, 3.5, 400)
     columns = mvt.solve_columns(cubic.covering(-3.0, 6.0), bs)

@@ -1,5 +1,6 @@
 """Full zero-set scans and CSV/JSON/SVG serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -285,6 +286,18 @@ class TestWritersMatchReference:
         for obj in (cubic_scan, branch):
             assert scanner.to_csv(obj) == reference_writers.to_csv(obj)
             assert scanner.to_svg(obj) == reference_writers.to_svg(obj)
+
+
+@pytest.mark.parametrize("write", [scanner.to_csv, scanner.to_json, scanner.to_svg])
+@pytest.mark.parametrize("residual", [0.0, None], ids=["floats", "not floats"])
+@pytest.mark.parametrize("columns", [[1, 0, 1, 1], [1, 0, 1, 1, 0, 2]], ids=repr)
+def test_writers_refuse_a_column_per_point_too_few_or_many(write, residual, columns):
+    # to_csv and to_json wrote the shorter of the two, and to_svg raised
+    # from np.lexsort
+    obj = dataclasses.replace(_COLUMN_PAIRS, columns=columns, points=[
+        dataclasses.replace(q, residual=residual) for q in _COLUMN_PAIRS.points])
+    with pytest.raises(ValueError, match=f"^ScanResult has 5 points but {len(columns)} columns$"):
+        write(obj)
 
 
 class TestEmit:

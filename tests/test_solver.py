@@ -52,7 +52,7 @@ class TestFixedPoint:
             assert abs(abs(yn - 2.0) - abs(y0 - 2.0) * 0.5 ** n) < 1e-12
 
     def test_cosine_matches_bisection_oracle(self):
-        y, trace = solver.fixed_point(math.cos, (0.0, 1.0), rho=math.sin(1.0),
+        y, trace = solver.fixed_point(np.cos, (0.0, 1.0), rho=math.sin(1.0),
                                       tol=1e-12)
         assert abs(y - COS_FIXED_POINT) <= 1e-10
         assert trace.converged
@@ -72,7 +72,7 @@ class TestFixedPoint:
 
     def test_cauchy_bound_on_recorded_trace(self):
         rho = math.sin(1.0)
-        _, trace = solver.fixed_point(math.cos, (0.0, 1.0), rho=rho, tol=1e-12)
+        _, trace = solver.fixed_point(np.cos, (0.0, 1.0), rho=rho, tol=1e-12)
         ys = trace.iterates
         lead = abs(ys[1] - ys[0])
         for m in range(len(ys)):
@@ -81,9 +81,9 @@ class TestFixedPoint:
 
     def test_uniqueness_from_distinct_starts(self):
         tol = 1e-12
-        y1, _ = solver.fixed_point(math.cos, (0.0, 1.0), rho=math.sin(1.0),
+        y1, _ = solver.fixed_point(np.cos, (0.0, 1.0), rho=math.sin(1.0),
                                    tol=tol, y_start=0.05)
-        y2, _ = solver.fixed_point(math.cos, (0.0, 1.0), rho=math.sin(1.0),
+        y2, _ = solver.fixed_point(np.cos, (0.0, 1.0), rho=math.sin(1.0),
                                    tol=tol, y_start=0.95)
         assert abs(y1 - y2) <= 2.0 * tol
 
@@ -92,6 +92,19 @@ class TestFixedPoint:
         y, _ = solver.fixed_point(lambda y: 0.9 * y + 0.1, (0.0, 2.0), rho=0.1,
                                   tol=1e-8, y_start=0.0, max_iter=1000)
         assert abs(y - 1.0) <= 1e-8
+
+    def test_k_is_sampled_in_one_call(self):
+        # the Lipschitz estimate reads K on its 65 points at once, then
+        # each iterate is one float
+        shapes = []
+
+        def K(y):
+            shapes.append(np.shape(y))
+            return _affine_k(y)
+
+        solver.fixed_point(K, (0.0, 4.0), rho=0.5, tol=1e-12)
+        assert shapes[0] == (65,) and len(shapes) > 1
+        assert all(shape == () for shape in shapes[1:])
 
     def test_residual_list_matches_iterates(self):
         _, trace = solver.fixed_point(_affine_k, (0.0, 4.0), rho=0.5, tol=1e-10)
@@ -104,11 +117,11 @@ class TestFixedPoint:
         rho = math.sin(1.0)
         for tol in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol must be positive and finite"):
-                solver.fixed_point(math.cos, (0.0, 1.0), rho=rho, tol=tol)
+                solver.fixed_point(np.cos, (0.0, 1.0), rho=rho, tol=tol)
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            solver.fixed_point(math.cos, (0.0, 1.0), rho=rho, max_iter=0)
+            solver.fixed_point(np.cos, (0.0, 1.0), rho=rho, max_iter=0)
         with pytest.raises(ValueError, match="rho must lie in"):
-            solver.fixed_point(math.cos, (0.0, 1.0), rho=1.5)
+            solver.fixed_point(np.cos, (0.0, 1.0), rho=1.5)
 
 
 class TestBuildK:

@@ -1,6 +1,7 @@
 """The jet tape against the recursive evaluators it replaced, bit for bit,
 and values against the jets of the same tape."""
 
+import math
 import warnings
 from unittest import mock
 
@@ -160,6 +161,58 @@ def test_tape_matches_the_recursive_evaluator(tree, x, xs):
                     assert _near_value(got, tree, x0), (tree, x0, got)
                 else:
                     assert _same(got, want), (tree, x0, n)
+
+
+# trees of +, -, *, / and integer powers, whose jets at a float point hold
+# only Python floats: where these are finite, _mul and _div leave out their
+# products with the zeros that end a wide jet
+RATIONAL_TREES = st.recursive(
+    st.one_of(st.just(expr.Var()), CONSTS.map(expr.Const)),
+    lambda children: st.one_of(
+        st.builds(expr.Unary, st.just("neg"), children),
+        st.builds(expr.Binary, st.sampled_from(["+", "-", "*", "/"]), children, children),
+        st.builds(expr.Binary, st.just("^"), children, st.sampled_from(
+            [expr.Const(0.0), expr.Const(2.0), expr.Const(3.0),
+             expr.Unary("neg", expr.Const(2.0))]))),
+    max_leaves=10)
+
+_x = expr.Var()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(RATIONAL_TREES, TREES), POINTS, st.lists(POINTS, min_size=1, max_size=4),
+       st.integers(expr.COMPILED_WIDTH + 1, expr.MAX_JET_ORDER + 1))
+# products of -0.0 with a zero past the last nonzero coefficient
+@example(expr.Binary("*", expr.Unary("neg", _x), _x), 1.0, [1.0, -2.0], 6)
+@example(expr.Binary("*", expr.Const(0.0), _x), -1.0, [-1.0, 2.0], 5)
+# -0.0 in a numerator, where 0.0 - (-0.0) would make the difference +0.0
+@example(expr.Binary("/", expr.Unary("neg", expr.Binary("*", _x, _x)), expr.Const(2.0)),
+         0.0, [-0.0, 0.0], 5)
+@example(expr.Binary("/", expr.Unary("neg", expr.Binary("*", _x, _x)),
+                     expr.Binary("+", _x, expr.Const(1.0))), 0.0, [0.0, 1.0], 7)
+# a live coefficient that overflows to inf
+@example(expr.Binary("*", expr.Binary("*", expr.Const(1e200), _x),
+                     expr.Binary("*", expr.Const(1e200), _x)), 1.0, [1.0, 2.0], 4)
+@example(expr.Binary("/", expr.Const(1.0), expr.Binary("*", expr.Const(1e-300),
+                                                       expr.Binary("+", _x, expr.Const(1.0)))),
+         -0.99, [-0.99, 0.5], 8)
+# an int constant, whose jet is not all floats
+@example(expr.Binary("*", expr.Const(3), expr.Binary("*", _x, _x)), 1.5, [1.5, -2.0], 5)
+def test_wide_jets_match_the_recursive_evaluator(tree, x, xs, width):
+    # wider than COMPILED_WIDTH, jets run on the stack
+    tape = expr.lower(tree)
+    for x0 in (x, np.array(xs)):
+        want = _outcome(reference_jet.jet_eval, tree, x0, width - 1)
+        assert _same(_outcome(expr.jet_eval, tape, x0, width - 1), want), (tree, x0, width)
+
+
+def test_a_quotient_that_overflows_keeps_its_products_with_zeros():
+    # 1 / (1e-300 + x) overflows at its second coefficient, so the dense
+    # loop's -inf * 0.0 makes the fourth a NaN, which skipping it would not
+    a, b = [1.0, 0.0, 0.0, 0.0], [1e-300, 1.0, 0.0, 0.0]
+    got, want = expr._div(a, b), reference_jet._div(a, b)
+    assert math.isinf(got[1]) and math.isnan(got[3])
+    assert [np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in want]
 
 
 @settings(max_examples=300, deadline=None)
