@@ -8,8 +8,9 @@ are their derivatives.  Each step is an Euler predictor with slope -G_s/G_t
 and a chord (contraction) corrector.  The corrector stops when a correction
 is below an absolute bound, or when it is no smaller than the one before,
 which marks G's rounding floor.  Where a c = C(b) seed is merely UNIQUE_ODD
-and F_c may vanish, a derivative-free bisection corrects instead, as a loop
-on floats.  A step holds s fixed, so the term of s is evaluated once per
+and F_c may vanish, a bisection on floats corrects instead, on the seed's
+piece of f', where f' is monotone, and the walk stops where the branch
+leaves it.  A step holds s fixed, so the term of s is evaluated once per
 step; an evaluation at a new t is one call of the term of t, with f's jet
 bound once per walk.  A corrector hands back G, its partials and F's two
 terms at the point it accepts, which serve as the residual check, the
@@ -67,7 +68,7 @@ def _step(p, b, step, name):
     return step
 
 
-def _chord_correct(terms, s, s_prev, t_prev, slope, h, dt):
+def _chord_correct(terms, s, s_prev, t_prev, slope):
     """Euler predictor with slope -G_s/G_t, then a re-centered contraction
     iteration for G(s, .) = 0, whose slope m = G_t stays that of the
     prediction.  terms is the pair of functions (U, V) with G(s, t) =
@@ -103,19 +104,19 @@ def _chord_correct(terms, s, s_prev, t_prev, slope, h, dt):
     return t, (u + v, u_s, v_t, u, v)
 
 
-def _bisect_correct(p, b0, fprime, terms, b, b_prev, c_prev, slope, h, dc):
+def _bisect_correct(fprime, piece, terms, b, *_):
     """Derivative-free corrector, for a UNIQUE_ODD seed where F_c may vanish:
-    the root of F(b, .) nearest c_prev, by mvt._root_near.
-
-    It corrects c = C(b) only, where terms is the pair of the functions of
-    F's terms in b and in c, and evaluates F(b, .) as S(b) - f' by the
-    function fprime, with S(b) computed once.
+    the root of F(b, .) = S(b) - f', by the function fprime, bisected on
+    [lo, min(hi, b)] for the seed's piece (lo, hi) of f', or a corrector
+    failure where S(b) has left f' there.  It corrects c = C(b) only, where
+    terms is the pair of the functions of F's terms in b and in c.
     """
     b_terms = terms[0](b)
-    c = mvt._root_near(lambda c: b_terms[0] - fprime(c), c_prev,
-                       max(4.0 * abs(dc), h, 1e-6 * (b0 - p.a0), 1e-12), p.a0, b)
-    if c is None:
+    lo, hi, s = piece[0], min(piece[1], b), b_terms[0]
+    f_lo = s - fprime(lo)
+    if not f_lo * (s - fprime(hi)) < 0:
         return None, STOP_CORRECTOR
+    c = mvt._bisect_one(lambda c: s - fprime(c), lo, hi, f_lo)
     (u, f_b), (v, f_c) = b_terms, terms[1](c)
     return c, (u + v, f_b, f_c, u, v)
 
@@ -126,14 +127,13 @@ def _march(terms, start, direction, s_limit, step, tol, correct, s_span, point):
     terms is the pair of the functions of F's terms in s and in t, as
     _chord_correct takes it, and start is the seed (s, t, (G, G_s, G_t)).
     A step goes to an s_next with lo < s_next <= hi for s_span = (lo, hi).
-    There correct(terms, s_next, s, t, slope, h, dt) returns the new t and
-    (G, G_s, G_t, U, V) at it, for G = U + V of the two terms, or None and a
-    stop reason; dt is the change in t of the last step.  The new point must
-    pass mvt._residual_ok, and point(s, t, G) must turn it into a
-    SolutionPoint rather than None.  Returns the points and the stop reason.
+    There correct(terms, s_next, s, t, slope) gives the new t and (G, G_s,
+    G_t, U, V) at it, for G = U + V, or None and a stop reason.  The new
+    point must pass mvt._residual_ok, and point(s, t, G) must turn it into
+    a SolutionPoint rather than None.  Returns the points and stop reason.
     """
     s, t, slope = *start[:2], start[2][1:]
-    points, dt = [], 0.0
+    points = []
     while len(points) <= MAX_POINTS:
         remaining = (s_limit - s) * direction
         if remaining <= 1e-12 * max(1.0, abs(s_limit)):
@@ -145,7 +145,7 @@ def _march(terms, start, direction, s_limit, step, tol, correct, s_span, point):
                 return points, STOP_STALLED
             if not s_span[0] < s_next <= s_span[1]:
                 return points, STOP_DOMAIN
-            t_next, at = correct(terms, s_next, s, t, slope, h, dt)
+            t_next, at = correct(terms, s_next, s, t, slope)
             if t_next is None and at == STOP_DEGENERATE:
                 return points, STOP_DEGENERATE
             if t_next is not None and mvt._residual_ok(at[0], at[3], at[4], tol):
@@ -157,7 +157,7 @@ def _march(terms, start, direction, s_limit, step, tol, correct, s_span, point):
         if q is None:
             return points, STOP_DOMAIN
         points.append(q)
-        s, t, slope, dt = s_next, t_next, at[1:3], t_next - t
+        s, t, slope = s_next, t_next, at[1:3]
     return points, STOP_CORRECTOR
 
 
@@ -200,7 +200,7 @@ def trace_c_of_b(p: mvt.Problem, b0: float, c0: float, b_range, step=None,
             f"seed classifies as {report.case.value}; no unique local C(b)")
     correct = _chord_correct
     if report.case == classify.Case.UNIQUE_ODD:
-        correct = functools.partial(_bisect_correct, p, b0, mvt._fprime(p))
+        correct = functools.partial(_bisect_correct, mvt._fprime(p), mvt._piece(p, c0, hi))
     # classify_point has judged the seed, evaluating F, F_b and f'' = -F_c
     start = (float(b0), float(c0), (report.value, report.f_b, -report.f_pp_c0))
     return _branch(p, lambda b, c: (b, c), start, (lo, hi), step, tol, correct,
@@ -226,8 +226,9 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
                                   report, step0=None):
     """Two validated (b, c) seeds just past a TWO_BRANCHES / ONE_SIDED point.
 
-    Steps |b - b0| = step0 to the allowed side and takes the roots of
-    F(b, .) nearest c0 below it and above it, by mvt._root_near.
+    Steps |b - b0| = step0 to the allowed side and bisects F(b, .) once on
+    each side of c0 within c0's piece of f' (mvt._piece), or raises
+    SeedSearchFailed where F does not change sign on a side.
     """
     allowed = (classify.Case.TWO_BRANCHES, classify.Case.ONE_SIDED,
                classify.Case.REGULAR_B_ONLY)
@@ -244,14 +245,11 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
     def F(c):
         return slope - fprime(c)
 
-    # both roots are needed, so a b <= c0, which leaves no room above c0,
-    # fails whatever the search below c0 finds
-    w = 0.25 * min(c0 - p.a0, b - c0)
     eps = 1e-14 * max(1.0, abs(c0))
-    lo_c = mvt._root_near(F, c0 - eps, w, p.a0, c0 - eps)
-    hi_c = mvt._root_near(F, c0 + eps, w, c0 + eps, b)
-    if lo_c is None or hi_c is None:
+    lo, hi = mvt._piece(p, c0, b)
+    sides = [(l, h, F(l)) for l, h in ((lo, c0 - eps), (c0 + eps, hi))]
+    # both roots are needed: an empty side, as above c0 for a b <= c0, fails
+    if not all(l < h and f_l * F(h) < 0 for l, h, f_l in sides):
         raise SeedSearchFailed("no bracketed roots above and below c0")
-    for c in (lo_c, hi_c):
-        mvt.solution_point(p, b, c)  # validates residual + interiority
-    return [(b, lo_c), (b, hi_c)]
+    cs = [mvt._bisect_one(F, l, h, f_l) for l, h, f_l in sides]
+    return [(b, mvt.solution_point(p, b, c).c) for c in cs]  # validates residual + interiority

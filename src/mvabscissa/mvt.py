@@ -67,15 +67,18 @@ class Problem:
             object.__setattr__(self, end, float(getattr(self, end)))
         if not (np.isfinite(self.a0) and np.isfinite(self.b0) and self.a0 < self.b0):
             raise ValueError("need finite endpoints with a0 < b0")
-        padded = self.domain is None
-        if padded:
+        value = partial(expr.evaluate, self.tape)
+        with np.errstate(all="ignore"):  # the domain's samples may miss a pole at an end
+            for end in ("a0", "b0"):
+                if not np.isfinite(_or_nan(value, getattr(self, end))):
+                    raise DomainError(f"f has no finite value at {end} = {getattr(self, end)!r}")
+        if self.domain is None:
             object.__setattr__(self, "domain", _padded_domain(self.tape, self.a0, self.b0))
-        lo, hi = self.domain
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= self.a0 and hi >= self.b0):
-            raise ValueError("domain must be a finite interval containing [a0, b0]")
-        if not padded:
-            # fail early if f is not evaluable on the domain
-            _check_domain(self.tape, lo, hi)
+        else:
+            lo, hi = self.domain
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= self.a0 and hi >= self.b0):
+                raise ValueError("domain must be a finite interval containing [a0, b0]")
+            _check_domain(self.tape, lo, hi)  # fail early if f is not evaluable on the domain
 
     @cached_property
     def tape(self) -> expr.Tape:
@@ -289,7 +292,7 @@ def _grid(p, fprime, b, slope, grid_n):
     try:
         fp = np.broadcast_to(fprime(x), x.shape)
     except (ValueError, MvaError):  # f' at a0, max(b) and each b, then the others
-        ends = [_fprime_or_nan(fprime, c) for c in [a0, cs[-1]] + b.tolist()]
+        ends = [_or_nan(fprime, c) for c in [a0, cs[-1]] + b.tolist()]
         fp = np.concatenate([ends[:1], np.broadcast_to(fprime(cs[1:-1]), (grid_n,)), ends[1:]])
     v, fb, m = fp[:grid_n + 2], fp[grid_n + 2:], np.searchsorted(cs, b) - 1
     # S strictly between the ranks of f' at the ends of cell r among the
@@ -320,20 +323,45 @@ def _grid(p, fprime, b, slope, grid_n):
     return live, cells, (cs, v, fb, m)
 
 
-def _critical_points(p, fprime, b, slope, live, tol, cs, v, fb, m):
-    """The critical points c* of f', by the function fprime, in the windows
-    of _grid's nodes, the two cells around a node where the differences of
-    f' change sign.  c* is bisected once, if a live column's S lies past f'
-    at the column's nodes of the window, or passes _residual_ok against it;
-    a window that reaches past b ends at b for that column, and counts c*
-    only below b.  Returns the columns whose S passes _residual_ok against
-    f'(c*), as touching roots (column, c*, |F|, window lo, hi); and, for S
-    strictly between f' at the column's nodes and f'(c*), the brackets on
-    either side of c*."""
+def _turns(v):
+    """The windows (lo, hi) of grid nodes where f', with values v on the
+    nodes, turns: where its differences change sign; and whether it peaks."""
     up, down = v[1:] > v[:-1], v[1:] < v[:-1]  # a NaN is neither
     k = np.flatnonzero(up | down)
     t = np.flatnonzero(up[k[1:]] != up[k[:-1]])
-    w_lo, w_hi, peak = k[t], k[t + 1] + 1, up[k[t]]
+    return k[t], k[t + 1] + 1, up[k[t]]
+
+
+def _piece(p, c, hi):
+    """The ends of the piece of [a0, hi] around c where f' is monotone: the
+    zeros of F_c bisected in the _turns windows of DEFAULT_GRID_N + 2 nodes
+    nearest c on each side, but not in one that holds c, or else the end
+    nodes, or the next ones where f' has no value and is read as NaN."""
+    fprime, c_terms, n = _fprime(p), _c_terms(p), DEFAULT_GRID_N
+    cs = np.linspace(p.a0, hi, n + 2)
+    ends = [_or_nan(fprime, x) for x in (p.a0, cs[-1])]
+    w_lo, w_hi, peak = _turns(np.r_[ends[0], np.broadcast_to(fprime(cs[1:-1]), (n,)), ends[1]])
+
+    def turn(i):  # F_c = -f'' is negative before a peak of f', positive before a trough
+        return _bisect_one(lambda c: c_terms(c)[1], cs[w_lo[i]], cs[w_hi[i]],
+                           -1.0 if peak[i] else 1.0, 0.0)
+
+    below, above = np.flatnonzero(cs[w_hi] < c), np.flatnonzero(cs[w_lo] > c)
+    lo = turn(below[-1]) if below.size else cs[int(np.isnan(ends[0]))]
+    hi = turn(above[0]) if above.size else cs[-1 - int(np.isnan(ends[1]))]
+    return float(lo), float(hi)
+
+
+def _critical_points(p, fprime, b, slope, live, tol, cs, v, fb, m):
+    """The critical points c* of f', by the function fprime, in the _turns
+    windows of _grid's nodes.  c* is bisected once, if a live column's S
+    lies past f' at the column's nodes of the window, or passes _residual_ok
+    against it; a window that reaches past b ends at b for that column, and
+    counts c* only below b.  Returns the columns whose S passes _residual_ok
+    against f'(c*), as touching roots (column, c*, |F|, window lo, hi); and,
+    for S strictly between f' at the column's nodes and f'(c*), the brackets
+    on either side of c*."""
+    w_lo, w_hi, peak = _turns(v)
     # f' at the extreme of each column's nodes in each window, b among them
     e, clip, pk = v[np.minimum(w_lo[:, None] + 1, m)], w_hi[:, None] > m, peak[:, None]
     e = np.where(clip, np.where(pk, np.fmax(e, fb), np.fmin(e, fb)), e)
@@ -357,11 +385,10 @@ def _critical_points(p, fprime, b, slope, live, tol, cs, v, fb, m):
     return list(zip(*(a[touching].tolist() for a in (j, c, np.abs(s - fc), lo, hi)))), sides
 
 
-def _fprime_or_nan(fprime, c):
-    """f'(c), by the function fprime, at the float c, or NaN where it does
-    not evaluate."""
+def _or_nan(fn, x):
+    """fn(x) at the float x, or NaN where it does not evaluate."""
     try:
-        return fprime(c)
+        return fn(x)
     except (ValueError, MvaError):
         return np.nan
 
@@ -419,32 +446,6 @@ def _bisect_one(fn, lo, hi, flo, width_tol=None):
             break
         lo, hi = nl, nh
     return 0.5 * (lo + hi)
-
-
-def _root_near(fn, c, w, lo, hi):
-    """The root of fn in [lo, hi] nearest c, or None; fn takes floats and
-    arrays.
-
-    fn is sampled on 65 points of [max(lo, c - w), min(hi, c + w)], with w
-    doubled, up to 60 times, until the window holds a sign change or is
-    [lo, hi].  Of its sign changes, the one whose cell midpoint is nearest c
-    is bisected.
-    """
-    for _ in range(60):
-        l, h = max(lo, c - w), min(hi, c + w)
-        if h <= l:
-            break
-        grid = np.linspace(l, h, 65)
-        fv = np.asarray(fn(grid), dtype=float)
-        sc = np.nonzero(fv[:-1] * fv[1:] <= 0)[0]
-        if sc.size:
-            mids = 0.5 * (grid[sc] + grid[sc + 1])
-            i = int(sc[np.argmin(np.abs(mids - c))])
-            return _bisect_one(fn, grid[i], grid[i + 1], fv[i])
-        if l == lo and h == hi:
-            break
-        w *= 2.0
-    return None
 
 
 def g1_g2(p: Problem, b0: float, c0: float):

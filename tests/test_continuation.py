@@ -93,6 +93,43 @@ class TestTraceCOfB:
             want = math.copysign(abs(t) ** (1.0 / 3.0), t)
             assert abs(q.c - want) <= 1e-7
 
+    def test_unique_odd_walk_stays_on_the_seeds_piece_of_f_prime(self):
+        # x^4 - x^6/10: f'' = 3x^2 (4 - x^2) changes sign only at -2 and 2,
+        # so the seed's piece of f' in [-1, 3.5] is (-1, 2).  The walk once
+        # stepped from c = -0.964 at b = 3.32 to c = 2.643 at b = 3.34, a root
+        # of another branch, and went on to the end of the range
+        p = mva.Problem(mva.parse("x^4 - x^6/10"), -1.0, 1.0)
+        c0, br = classify.guaranteed_branch(p, b_range=(0.5, 3.5))
+        assert (c0, br.seed_case) == (0.0, "UNIQUE_ODD")
+        assert br.stop_upper == continuation.STOP_CORRECTOR
+        assert len(br.points) > 100
+        # oracle: normalizing leaves the abscissae as they are, the roots of
+        # f'(c) - S(b) for f' = 4c^3 - 0.6c^5 and f(-1) = 0.9
+        for q in br.points[:br.seed_index] + br.points[br.seed_index + 1:]:
+            assert -1.0 < q.c < min(2.0, q.b)
+            slope = (q.b ** 4 - q.b ** 6 / 10 - 0.9) / (q.b + 1)
+            roots = np.roots([-0.6, 0.0, 4.0, 0.0, 0.0, -slope])
+            real = roots[np.abs(roots.imag) < 1e-9].real
+            (want,) = real[(-1.0 < real) & (real < min(2.0, q.b))]
+            assert abs(q.c - want) <= 1e-12
+
+    def test_unique_odd_walk_where_f_prime_has_no_value_at_a0(self):
+        # (sqrt(x) - 1/2)^4 on [0, 1]: f' = 2 (u - 1/2)^3 / u, for u = sqrt(x),
+        # has no value at a0 = 0 and rises on (0, inf), so the seed's piece
+        # of f' reaches down to a0; the walk once raised DomainError there
+        p = mva.Problem(mva.parse("(sqrt(x) - 1/2)^4"), 0.0, 1.0)
+        c0, br = classify.guaranteed_branch(p)
+        assert (c0, br.seed_case) == (0.25, "UNIQUE_ODD")
+        assert br.stop_lower == br.stop_upper == continuation.STOP_RANGE
+        assert [q.b for q in br.points[::20]] == pytest.approx([0.8, 1.0, 1.2], abs=1e-12)
+        # oracle: c = u^2 for the one positive root u of 2 (u - 1/2)^3 = S(b) u,
+        # with S(b) = ((sqrt(b) - 1/2)^4 - 1/16) / b, a triple root at the seed
+        for q in br.points[:br.seed_index] + br.points[br.seed_index + 1:]:
+            s = ((math.sqrt(q.b) - 0.5) ** 4 - 1 / 16) / q.b
+            roots = np.roots([2.0, -3.0, 1.5 - s, -0.25])
+            (u,) = roots[(np.abs(roots.imag) < 1e-9) & (roots.real > 0)].real
+            assert abs(q.c - u * u) <= 1e-12
+
     def test_refuses_two_branch_seed(self, quintic_same_sign):
         with pytest.raises(SeedNotRegular):
             continuation.trace_c_of_b(quintic_same_sign, 3.0, 1.0, (2.5, 3.5))
@@ -356,6 +393,22 @@ class TestBranchSeeds:
         with pytest.raises(SeedSearchFailed, match="stepped endpoint left the domain"):
             continuation.branch_seeds_after_degeneracy(
                 quartic_inflection, 3.0, 1.0, rep, step0=10.0)
+
+    def test_a_step_past_the_fold_fails(self, quintic_same_sign):
+        # f' = (x-1)^2 (x-3) (x-1.4) rises from c0 = 1 to its peak at
+        # 1.2596875762567015, where the branch above c0 folds, at b =
+        # 3.118910489105288.  At b = 3.2 the search once took 3.0076, a root
+        # of the branch near c = 3, as the upper seed
+        rep = classify.classify_point(quintic_same_sign, 3.0, 1.0)
+        with pytest.raises(SeedSearchFailed, match="no bracketed roots"):
+            continuation.branch_seeds_after_degeneracy(
+                quintic_same_sign, 3.0, 1.0, rep, step0=0.2)
+        # oracle: no root of f'(c) - S(3.2) in (1, 1.2596875762567015]
+        f = np.array([1 / 5, -1.6, 14 / 3, -6.4, 4.2, 0.0])
+        roots = np.roots([1.0, -6.4, 14.0, -12.8, 4.2 - np.polyval(f, 3.2) / 3.2])
+        real = roots[np.abs(roots.imag) < 1e-9].real
+        assert sorted(real) == pytest.approx([0.805447518834282, 3.0076218775553327])
+        assert not ((1.0 < real) & (real <= 1.2596875762567015)).any()
 
     def test_isolated_case_is_a_precondition_error(self, sextic_opposite):
         rep = classify.classify_point(sextic_opposite, 3.0, 1.0)

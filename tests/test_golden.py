@@ -165,9 +165,9 @@ WALKS = {
     _b_of_c_quartic:
         "d206ff964e436559daa0ab5d8c4fdd99af4aa877e7ea3289be0c250aff047f50",
     _guaranteed_x4:
-        "1bd73f17474728dbaa0e607bacef41dc41f60576c0ec5d582c386a629c7e6b98",
+        "233e3a3db651f4fd1507524ee2abafb2674469f4d2acbc826ecc37e08f578850",
     _quintic_seeds:
-        "8c44746e91060eda062ba7fadcf3e487f3067b018f63f09f37d81e503d448967",
+        "2d4e05a3d9a181c304de80f76d5bb4e7b30d573845268bb7b99fb6845ad3500d",
 }
 
 

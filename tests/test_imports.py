@@ -85,6 +85,18 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+def test_every_private_helper_is_used():
+    # nor would a private function, class or method whose last caller went
+    nodes = [node for path in sorted((SRC / "mvabscissa").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))]
+    defined = {n.name for n in nodes
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and n.name.startswith("_") and not n.name.endswith("__")}
+    used = ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
+    assert sorted(defined - used) == []
+
+
 # every parameter with a default, of every public callable but the enum: an
 # option added or removed must edit this table.  It held 43 before
 # SolverConfig went and the options that every caller left at their

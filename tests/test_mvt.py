@@ -70,6 +70,13 @@ class TestProblem:
         p = mva.Problem(mva.parse("x^(-0.5)"), 0.5, 1.0)
         assert p.domain == (0.25, 1.25)
 
+    @pytest.mark.parametrize("text, end", [("1/x", "a0 = 0.0"), ("1/(x-1)", "b0 = 1.0")])
+    def test_f_without_a_value_at_an_end_is_refused(self, text, end):
+        # the padded domain's 65 samples miss the pole; 1/x was built with
+        # the domain (-1, 2), and then failed at every query
+        with pytest.raises(DomainError, match=f"^f has no finite value at {end}$"):
+            mva.Problem(mva.parse(text), 0.0, 1.0)
+
     def test_domain_keeps_overflow_out(self):
         # exp(exp(exp(x))) overflows to inf past x = 1.88, with no numpy
         # warning; the default padding halves twice to stay below that

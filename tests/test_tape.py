@@ -341,9 +341,15 @@ def test_a_float_and_an_array_give_the_same_values():
 @example(expr.Unary("sin", expr.Binary("*", expr.Const(100.0), expr.Var())), 0.3, 2)
 @example(expr.Unary("log", expr.Var()), 0.0, 3)
 @example(expr.Binary("/", expr.Const(1.0), expr.Binary("-", expr.Var(), expr.Var())), 1.0, 2)
+# 2.2250738585e-313 ^ -1 overflows to inf, and sin(inf) is a NaN whose sign
+# numpy's float and array loops give differently
+@example(expr.Unary("sin", expr.Binary("^", expr.Const(2.2250738585e-313), expr.Var())), -1.0, 3)
 def test_a_float_and_a_one_element_array_give_the_same_bits(tree, x, width):
     # what _bisect's float route assumes: F on a float is F on that element
-    # of an array, bit for bit, and fails with the same message where it fails
+    # of an array, bit for bit, and fails with the same message where it fails.
+    # A NaN is compared only as a NaN: IEEE 754 leaves the sign of sin(inf)'s
+    # NaN unspecified, numpy's scalar and array loops differ in it, and
+    # Tape.jet raises on any NaN, so no answer reads that sign
     tape = expr.lower(tree)
     with np.errstate(all="ignore"):
         on_float, on_array = (_outcome(expr.Tape.run, tape, x0, width)
@@ -351,8 +357,11 @@ def test_a_float_and_a_one_element_array_give_the_same_bits(tree, x, width):
     if isinstance(on_float[0], type) or isinstance(on_array[0], type):
         assert on_float == on_array, (tree, x)
     else:
-        assert [np.float64(u).tobytes() for u in on_float] == \
-            [np.broadcast_to(v, (1,)).astype(float).tobytes() for v in on_array], (tree, x)
+        def bits(u):
+            return "NaN" if np.isnan(u) else u.tobytes()
+
+        assert [bits(np.float64(u)) for u in on_float] == \
+            [bits(np.broadcast_to(v, (1,)).astype(float)[0]) for v in on_array], (tree, x)
 
 
 @pytest.mark.parametrize("text", ["sqrt(x)", "x^(1/3)", "x^(2/3)", "x^0.5", "x^2.5",
