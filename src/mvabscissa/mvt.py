@@ -9,6 +9,7 @@ jet of its width bound once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Optional
@@ -22,8 +23,10 @@ from .errors import (DegenerateProblem, DomainError, EndpointCollision, MvaError
 DEFAULT_TOL = 1e-10
 DEFAULT_GRID_N = 2048
 # the most brackets _bisect steps one at a time on floats: an array step costs
-# about as much for 1 bracket as for 10.  On sin(100*x), 8 brackets took 1.38 ms
-# as arrays, 1.22 ms as floats; 16 took 1.40 and 2.19 ms (2-core x86-64).
+# about as much for 1 bracket as for 10.  On the 32 brackets of sin(100*x) at
+# b = 1, bisection of 8 took 1.04 ms as arrays, 0.84 ms as floats, of 12 1.05
+# and 1.23 ms; Newton steps on 8 took 0.18 and 0.07 ms, on 32 0.17 and 0.21 ms
+# (2-core x86-64).
 _FLOAT_BRACKETS = 8
 
 
@@ -234,9 +237,10 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     or None for a column on which F(b, .) vanishes identically.  F(b, c) =
     S(b) - f'(c) is separable: f' is evaluated once, on grid_n + 2 nodes of
     [a0, max(bs)] and at each b, and the brackets of _grid and
-    _critical_points are bisected together; a column keeps the roots that
-    pass _residual_ok.  Where this raises, each column is redone alone, so
-    that the first column to fail raises its own error."""
+    _critical_points are refined together, by _bisect's Newton steps on f''
+    from the same jet; a column keeps the roots that pass _residual_ok.
+    Where this raises, each column is redone alone, so that the first
+    column to fail raises its own error."""
     if grid_n < 64:
         raise ValueError("grid_n must be >= 64")
     bs = [float(b) for b in bs]
@@ -260,8 +264,17 @@ def _solve(p, b, tol, grid_n):
     touch, sides = _critical_points(p, fprime, b, slope, live, tol, *grid)
     col, lo, hi, flo = map(np.concatenate, zip(*cells, *sides))
     del cells, sides  # frees the sets, which the concatenations copy
-    roots = _bisect(lambda s, c: s - fprime(c), lo, hi, flo,
-                    1e-15 * (b - p.a0)[col], slope[col])
+    c_terms = _c_terms(p)
+
+    def terms(s, c):  # F and F_c; where f'' is not finite, F from f' as on the grid
+        try:
+            t, f_c = c_terms(c)
+        except DomainError:
+            return s - fprime(c), np.nan
+        return s + t, f_c
+
+    with np.errstate(all="ignore"):  # f'' may overflow where f' does not
+        roots = _bisect(terms, lo, hi, flo, 1e-15 * (b - p.a0)[col], slope[col])
     inside = (p.a0 < roots) & (roots < b[col])
     roots, col = roots[inside], col[inside]
     fp = fprime(roots)
@@ -318,7 +331,9 @@ def _grid(p, fprime, b, slope, grid_n):
     kept = live[col] & (hi <= m[col]) & ((lo > 0) | clear_a[col])
     col, lo, hi = col[kept], lo[kept], hi[kept]
     f_last = slope - v[m]
-    j = np.flatnonzero(live & clear_b & ((m > 0) | clear_a) & (f_last * (slope - fb) < 0))
+    # F changes sign by the signs of its values: their product may overflow
+    opposite = np.sign(f_last) * np.sign(slope - fb) < 0
+    j = np.flatnonzero(live & clear_b & ((m > 0) | clear_a) & opposite)
     cells = [(col, cs[lo], cs[hi], slope[col] - v[lo]), (j, cs[m[j]], b[j], f_last[j])]
     return live, cells, (cs, v, fb, m)
 
@@ -379,7 +394,8 @@ def _critical_points(p, fprime, b, slope, live, tol, cs, v, fb, m):
     lo, hi = cs[w_lo], np.where(clip, b[j], cs[w_hi])
     f_hi = s - np.where(clip, fb[j], v[w_hi])
     touching = (c < b[j]) & _residual_ok(s - fc, s, fc, tol)
-    split = (c < b[j]) & ~touching & np.where(peak[w], s > e, s < e) & (f_hi * (s - fc) < 0)
+    opposite = np.sign(f_hi) * np.sign(s - fc) < 0  # as in _grid
+    split = (c < b[j]) & ~touching & np.where(peak[w], s > e, s < e) & opposite
     sides = [(j[split], lo[split], c[split], (s - v[w_lo])[split]),
              (j[split], c[split], hi[split], (s - fc)[split])]
     return list(zip(*(a[touching].tolist() for a in (j, c, np.abs(s - fc), lo, hi)))), sides
@@ -394,57 +410,98 @@ def _or_nan(fn, x):
 
 
 def _bisect(fn, lo, hi, flo, width_tol, *params):
-    """Bisection of sign-change brackets; fn(*params, c) is F at c, given
-    the params (arrays, an entry a bracket) of the brackets c lies in.
+    """Refinement of sign-change brackets; fn(*params, c) is F at c, given
+    the params (arrays, an entry a bracket) of the brackets c lies in, or
+    the pair (F, F_c) of F and its slope.
 
-    Only the sign of flo = F(lo) is used: a midpoint where F is positive
-    exactly when F(lo) is becomes the new lo.  A bracket stops when it is no
-    wider than its width_tol or when a step leaves it unchanged (that step
-    would repeat forever, e.g. on two adjacent floats).  Returns the
-    midpoints.  Up to _FLOAT_BRACKETS brackets step one at a time, on floats
-    in _bisect_one, which is cheaper for a few; more step all at once.
+    Each step evaluates F at the iterate, which starts at the midpoint, and
+    shrinks the bracket to the iterate by its sign: only the sign of flo =
+    F(lo) is used, and an iterate where F is positive exactly when F(lo) is
+    becomes the new lo.  The next iterate is the Newton step c - F / F_c
+    where F_c is finite, the step lands in the bracket (ends included) and
+    |2F| <= |F_c| times the step before the last, as in rtsafe (Press et
+    al., Numerical Recipes, 3rd ed., 9.4), and the midpoint otherwise; so
+    without F_c every step bisects.  A bracket stops on an exact zero, when
+    it is no wider than its width_tol, after a Newton step no longer than
+    width_tol / 2, or when the next iterate is the last (that step would
+    repeat forever, e.g. on two adjacent floats).  Returns, for each
+    bracket, the Newton iterate where such a step stopped it, and else the
+    midpoint of its last bracket: a c in the bracket, either within
+    width_tol / 2 of a sign change of F or one Newton step of at most that
+    from an iterate.  The brackets step all at once while more than
+    _FLOAT_BRACKETS are active; the rest finish one at a time, on floats
+    in _bisect_one, which is cheaper for a few.
     """
-    if lo.size <= _FLOAT_BRACKETS:
-        rows = zip(*(a.tolist() for a in (lo, hi, flo, width_tol, *params)))
-        return np.array([_bisect_one(partial(fn, *q), l, h, f, w) for l, h, f, w, *q in rows])
     up = flo > 0
     lo, hi = lo.copy(), hi.copy()
+    x = 0.5 * (lo + hi)
+    last, before = hi - lo, hi - lo  # the last step and the one before it
     active = np.nonzero(hi - lo > width_tol)[0]
-    while active.size:
-        l, h = lo[active], hi[active]
-        mid = 0.5 * (l + h)
-        fm = fn(*(q[active] for q in params), mid)
-        zero = fm == 0.0
-        same = (fm > 0) == up[active]
-        lo[active] = nl = np.where(same | zero, mid, l)
-        hi[active] = nh = np.where(same & ~zero, h, mid)
-        active = active[((nl != l) | (nh != h)) & (nh - nl > width_tol[active])]
-    return 0.5 * (lo + hi)
+    while active.size > _FLOAT_BRACKETS:
+        l, h, xa, tol = lo[active], hi[active], x[active], width_tol[active]
+        fx = fn(*(q[active] for q in params), xa)
+        slope = type(fx) is tuple
+        if slope:
+            fx, f_c = fx
+        zero = fx == 0.0
+        same = (fx > 0) == up[active]
+        lo[active] = nl = np.where(same | zero, xa, l)
+        hi[active] = nh = np.where(same & ~zero, h, xa)
+        new = mid = 0.5 * (nl + nh)
+        wide = nh - nl > tol
+        if slope:
+            with np.errstate(all="ignore"):
+                t = xa - fx / f_c
+                newton = (~zero & np.isfinite(f_c) & (nl <= t) & (t <= nh)
+                          & (np.abs(2.0 * fx) <= np.abs(before[active] * f_c)))
+                new = np.where(newton, t, mid)
+                before[active], last[active] = last[active], new - xa
+                stop = newton & (np.abs(new - xa) <= 0.5 * tol)
+            new = np.where(wide | stop, new, mid)
+            wide &= ~stop
+        x[active] = new
+        active = active[wide & (new != xa)]
+    rows = zip(*(a[active].tolist() for a in (lo, hi, flo, width_tol, x, last, before, *params)))
+    x[active] = [_bisect_one(partial(fn, *row[7:]), *row[:7]) for row in rows]
+    return x
 
 
-def _bisect_one(fn, lo, hi, flo, width_tol=None):
-    """_bisect on the one bracket [lo, hi], where fn(c) is F at the float c
-    and F(lo) = flo.  The bracket stops at width_tol, by default the width
-    1e-16 * max(1, |lo|, |hi|) of its start, or when a step leaves it unchanged.
+def _bisect_one(fn, lo, hi, flo, width_tol=None, x=None, last=None, before=None):
+    """_bisect on the one bracket [lo, hi], where fn(c) is F, or (F, F_c),
+    at the float c and F(lo) = flo.  The bracket stops at width_tol, by
+    default the width 1e-16 * max(1, |lo|, |hi|) of its start, or by
+    _bisect's other stops.  x, last and before, the iterate and the last
+    two steps, resume _bisect's loop; by default it starts at the midpoint.
 
     It runs on Python floats rather than as _bisect's loop on one-element
-    arrays: the same midpoints, exact-zero and sign rule and stops, so the
+    arrays: the same iterates, exact-zero and sign rule and stops, so the
     same result bit for bit, at a fraction of the cost of a step.
     """
     lo, hi = float(lo), float(hi)
     if width_tol is None:
         width_tol = 1e-16 * max(1.0, abs(lo), abs(hi))
+    if x is None:
+        x, last, before = 0.5 * (lo + hi), hi - lo, hi - lo
     up = float(flo) > 0
     while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        zero = fm == 0.0
-        same = (fm > 0) == up
-        nl = mid if same or zero else lo
-        nh = hi if same and not zero else mid
-        if nl == lo and nh == hi:
+        fx, f_c = fn(x), math.nan
+        if type(fx) is tuple:
+            fx, f_c = map(float, fx)
+        zero = fx == 0.0
+        same = (fx > 0) == up
+        lo, hi = (x if same or zero else lo), (hi if same and not zero else x)
+        new = 0.5 * (lo + hi)
+        # _bisect's Newton test, ordered so that F_c = 0 is refused before it divides
+        if not zero and math.isfinite(f_c) and abs(2.0 * fx) <= abs(before * f_c):
+            t = x - fx / f_c
+            if lo <= t <= hi:
+                if abs(t - x) <= 0.5 * width_tol:
+                    return t
+                new = t
+        before, last = last, new - x
+        if new == x:
             break
-        lo, hi = nl, nh
+        x = new
     return 0.5 * (lo + hi)
 
 

@@ -36,6 +36,13 @@ class TestAbscissae:
             assert run("abscissae", "-f", "sin(x)", "-a", "0", "-b", "1e200") == 0
         assert capsys.readouterr().err == ""
 
+    def test_f_beyond_1e154_warns_nothing(self, capsys):
+        # F reaches 1e300: the sign tests of its values must not multiply them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("abscissae", "-f", "exp(exp(exp(x)))", "-a", "0", "-b", "1.874") == 0
+        assert capsys.readouterr() == ("1.87193626894\n", "")
+
     def test_numerical_failure_exit_code(self, capsys):
         assert run("abscissae", "-f", "x", "-a", "0", "-b", "1") == 2
         assert "Degenerate" in capsys.readouterr().err

@@ -26,33 +26,33 @@ COLUMNS = 400
 # (text, a0, b0, b_min, b_max) -> sha256 of (csv, json, svg)
 GOLDEN = {
     (PARABOLA, 0.0, 2.0, 0.01, 4.0): (
-        "7b75df1e5bc3239a93552d9a16b33111bccbb76a98850c41be84d3c092e10c82",
-        "bdf9fce40dd0a0e21af68a1b75391dd43b071240af22ca08027eedf65e589855",
+        "ffbd8b2cd54cedd58aacc3782bafc7b294bfee109fbd88ba642a3d498c589f91",
+        "694e7a6dae727e057a57f74111fe00d201936ac62ad57e799703c906db74c053",
         "ef05100a538e4f5cc9ac2ce4ebeca0d2ed632fa6cc335b9759c1c9dd2be274ae",
     ),
     (CUBIC, 0.0, 3.0, 0.1, 3.5): (
-        "d562291be89bbb455c8d59da06b3c2b77c55930b12b51157758a784d387c7fe6",
-        "a06a6e45ed67d2881de489904a6ba6550648017d6a2bdd5e8df58aefb3986bdf",
+        "d463fa214317962cb97a55230060654b8c17603955242c7db457276edf745a5b",
+        "e2c5a6ff7eb5eb58a339732fdb1014ed24431e3afb4441493da9d2203e285070",
         "52728a31d99c114f30a920a2a004ed562e925e778893913fbfe1bb69cc8ebb7f",
     ),
     (QUARTIC_INFLECTION, 0.0, 3.0, 0.1, 3.5): (
-        "a48eac75e0d00c391e16cb182b91b1bc457d3c1a31d7551dcd36ef87b6b1f174",
-        "76b668aa6f57e07bcc4728aa4aa78b50eb6fd6f63c3d24a8c9630274ff1c314e",
+        "62b8600a2c9a9f76fafdd1516dd9058b99bc32f9a4206f052d109ad2b366884a",
+        "d794034891c6744267174cb794b7b3be0dcb394d1c459512b559a31cb5c05c44",
         "4fca1db30dda29a8365eac5c9e213ee2e4fd7ff0fd31e7781a389e3ea0893454",
     ),
     (QUINTIC_SAME_SIGN, 0.0, 3.0, 0.1, 3.5): (
-        "bfb8fc5f659d2e6bad37403aae6b052745f4bd60ed8f85b73fa79d5d65c6ac51",
-        "b2e9dc309848eb913303613c00c7767ae0bcea00b5bf3c1343e8985e2e235fc0",
+        "8d0d12f8fbf72928a86cd396efa5f139f5e9b0bee52b580c9c8f89609fea64d9",
+        "a3a88c650569ac9ee8165ed8357ae090dcc6201a24a33c6895eebf0933736f00",
         "db9d8afa7a9eabc35eeb1644c2689c140d582a78254aa0c850251ada73e2622f",
     ),
     (SEXTIC_OPPOSITE, 0.0, 3.0, 0.1, 3.5): (
-        "571a4648fccbc2045128ddddd8faf16f7b91aeac6e3ed3c45146975cdc82f28c",
-        "5bd51c316a6df14b30bd2e9db7dae968fbccc9747d6d74f6e5a90eb9c2e6d2cc",
+        "5216d885d2aca5e14bdee8c2603199969cf116c2dec893e90e1a471fa8ba91e9",
+        "023c88619bddf53c5a26f4997c7b5dce8209689456cf7f33b17e3e42a941b0d2",
         "02cb28027837e6099bf2e2f8a9af8a81ea9b4d05565a6dac6d2ecfd816a86afd",
     ),
     ("x^4", -1.0, 1.0, -0.9, 2.0): (
-        "97fa7206938afa5bef726664aeddc40f18eb1611b91e00d0ad2ecd4c70d3ea29",
-        "6422d060f197fa556c1066a8c00ba34d5a3bce6a7e52b180f2d8414ae81fbf20",
+        "f343ac2cd78539cb08c5c7822968b2f5bd280ae3a5e09b31ae9ca150414ff3ec",
+        "22da58302df0f2c7c90ae61cfc05fb88c1941e1f307ae9285462fcad78c7e826",
         "f4e0e230d3ce39b4a063983c738c88f50b1367a990efd2f832843f754cd9671a",
     ),
 }
@@ -84,33 +84,33 @@ def test_scan_output_is_byte_identical(case):
 # and x^3 on [0, s] at b = s for s = 1e-3 ... 1e6
 QUERIES = {
     (CUBIC, 0.0, 3.0, 2.5):
-        "408c252b1f12c58a9109050a22cb910e0e899fa34fdf42782c899276d0e755ef",
+        "410efa96b9453c31af7f71bf5150e1af6bde78b51ba3c75d9bb8efe930d5882f",
     (PARABOLA, 0.0, 2.0, 2.0):
         "fd60998e44d3feb9c4bea3e46e5e9f0e12495076a26964274424f2afcab23a1c",
     (QUINTIC_SAME_SIGN, 0.0, 3.0, 3.0):
-        "f65d7137f7ede86987f650c95d6f181e34631d15865dad0db32b13a555a5c583",
+        "bd038715bf440b1b23ec81cf6c5f3756c51f57396db3c8cc171dc6425251a2e1",
     ("x^4", -1.0, 1.0, -0.8927318295739348):
-        "b7140cd091203ce240b5fe3dacac6682da6acb95db9f30ca4c9c296058212388",
+        "6e0d737742539bf6c179eb73db460302832f9486301d47e5eb356c1ae328099e",
     ("x^3", 0.0, 1e-3, 1e-3):
-        "635d930d5e7e58c74f25bc6ac3c734bdc6bfebbb8ea0f70949be3f556a6a3323",
+        "94284530ffab95c1461af16639f8502e742dfdf4e47da6acdc9df1aa108a6c40",
     ("x^3", 0.0, 1e-2, 1e-2):
-        "ed950f36c7c06db830eff9aaf128445ac05e33297357243f470abc2e2f96ad08",
+        "d035aca49e2f85f8d18156ee1860d3e4141d78f4f13d72d6fac6ec4584cfc31e",
     ("x^3", 0.0, 1e-1, 1e-1):
-        "03d7057d03a8aa5988d65dc02777330a6b52dfc043678c77e46d9a03d815ac5f",
+        "1cb19ef4b33ec6cedd1a4fd518325aed80ab71d5f2c00d433ff9ca95d7a4b358",
     ("x^3", 0.0, 1.0, 1.0):
-        "64bb0c3c69a4ff67719c50513fba884f9809fce40e0fec15bb3e0641bd60a556",
+        "adfdc58c567e6f20c4f72b6a9af3648946d521266205c815bea8d0653da5122d",
     ("x^3", 0.0, 1e1, 1e1):
-        "2e5c01066cba8eb6151732db11399acb5ce75c43043e1cac78da6005739efaab",
+        "b39d8dbcad6ec5acc4a2820f2a41261c33d8f9414dec55aa30d9624754953d3a",
     ("x^3", 0.0, 1e2, 1e2):
         "e6b7bad9005546165410056d751a7f8fdfab09054330c97db826c7814f3c83a8",
     ("x^3", 0.0, 1e3, 1e3):
-        "7391e53a41227c823019bdd0717aa20266ebb15041105ade92bcb0cbde48846e",
+        "a05131b5c5b444b4c979e6bb48852505d0de69c36992f3916000e5c5137177a3",
     ("x^3", 0.0, 1e4, 1e4):
         "5322d4f23964ba22f8a3653ad5dc71d21dac3b3f28185db83b77fd818c0554c2",
     ("x^3", 0.0, 1e5, 1e5):
-        "4b7606cdd8a33fe4d5c92382948af4173d47141cbf0923b2ff458871378fd4af",
+        "cff9687dc9daec7ec8317cab6a9b330e2f5c1760120bf69e741a919575acbb7d",
     ("x^3", 0.0, 1e6, 1e6):
-        "779f357d36abfd33e4f5ccea3e664b6d33d1514dac47796d873795c8cc90ca0f",
+        "2992f24c2c6d4033c333f7e4ba2880b99217b57b6a2a4f034a6d926ea9ab57b4",
 }
 
 

@@ -89,6 +89,30 @@ class TestProblem:
             with pytest.raises(DomainError):
                 mva.Problem(f, 0.0, 1.5, domain=(-1.5, 3.0))
 
+    def test_f_beyond_1e154_warns_nothing(self):
+        # F reaches 4e300 on this scan, so a product of two F values
+        # overflows: the sign tests compare signs.  f'' overflows near the
+        # top, where a root is refined by bisection.  mpmath gives each root
+        # from log f'(c) = e^(e^c) + e^c + c = log S(b)
+        p = mva.Problem(mva.parse("exp(exp(exp(x)))"), 0.0, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = scanner.scan(p, 0.1, 1.875, 400)
+            (top,) = mvt.abscissae(p, 1.874)
+        assert res.columns == list(range(400))
+
+        def f(x):
+            return mpmath.exp(mpmath.exp(mpmath.exp(x)))
+
+        def log_f_prime(x):
+            return mpmath.exp(mpmath.exp(x)) + mpmath.exp(x) + x
+
+        with mpmath.workdps(40):
+            for b, c in [(q.b, q.c) for q in res.points[::40]] + [(1.874, top)]:
+                s = mpmath.log((f(mpmath.mpf(b)) - f(0)) / b)
+                want = mpmath.findroot(lambda x: log_f_prime(x) - s, c)
+                assert abs(c - float(want)) <= 1e-14 * c
+
     @pytest.mark.parametrize("text, domain, want", [
         ("sqrt(x)", (0.0, 1.0), 0.25),                # 1 / (2 sqrt(c)) = 1
         ("x^(1/3)", (-1.0, 2.0), 3.0 ** -1.5),        # c^(-2/3) / 3 = 1
@@ -286,6 +310,22 @@ class TestAbscissae:
         for c, r in zip(got, want):
             rounding = 16 * EPS * (abs(s) + 1.0 + abs(r) / 2.0) / abs(-math.sin(r) + 0.5)
             assert abs(c - r) <= 1e-15 * b + rounding
+
+    def test_steep_sine_returns_every_root(self):
+        # f = sin(1000 x) on [0, 1] at b = 1: f'(c) = 1000 cos(1000 c) = S =
+        # sin(1000), so c = (+-acos(sin(1000) / 1000) + 2 pi n) / 1000, 318
+        # roots.  |F_c| reaches 1e6, so a bisected root, 1e-15 from a sign
+        # change, may leave |F| near 1e-9, past the residual bound; a root
+        # refined by Newton steps does not, and lies within one float of it
+        got = mvt.abscissae(mva.Problem(mva.parse("sin(1000*x)"), 0.0, 1.0), 1.0)
+        with mpmath.workdps(40):
+            t = mpmath.acos(mpmath.sin(1000) / 1000)
+            want = sorted(c for n in range(160) for c in (
+                float((2 * mpmath.pi * n + t) / 1000), float((2 * mpmath.pi * n - t) / 1000))
+                if 0.0 < c < 1.0)
+        assert len(want) == 318
+        assert len(got) == len(want)
+        assert all(abs(c - w) <= np.spacing(w) for c, w in zip(got, want))
 
     @pytest.mark.parametrize("s", [1e-9, 1e-7])
     def test_a_tiny_cubic_is_not_degenerate(self, s):
@@ -640,16 +680,51 @@ def test_a_scan_evaluates_f_prime_once_per_node(cubic, monkeypatch):
     assert sum(sizes) <= mvt.DEFAULT_GRID_N + 2 + bs.size + 2 * roots
 
 
-def _bracket_function(kind, root, sign):
+def test_a_scan_refines_its_roots_in_few_array_steps(monkeypatch):
+    # the sin(10*x) scan refines 7710 brackets to 1e-15 (b - a0): bisection
+    # took 46 array steps, Newton steps take 4 before the last few brackets
+    # finish on floats.  The refinement is the _bisect call whose function
+    # takes each bracket's S as a param
+    steps = []
+    bisect = mvt._bisect
+
+    def counted(fn, lo, hi, flo, width_tol, *params):
+        def counting(*args):
+            steps.append(isinstance(args[-1], np.ndarray))
+            return fn(*args)
+        return bisect(counting if params else fn, lo, hi, flo, width_tol, *params)
+
+    monkeypatch.setattr(mvt, "_bisect", counted)
+    res = scanner.scan(mva.Problem(mva.parse("sin(10*x)"), 0.0, 1.0), 0.1, 12.0, 400)
+    assert len(res.points) == 7710
+    assert 0 < sum(steps) <= 8
+
+
+def _bracket_function(kind, root, sign, slope=None):
     """A function of c, elementwise alike on floats and on arrays: a simple
-    root, a triple root, a root inside a flat run of zeros, or NaN."""
-    if kind == "simple":
-        return lambda c: sign * (c - root)
-    if kind == "triple":
-        return lambda c: sign * (c - root) * (c - root) * (c - root)
-    if kind == "flat":
-        return lambda c: sign * (c - root) * (abs(c - root) >= 1e-3)
-    return lambda c: c * math.nan
+    root, a triple root, a root inside a flat run of zeros, or NaN.  With a
+    slope it gives the pair (F, F_c): F_c exact, too small ("poor", 0.3
+    F_c), or NaN, inf, -inf or 0 past the root."""
+    f, f_c = {
+        "simple": (lambda c: sign * (c - root), lambda c: sign),
+        "triple": (lambda c: sign * (c - root) * (c - root) * (c - root),
+                   lambda c: 3.0 * sign * (c - root) * (c - root)),
+        "flat": (lambda c: sign * (c - root) * (abs(c - root) >= 1e-3),
+                 lambda c: sign * (abs(c - root) >= 1e-3)),
+        "nan": (lambda c: c * math.nan, lambda c: sign),
+    }[kind]
+    if slope is None:
+        return f
+    if slope == "exact":
+        return lambda c: (f(c), f_c(c))
+    if slope == "poor":
+        return lambda c: (f(c), 0.3 * f_c(c))
+    bad = float(slope)
+    return lambda c: (f(c), np.where(c > root, bad, f_c(c)))
+
+
+# what the caller's function gives: F alone, or F with F_c, exact or not
+SLOPES = st.sampled_from([None, "exact", "poor", "nan", "inf", "-inf", "0"])
 
 
 def _array_loop(fn, lo, hi, flo, width_tol, *params):
@@ -665,29 +740,41 @@ WIDTH_TOLS = st.one_of(st.floats(1e-6, 1e6).map(lambda w: 1e-15 * w), st.floats(
 @settings(max_examples=500, deadline=None)
 @given(lo=st.floats(-1e6, 1e6), hi=st.floats(-1e6, 1e6), at=st.floats(-0.2, 1.2),
        sign=st.sampled_from([1.0, -1.0]),
-       kind=st.sampled_from(["simple", "triple", "flat", "nan"]),
+       kind=st.sampled_from(["simple", "triple", "flat", "nan"]), slope=SLOPES,
        flo=st.one_of(st.floats(), st.sampled_from([-1.0, 1.0])),
        width_tol=st.one_of(st.none(), WIDTH_TOLS))  # None: _bisect_one's default
-@example(lo=0.0, hi=2.0, at=0.5, sign=1.0, kind="simple", flo=-1.0,
+@example(lo=0.0, hi=2.0, at=0.5, sign=1.0, kind="simple", slope=None, flo=-1.0,
          width_tol=None)  # an exact zero midpoint
 @example(lo=1.0, hi=float(np.nextafter(1.0, 2.0)), at=0.5, sign=1.0, kind="simple",
-         flo=-1.0, width_tol=None)  # adjacent floats
+         slope=None, flo=-1.0, width_tol=None)  # adjacent floats
 @example(lo=1.0, hi=float(np.nextafter(1.0, 2.0)), at=0.5, sign=1.0, kind="simple",
-         flo=-1.0, width_tol=1e-15 * 1e-3)  # adjacent floats, wider than width_tol
+         slope=None, flo=-1.0, width_tol=1e-15 * 1e-3)  # adjacent floats, wider than width_tol
 @example(lo=-0.8927318295739348, hi=-0.8927318295739347, at=0.5, sign=-1.0,
-         kind="triple", flo=1.0, width_tol=1e-15 * 0.1)  # adjacent floats, below 1
-@example(lo=0.0, hi=1.0, at=0.3, sign=1.0, kind="simple", flo=-1.0,
+         kind="triple", slope=None, flo=1.0, width_tol=1e-15 * 0.1)  # adjacent floats, below 1
+@example(lo=0.0, hi=1.0, at=0.3, sign=1.0, kind="simple", slope=None, flo=-1.0,
          width_tol=0.25)  # a width that reaches width_tol exactly
-@example(lo=2.0, hi=1.0, at=0.5, sign=1.0, kind="simple", flo=1.0, width_tol=None)  # lo > hi
-@example(lo=1.0, hi=1.0, at=0.5, sign=1.0, kind="simple", flo=0.0, width_tol=None)  # lo == hi
-@example(lo=-1.0, hi=3.0, at=0.25, sign=1.0, kind="simple", flo=math.nan, width_tol=None)
-def test_bisect_one_is_bisect_on_one_bracket(lo, hi, at, sign, kind, flo, width_tol):
-    fn = _bracket_function(kind, lo + at * (hi - lo), sign)
+@example(lo=2.0, hi=1.0, at=0.5, sign=1.0, kind="simple", slope=None, flo=1.0,
+         width_tol=None)  # lo > hi
+@example(lo=1.0, hi=1.0, at=0.5, sign=1.0, kind="simple", slope=None, flo=0.0,
+         width_tol=None)  # lo == hi
+@example(lo=-1.0, hi=3.0, at=0.25, sign=1.0, kind="simple", slope=None, flo=math.nan,
+         width_tol=None)
+@example(lo=0.0, hi=1.0, at=0.3, sign=1.0, kind="simple", slope="exact", flo=-1.0,
+         width_tol=1e-15)  # one Newton step lands on the root
+@example(lo=-3.0, hi=5.0, at=0.7, sign=-1.0, kind="triple", slope="exact", flo=1.0,
+         width_tol=1e-15 * 8.0)  # Newton at its linear rate, on a triple root
+@example(lo=0.0, hi=1.0, at=0.3, sign=1.0, kind="flat", slope="0", flo=-1.0,
+         width_tol=None)  # F_c = 0 where F is not
+@example(lo=1.0, hi=float(np.nextafter(1.0, 2.0)), at=0.5, sign=1.0, kind="simple",
+         slope="exact", flo=-1.0, width_tol=0.0)  # adjacent floats, width_tol 0
+def test_bisect_one_is_bisect_on_one_bracket(lo, hi, at, sign, kind, slope, flo, width_tol):
+    fn = _bracket_function(kind, lo + at * (hi - lo), sign, slope)
     tol = 1e-16 * max(1.0, abs(lo), abs(hi)) if width_tol is None else width_tol
     want = _array_loop(fn, np.array([lo]), np.array([hi]), np.array([flo]), np.array([tol]))[0]
     got = mvt._bisect_one(fn, lo, hi, flo, width_tol)
     assert type(got) is float
     assert np.float64(got).tobytes() == want.tobytes()
+    assert min(lo, hi) <= got <= max(lo, hi)
 
 
 @st.composite
@@ -705,18 +792,23 @@ def _brackets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(brackets=st.lists(_brackets(), min_size=1, max_size=8),
-       kind=st.sampled_from(["simple", "triple", "flat", "nan"]))
-def test_float_route_is_the_array_loop(brackets, kind):
-    assert len(brackets) <= mvt._FLOAT_BRACKETS
+@given(brackets=st.lists(_brackets(), min_size=1, max_size=2 * mvt._FLOAT_BRACKETS),
+       kind=st.sampled_from(["simple", "triple", "flat", "nan"]), slope=SLOPES)
+@example(brackets=[(0.0, 1.0, 0.5, 1.0, -1.0, 1e-15)]
+         + [(0.0, 1.0, 0.3 + 0.01 * k, 1.0, -1.0, 1e-15) for k in range(mvt._FLOAT_BRACKETS)],
+         kind="triple", slope="exact")  # the first stops at once, the rest finish on floats
+def test_float_route_is_the_array_loop(brackets, kind, slope):
+    # up to _FLOAT_BRACKETS brackets step on floats from the start; more
+    # step as arrays until that few are left, which finish on floats
     lo, hi, root, sign, flo, width_tol = map(np.array, zip(*brackets))
 
     def fn(root, sign, c):  # each bracket's function, given its root and sign
-        return _bracket_function(kind, root, sign)(c)
+        return _bracket_function(kind, root, sign, slope)(c)
 
     got = mvt._bisect(fn, lo, hi, flo, width_tol, root, sign)
     want = _array_loop(fn, lo, hi, flo, width_tol, root, sign)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert ((np.minimum(lo, hi) <= got) & (got <= np.maximum(lo, hi))).all()
 
 
 def test_many_roots_in_one_column_take_the_array_loop(monkeypatch):
