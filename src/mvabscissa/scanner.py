@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, is_
 
 import numpy as np
 
@@ -107,10 +107,36 @@ def _texts(obj):
     return bs, cs, rs, columns
 
 
-def to_csv(obj) -> str:
-    """CSV with header b,c,residual,column; LF endings; one trailing LF."""
+def _stored(obj, columns):
+    """The CSV text kept on obj, while it holds the same points and columns."""
+    memo = getattr(obj, "_formatted", None)
+    if (memo and set(map(type, columns)) <= {int} and memo[1] == list(columns)
+            and all(map(is_, memo[0], obj.points))):
+        return memo[2]
+
+
+def _floats_and_ints(obj, columns):
+    values = chain.from_iterable(map(attrgetter("b", "c", "residual"), obj.points))
+    return set(map(type, values)) == {float} and set(map(type, columns)) <= {int}
+
+
+def _csv(obj, columns, keep):
+    """to_csv's text, formatted, and kept on obj outside its fields if keep."""
     flat = tuple(chain.from_iterable(zip(*_texts(obj))))
-    return (CSV_HEADER + "\n" + "%s,%s,%s,%s\n" * (len(flat) // 4)) % flat
+    text = (CSV_HEADER + "\n" + "%s,%s,%s,%s\n" * (len(flat) // 4)) % flat
+    if keep:
+        obj._formatted = (tuple(obj.points), list(columns), text)
+    return text
+
+
+def to_csv(obj) -> str:
+    """CSV with header b,c,residual,column; LF endings; one trailing LF.
+
+    When obj's b, c and residual are all floats and its columns ints, the
+    text is kept on obj, and a later to_csv or to_json of obj reuses it
+    while obj holds the same point objects and equal columns."""
+    columns = _columns(obj)
+    return _stored(obj, columns) or _csv(obj, columns, _floats_and_ints(obj, columns))
 
 
 def to_json(obj) -> str:
@@ -119,20 +145,24 @@ def to_json(obj) -> str:
     The points are the last key of to_dict().  When their b, c and residual
     are all finite floats and their columns ints, json.dumps would write
     them as the texts of to_csv, so one template sets those texts into the
-    indented layout of the other keys.
+    indented layout of the other keys.  It reads them from to_csv's text,
+    which it keeps and reuses as to_csv does.
     """
-    _columns(obj)
-    values = chain.from_iterable(map(attrgetter("b", "c", "residual"), obj.points))
-    if set(map(type, values)) == {float}:
-        *fields, columns = _texts(obj)
-        if isinstance(obj, ScanResult):
-            fields.append(columns)
-        flat = tuple(chain.from_iterable(zip(*fields)))
-        if _NON_FINITE.isdisjoint(flat) and set(map(type, columns)) <= {int}:
-            item = ",\n".join(f'      "{k}": %s' for k in _JSON_KEYS[:len(fields)])
-            body = (f"    {{\n{item}\n    }},\n" * (len(flat) // len(fields)))[:-2]
+    columns = _columns(obj)
+    text = _stored(obj, columns) or (_floats_and_ints(obj, columns) and _csv(obj, columns, True))
+    if text:
+        flat = text[len(CSV_HEADER) + 1:-1].replace("\n", ",").split(",")
+        if _NON_FINITE.isdisjoint(flat):
+            # the columns as ints, not texts; "%.0s" sets a Branch's, its indices, as ""
+            flat[3::4] = columns
+            flat = tuple(flat)
+            n = 4 if isinstance(obj, ScanResult) else 3
+            item = ",\n".join(f'      "{k}": %s' for k in _JSON_KEYS[:n]) + "%.0s" * (4 - n)
+            items = [f"    {{\n{item}\n    }}"] * (len(flat) // 4)
             head = json.dumps(replace(obj, points=[]).to_dict(), indent=2)[:-len("[]\n}")]
-            return f"{head}[\n{body % flat}\n  ]\n}}\n"
+            items[0] = head.replace("%", "%%") + "[\n" + items[0]
+            items[-1] += "\n  ]\n}\n"
+            return ",\n".join(items) % flat
     return json.dumps(obj.to_dict(), indent=2) + "\n"
 
 
