@@ -9,18 +9,21 @@ analysis determines the branch structure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from . import expr, mvt
-from .errors import DegenerateProblem, OutsideNeighborhood
+from .errors import DegenerateProblem, DomainError, OutsideNeighborhood
 
 NONZERO_REL_TOL = 1e-9
 DEFAULT_KMAX = 16
 SOLUTION_TOL = 1e-8
 _EXTREMUM_GRID = 4096
+_EPS = float(np.finfo(float).eps)
 
 
 class Case(str, Enum):
@@ -46,6 +49,9 @@ class DegeneracyReport:
     f_b: float        # raw F_b(b0, c0)
     value: float      # raw F(b0, c0)
     b_branch_exists: bool  # f'(b0) != f'(c0), so a local branch b = B(c) exists
+    # g1's and g2's Taylor coefficients at 0 to order kmax, which the Morse
+    # chart reads; not a result, so left out of ==, repr and to_dict
+    series: tuple = field(repr=False, compare=False)
 
     def to_dict(self):
         keys = ("k", "l", "alpha0", "beta0", "sigma1", "sigma2")
@@ -108,7 +114,7 @@ def classify_point(p: mvt.Problem, b0: float, c0: float,
     return DegeneracyReport(
         k=k or 0, l=l or 0, alpha0=alpha0, beta0=beta0,
         sigma1=sigma1, sigma2=sigma2, case=case,
-        f_pp_c0=-f_c, f_b=f_b, value=value, b_branch_exists=l == 1)
+        f_pp_c0=-f_c, f_b=f_b, value=value, b_branch_exists=l == 1, series=(s1, s2))
 
 
 class MorseChart:
@@ -116,7 +122,10 @@ class MorseChart:
 
     u(x) = x * (sigma1 * g1(x) / x^l)^(1/l) and analogously v(y); valid on
     the window where the radicands stay positive and u (v) increases.
-    Inverses are computed by bisection on that window.
+    Each coordinate is computed with its slope, and x_of_u and y_of_v
+    invert it on that window by mvt._bisect_one's safeguarded Newton steps.
+    The Horner tails read g1's and g2's series from the report where it
+    kept them to the orders needed.
     """
 
     _SERIES_CUTOFF = 1e-4
@@ -126,38 +135,80 @@ class MorseChart:
             raise ValueError(f"no normal-form chart for case {report.case.value}")
         self.report = report
         self.g1, self.g2 = mvt.g1_g2(p, b0, c0)
-        # 8 orders past the leading term, for the Horner tails; g2's series
-        # of order n reads f's jet of order n + 1
-        self._s1 = self.g1.series(min(expr.MAX_JET_ORDER - 1, report.l + 8))
-        self._s2 = self.g2.series(min(expr.MAX_JET_ORDER - 1, report.k + 8))
+
+        def series(kept, g, order):
+            # 8 orders past the leading term, for the Horner tails: the
+            # report's where it kept that many; g2's series of order n reads
+            # f's jet of order n + 1
+            n = min(expr.MAX_JET_ORDER - 1, order + 8)
+            return tuple(map(float, kept[:n + 1] if len(kept) > n else g.series(n)))
+
+        s1, s2 = report.series
+        self._s1, self._s2 = series(s1, self.g1, report.l), series(s2, self.g2, report.k)
+        b_terms, c_terms = mvt._b_terms(p), mvt._c_terms(p)
+        fpc0 = float(mvt._fprime(p)(c0))
+
+        def g1_terms(x):  # g1 = S(b0 + x) - f'(c0) and g1' = S'(b0 + x)
+            s, ds = b_terms(b0 + x)
+            return s - fpc0, ds
+
+        def g2_terms(y):  # g2 = f'(c0 + y) - f'(c0) and g2' = f''(c0 + y)
+            t, f_c = c_terms(c0 + y)
+            return -t - fpc0, -f_c
+
+        self._u = partial(self._coordinate, series=self._s1, n=report.l,
+                          sign=report.sigma1, g=self.g1, terms=g1_terms)
+        self._v = partial(self._coordinate, series=self._s2, n=report.k,
+                          sign=report.sigma2, g=self.g2, terms=g2_terms)
         wx0 = 0.5 * min(b0 - p.a0, p.domain[1] - b0 if p.domain[1] > b0 else b0 - p.a0)
         wy0 = 0.5 * min(c0 - p.a0, b0 - c0)
         self.window_x = self._find_window(self.u, wx0)
         self.window_y = self._find_window(self.v, wy0)
 
-    def _ratio(self, series, order, t):
-        """g(t) / t^order: by Horner on the shifted series where |t| is below
-        the cutoff and the quotient would cancel, and directly elsewhere."""
-        t = np.asarray(t, dtype=float)
-        small = np.abs(t) < self._SERIES_CUTOFF
-        if t.ndim == 0:
-            return self._tail(series, order, t) if small else self._direct(series, order, t)
-        out = np.empty_like(t)
-        out[small] = self._tail(series, order, t[small])
-        out[~small] = self._direct(series, order, t[~small])
-        return out
+    def _coordinate(self, t, slope, series, n, sign, g, terms):
+        """The chart coordinate t * q^(1/n), q = sign * g(t) / t^n, at a
+        float or an array t, and its slope where asked for, else None.
 
-    @staticmethod
-    def _tail(series, order, t):
-        tail = np.zeros_like(t)
-        for coef in reversed(series[order:]):
-            tail = tail * t + float(coef)
-        return tail
+        q and q' come from the Horner tail of g's series and its derivative
+        where |t| is below the cutoff and the quotient would cancel, and
+        elsewhere from g and g', by terms, or from g alone where no slope is
+        asked for or terms finds f not finite.  A float runs in Python
+        arithmetic, as each step of an inversion does.
+        """
 
-    def _direct(self, series, order, t):
-        g = self.g1(t) if series is self._s1 else self.g2(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray(g, dtype=float) / t ** order
+        def tail(t):
+            h, dh = 0.0, 0.0 if slope else math.nan
+            for coef in reversed(series[n:]):
+                if slope:
+                    dh = dh * t + h
+                h = h * t + coef
+            return sign * h, sign * dh
+
+        def quotient(t):
+            if not slope:
+                return sign * (g(t) / t ** n), math.nan
+            try:
+                gt, dg = terms(t)
+            except DomainError:  # as mvt._solve: a step without a slope bisects
+                gt, dg = g(t), math.nan
+            tn = t ** n
+            return sign * (gt / tn), sign * (dg - n * gt / t) / tn
+
+        if isinstance(t, float):
+            q, dq = tail(t) if abs(t) < self._SERIES_CUTOFF else quotient(t)
+            outside = q <= 0
+        else:
+            t = np.asarray(t, dtype=float)
+            small = np.abs(t) < self._SERIES_CUTOFF
+            q, dq = np.empty_like(t), np.empty_like(t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for part, fn in ((small, tail), (~small, quotient)):
+                    q[part], dq[part] = fn(t[part])
+            outside = np.any(q <= 0)
+        if outside:
+            raise OutsideNeighborhood(f"sigma * g(t)/t^{n} is not positive here")
+        r = q ** (1.0 / n)
+        return t * r, r + t * r * dq / (n * q) if slope else None
 
     def _find_window(self, fwd, w0):
         """Halve w0 until the chart coordinate fwd is defined and strictly
@@ -174,28 +225,31 @@ class MorseChart:
         raise OutsideNeighborhood("no window with positive radicand and monotone chart found")
 
     def u(self, x):
-        r = self.report.sigma1 * self._ratio(self._s1, self.report.l, x)
-        if np.any(r <= 0):
-            raise OutsideNeighborhood("sigma1 * g1(x)/x^l is not positive here")
-        return np.asarray(x, dtype=float) * r ** (1.0 / self.report.l)
+        return self._u(x, False)[0]
 
     def v(self, y):
-        r = self.report.sigma2 * self._ratio(self._s2, self.report.k, y)
-        if np.any(r <= 0):
-            raise OutsideNeighborhood("sigma2 * g2(y)/y^k is not positive here")
-        return np.asarray(y, dtype=float) * r ** (1.0 / self.report.k)
+        return self._v(y, False)[0]
 
-    def _invert(self, fwd, window, target):
-        if not float(fwd(-window)) <= target <= float(fwd(window)):
+    def _invert(self, coordinate, window, target):
+        # the ends with their slopes: at a float, terms give the value at
+        # less cost than g alone
+        if not coordinate(-window, True)[0] <= target <= coordinate(window, True)[0]:
             raise OutsideNeighborhood(f"target {target!r} outside the chart window")
-        # fwd increases on the window, so fwd - target is negative below x
-        return mvt._bisect_one(lambda x: fwd(x) - target, -window, window, -1.0)
+
+        def excess(x):  # and its slope; the coordinate increases, so it is negative below x
+            value, slope = coordinate(x, True)
+            return value - target, slope
+
+        # a width of 8 roundings of the window's ends: at a narrower one,
+        # Newton can reach the coordinate's rounding floor from one side,
+        # fail the rtsafe test there and bisect from the bracket's far end
+        return mvt._bisect_one(excess, -window, window, -1.0, 8 * _EPS * window)
 
     def x_of_u(self, u):
-        return self._invert(self.u, self.window_x, float(u))
+        return self._invert(self._u, self.window_x, float(u))
 
     def y_of_v(self, v):
-        return self._invert(self.v, self.window_y, float(v))
+        return self._invert(self._v, self.window_y, float(v))
 
 
 def morse_coordinates(p: mvt.Problem, b0: float, c0: float,

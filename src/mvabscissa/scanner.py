@@ -9,6 +9,7 @@ module.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import attrgetter, is_
@@ -166,6 +167,15 @@ def to_json(obj) -> str:
     return json.dumps(obj.to_dict(), indent=2) + "\n"
 
 
+def _padded(lo, hi):
+    """[lo, hi] as floats, widened on each side by 5 % of its width, or, for
+    a single value, by 0.5 or by the spacing of floats at lo where 0.5 is
+    too little to move it: the plot divides by the width."""
+    lo, hi = float(lo), float(hi)
+    pad = 0.05 * (hi - lo) or max(0.5, math.ulp(lo))
+    return lo - pad, hi + pad
+
+
 def to_svg(obj) -> str:
     """Standalone SVG 1.1 plot: shaded c >= b region, family polylines, markers.
 
@@ -174,12 +184,8 @@ def to_svg(obj) -> str:
     n = len(points)
     bs = [q.b for q in points] or [0.0, 1.0]
     cs = [q.c for q in points] or [0.0, 1.0]
-    xmin, xmax = min(bs), max(bs)
-    ymin, ymax = min(cs), max(cs)
-    xpad = 0.05 * (xmax - xmin) or 0.5
-    ypad = 0.05 * (ymax - ymin) or 0.5
-    xmin, xmax = xmin - xpad, xmax + xpad
-    ymin, ymax = ymin - ypad, ymax + ypad
+    xmin, xmax = _padded(min(bs), max(bs))
+    ymin, ymax = _padded(min(cs), max(cs))
 
     def px(x):
         return _SVG_MARGIN + (x - xmin) / (xmax - xmin) * (_SVG_W - 2 * _SVG_MARGIN)

@@ -3,10 +3,14 @@
 byte.
 
 Each number goes through its own Python-level call, and the SVG families
-come from dicts and `sorted`.  The code is the original's; it shares with
-the library only the plot's constants and `_clip_halfplane`, which did not
-change.  JSON's reference is `json.dumps(obj.to_dict(), indent=2) + "\\n"`.
+come from dicts and `sorted`.  The code is the original's, except that the
+SVG works on float(v) and pads a box of one value until its ends differ.
+It shares with the library only the plot's constants and
+`_clip_halfplane`, which did not change.  JSON's reference is
+`json.dumps(obj.to_dict(), indent=2) + "\\n"`.
 """
+
+import math
 
 from mvabscissa import scanner
 from mvabscissa.scanner import (_SVG_H, _SVG_MARGIN, _SVG_W, CSV_HEADER,
@@ -47,13 +51,16 @@ def _families(rows):
 
 def to_svg(obj) -> str:
     """Standalone SVG 1.1 plot: shaded c >= b region, family polylines, markers."""
-    rows = _point_rows(obj)
+    # on Python floats, which give inf - inf as nan without a warning
+    rows = [(float(b), float(c), r, col) for b, c, r, col in _point_rows(obj)]
     bs = [r[0] for r in rows] or [0.0, 1.0]
     cs = [r[1] for r in rows] or [0.0, 1.0]
     xmin, xmax = min(bs), max(bs)
     ymin, ymax = min(cs), max(cs)
-    xpad = 0.05 * (xmax - xmin) or 0.5
-    ypad = 0.05 * (ymax - ymin) or 0.5
+    # a single value is padded by 0.5, or by its float spacing where 0.5
+    # does not move it
+    xpad = 0.05 * (xmax - xmin) or max(0.5, math.ulp(xmin))
+    ypad = 0.05 * (ymax - ymin) or max(0.5, math.ulp(ymin))
     xmin, xmax = xmin - xpad, xmax + xpad
     ymin, ymax = ymin - ypad, ymax + ypad
 

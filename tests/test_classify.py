@@ -2,13 +2,16 @@
 
 import json
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import mvabscissa as mva
 from mvabscissa import classify, expr, mvt
-from mvabscissa.errors import DegenerateProblem, NotASolution, OutsideNeighborhood
+from mvabscissa.errors import (DegenerateProblem, DomainError, NotASolution,
+                               OutsideNeighborhood)
 
 from conftest import cubic_upper, poly_derivative, x_fourth_branch
 
@@ -195,19 +198,30 @@ class TestMorseCoordinates:
     def test_inversions_match_a_ratio_computed_both_ways_everywhere(
             self, quartic_inflection, quintic_same_sign, sextic_opposite, x_fourth,
             monkeypatch):
-        """x_of_u and y_of_v bit for bit against the chart's former _ratio,
-        which evaluated the Horner tail and the quotient at every point."""
+        """x_of_u and y_of_v bit for bit against a chart whose coordinates
+        evaluate the Horner tail and the quotient, each with its derivative,
+        at every point where each is defined, and then take the one the
+        cutoff picks."""
 
-        def ratio_everywhere(chart, series, order, t):
-            t = np.asarray(t, dtype=float)
-            small = np.abs(t) < chart._SERIES_CUTOFF
-            tail = np.zeros_like(t)
-            for coef in reversed(series[order:]):
-                tail = tail * t + float(coef)
-            g = chart.g1(t) if series is chart._s1 else chart.g2(t)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                direct = np.asarray(g, dtype=float) / t ** order
-            return np.where(small, tail, direct)
+        def coordinate_everywhere(chart, t, slope, series, n, sign, g, terms):
+            one = isinstance(t, float)
+            t = t if one else np.asarray(t, dtype=float)
+            small = abs(t) < chart._SERIES_CUTOFF
+            pick = (lambda a, b: a if small else b) if one else partial(np.where, small)
+            h, dh = 0.0, 0.0
+            for coef in reversed(series[n:]):
+                h, dh = h * t + coef, dh * t + h
+            q, dq = sign * h, sign * dh
+            if not one or t != 0.0:  # the quotient is 0/0 at 0
+                gt, dg = terms(t) if slope else (g(t), math.nan)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    tn = t ** n
+                    q = pick(q, sign * (gt / tn))
+                    dq = pick(dq, sign * (dg - n * gt / t) / tn)
+            if np.any(q <= 0):
+                raise OutsideNeighborhood("not positive")
+            r = q ** (1.0 / n)
+            return t * r, r + t * r * dq / (n * q) if slope else None
 
         def inversions(chart):
             out = []
@@ -225,7 +239,7 @@ class TestMorseCoordinates:
             chart = classify.morse_coordinates(p, b0, c0, r)
             got = inversions(chart)
             with monkeypatch.context() as m:
-                m.setattr(classify.MorseChart, "_ratio", ratio_everywhere)
+                m.setattr(classify.MorseChart, "_coordinate", coordinate_everywhere)
                 old = classify.morse_coordinates(p, b0, c0, r)
                 want = inversions(old)
             assert (chart.window_x, chart.window_y) == (old.window_x, old.window_y)
@@ -250,9 +264,10 @@ class TestMorseCoordinates:
     def test_chart_matches_one_built_from_series_of_order_24(
             self, quartic_inflection, quintic_same_sign, sextic_opposite, x_fourth,
             monkeypatch):
-        """The chart reads g1's series to order l + 8 and g2's to k + 8; a
-        chart whose series run to order 24, as they once did, gives the same
-        windows, coordinates and inversions bit for bit."""
+        """The chart reads g1's series to order l + 8 and g2's to k + 8 from
+        the report; a chart built from a report without them, whose series
+        run to order 24, as they once did, gives the same windows,
+        coordinates and inversions bit for bit."""
         g1_g2 = mvt.g1_g2
 
         def g1_g2_of_order_24(p, b0, c0):
@@ -283,12 +298,113 @@ class TestMorseCoordinates:
             got = samples(chart)
             with monkeypatch.context() as m:
                 m.setattr(mvt, "g1_g2", g1_g2_of_order_24)
-                wide = classify.morse_coordinates(p, b0, c0, r)
+                wide = classify.morse_coordinates(p, b0, c0, replace(r, series=((), ())))
                 assert len(wide._s1) == len(wide._s2) == 25
                 want = samples(wide)
             assert (chart.window_x, chart.window_y) == (wide.window_x, wide.window_y)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @staticmethod
+    def _corpus(quartic_inflection, quintic_same_sign, sextic_opposite, x_fourth):
+        return ((quartic_inflection, 3.0, 1.0), (quintic_same_sign, 3.0, 1.0),
+                (sextic_opposite, 3.0, 1.0), (x_fourth, 1.0, 0.0))
+
+    def test_inversions_take_few_evaluations(
+            self, quartic_inflection, quintic_same_sign, sextic_opposite, x_fourth,
+            monkeypatch):
+        # Newton steps on the coordinate's slope; bisection took 53-55
+        bisect_one, counts = mvt._bisect_one, []
+
+        def counting(fn, *args):
+            def counted(x):
+                counts[-1] += 1
+                return fn(x)
+            return bisect_one(counted, *args)
+
+        for p, b0, c0 in self._corpus(quartic_inflection, quintic_same_sign,
+                                      sextic_opposite, x_fourth):
+            chart = classify.morse_coordinates(p, b0, c0, classify.classify_point(p, b0, c0))
+            for fwd, inv, w in ((chart.u, chart.x_of_u, chart.window_x),
+                                (chart.v, chart.y_of_v, chart.window_y)):
+                targets = [float(fwd(float(x))) for x in np.linspace(-w, w, 201)]
+                start = len(counts)
+                with monkeypatch.context() as m:
+                    m.setattr(mvt, "_bisect_one", counting)
+                    for target in targets:
+                        counts.append(0)
+                        inv(target)
+                assert np.median(counts[start:]) <= 15, (p.expression, w)
+
+    def test_slopes_match_central_differences(
+            self, quartic_inflection, quintic_same_sign, sextic_opposite, x_fourth):
+        exp_cubic = mva.Problem(mva.parse("exp(x) - x^3"), -1.0, 4.734582395767517)
+        for p, b0, c0 in self._corpus(quartic_inflection, quintic_same_sign,
+                                      sextic_opposite, x_fourth) + (
+                (exp_cubic, 4.734582395767517, 0.20448144933991552),):
+            chart = classify.morse_coordinates(p, b0, c0, classify.classify_point(p, b0, c0))
+            for coordinate, w in ((chart._u, chart.window_x), (chart._v, chart.window_y)):
+                # both sides of the cutoff 1e-4, and 0
+                ts = np.concatenate([np.linspace(-0.9, 0.9, 19) * w, [-2e-4, -5e-5, 0.0, 3e-4]])
+                # a step of 1e-3 windows: a shorter one meets u's rounding
+                # near the cutoff, where g / t^l cancels
+                h = 1e-3 * w
+                diff = (coordinate(ts + h, False)[0] - coordinate(ts - h, False)[0]) / (2 * h)
+                value, slope = coordinate(ts, True)
+                assert np.allclose(slope, diff, rtol=1e-4, atol=0.0), p.expression
+                # a float takes the array's value and slope, up to rounding
+                one = np.array([coordinate(float(t), True) for t in ts])
+                assert np.allclose(one, np.column_stack([value, slope]), rtol=1e-12, atol=0.0)
+                assert coordinate(ts, False)[1] is None
+
+    def test_a_step_without_a_slope_bisects(self, quintic_same_sign, monkeypatch):
+        # where f'' is not finite, g2's terms raise and v's slope is NaN
+        p = quintic_same_sign
+        r = classify.classify_point(p, 3.0, 1.0)
+        chart = classify.morse_coordinates(p, 3.0, 1.0, r)
+        c_terms = mvt._c_terms
+
+        def no_f_pp_above_c0(p):
+            terms = c_terms(p)
+
+            def checked(c):
+                if np.any(np.asarray(c) > 1.0):
+                    raise DomainError("f'' is not finite")
+                return terms(c)
+            return checked
+
+        monkeypatch.setattr(mvt, "_c_terms", no_f_pp_above_c0)
+        bare = classify.morse_coordinates(p, 3.0, 1.0, r)
+        assert (bare.window_x, bare.window_y) == (chart.window_x, chart.window_y)
+        for y in np.linspace(-1.0, 1.0, 21) * chart.window_y:
+            assert abs(bare.y_of_v(float(chart.v(float(y)))) - y) <= 1e-10 * chart.window_y
+            assert math.isnan(bare._v(float(y), True)[1]) == (y > 1e-4)
+
+    def test_report_keeps_series_outside_its_equality(self, quintic_same_sign):
+        p = quintic_same_sign
+        r = classify.classify_point(p, 3.0, 1.0, kmax=12)
+        g1, g2 = mvt.g1_g2(p, 3.0, 1.0)
+        assert r.series == (g1.series(12), g2.series(12))
+        bare = replace(r, series=((), ()))
+        assert bare == r and hash(bare) == hash(r) and repr(bare) == repr(r)
+        assert "series" not in repr(r) and bare.to_json() == r.to_json()
+
+    def test_chart_reads_the_series_the_report_kept(self, quintic_same_sign, monkeypatch):
+        # the chart runs no series of its own where the report kept them to
+        # order l + 8 and k + 8, and both of its own where it did not
+        p, calls = quintic_same_sign, []
+        jet_eval = expr.jet_eval
+
+        def counted(*args):
+            calls.append(args)
+            return jet_eval(*args)
+
+        monkeypatch.setattr(expr, "jet_eval", counted)
+        for kmax, runs in ((16, 0), (9, 2)):
+            r = classify.classify_point(p, 3.0, 1.0, kmax=kmax)
+            del calls[:]
+            classify.morse_coordinates(p, 3.0, 1.0, r)
+            assert len(calls) == runs, kmax
 
     def test_no_chart_for_regular_points(self, parabola):
         r = classify.classify_point(parabola, 2.0, 1.0)
