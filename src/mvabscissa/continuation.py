@@ -1,42 +1,35 @@
 """Branch tracing for the solution curves of F(b, c) = 0.
 
-One walker follows both kinds of branch: t = T(s) on G(s, t) = 0, where G is
-F for c = C(b), and F with its two arguments and its two partials swapped
-for b = B(c).  F is separable, the sum of a term of b and a term of c, so
-G(s, t) is the term of s plus the term of t in either case, and G_s and G_t
-are their derivatives.  Each step is an Euler predictor with slope -G_s/G_t
-and a chord (contraction) corrector.  The corrector stops when a correction
-is below an absolute bound, or when it is no smaller than the one before,
-which marks G's rounding floor.  Where a c = C(b) seed is merely UNIQUE_ODD
-and F_c may vanish, a bisection on floats corrects instead, on the seed's
-piece of f', where f' is monotone, and the walk stops where the branch
-leaves it.  A step holds s fixed, so the term of s is evaluated once per
-step; an evaluation at a new t is one call of the term of t, with f's jet
-bound once per walk.  A corrector hands back G, its partials and F's two
-terms at the point it accepts, which serve as the residual check, the
-point's residual and the next step's predictor, so each point, the seed
-too, is evaluated once.
+A branch is t = T(s) on G(s, t) = 0: G is F for c = C(b), and F with its
+two arguments swapped for b = B(c).  F is separable, U(s) + V(t), so on a
+piece of the t-axis where V is monotone (mvt._piece) G(s, .) has one root
+or none, and the branch through a seed is V on its piece inverted at -U(s),
+at every s of the walk at once (Allgower & Georg, Introduction to Numerical
+Continuation Methods, ch. 2 and 8: here a turning point is a turn of V, a
+1-D problem).  A branch stops where -U(s) leaves V's range on the piece, at
+a turn of V (a fold) or at an end of the t-axis (an edge), where its root
+crosses the diagonal c = b (an edge), or where s leaves its range.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import classify, mvt
-from .errors import SeedNotRegular, SeedSearchFailed
+from .errors import DomainError, SeedNotRegular, SeedSearchFailed
 
-DEGENERACY_THRESHOLD = 1e-7
 NONZERO_B = 1e-9
-MAX_POINTS = 100000
+MAX_POINTS = 100000  # the most steps a branch takes each way from its seed
 
 STOP_RANGE = "range exhausted"
-STOP_DEGENERATE = "degenerate F_c"
 STOP_DOMAIN = "domain edge"
-STOP_CORRECTOR = "corrector failure"
 STOP_STALLED = "step below float spacing"
+STOP_LIMIT = "point limit"
+STOP_FOLD = "fold"
+STOP_EDGE = "edge"
+STOP_RESIDUAL = "residual above tol"
 
 
 @dataclass
@@ -68,123 +61,114 @@ def _step(p, b, step, name):
     return step
 
 
-def _chord_correct(terms, s, s_prev, t_prev, slope):
-    """Euler predictor with slope -G_s/G_t, then a re-centered contraction
-    iteration for G(s, .) = 0, whose slope m = G_t stays that of the
-    prediction.  terms is the pair of functions (U, V) with G(s, t) =
-    U(s)[0] + V(t)[0], G_s = U(s)[1] and G_t = V(t)[1].
+def _steps(s0, s_limit, step, s_span):
+    """The s a walk from s0 toward s_limit reaches, and why it stops there.
 
-    The iteration stops when a correction is at most 1e-14 * max(1, |t|),
-    or, after that test, when a correction is no smaller than the one before:
-    a contraction shrinks its corrections, so one that does not has reached
-    the rounding floor of G, where each correction is G's noise over m (near
-    a degenerate point, with a small m, far above the absolute bound).  The
-    caller's residual check judges the point it stopped at.
-    """
-    g_s, g_t = slope
-    if abs(g_t) < DEGENERACY_THRESHOLD * max(1.0, abs(g_s)):
-        return None, STOP_DEGENERATE
-    t_pred = t_prev - g_s / g_t * (s - s_prev)
-    (u, u_s), at = terms[0](s), terms[1]
-    v, v_t = at(t_pred)
-    m = v_t
-    if abs(m) < DEGENERACY_THRESHOLD * max(1.0, abs(u_s)):
-        return None, STOP_DEGENERATE
-    t, leash, last = t_pred, 1.0 + abs(t_pred), np.inf
-    for _ in range(80):
-        step = (u + v) / m
-        t, t_old = t - step, t
-        if not abs(t - t_pred) <= leash:  # or t is not finite
-            return None, STOP_CORRECTOR
-        if t != t_old:
-            v, v_t = at(t)
-        if abs(step) <= 1e-14 * max(1.0, abs(t)) or abs(step) >= last:
+    Each step adds step to s, in float arithmetic, or the rest of the range
+    where that is less, and none is taken once the rest is at most 1e-12 *
+    max(1, |s_limit|).  The walk stops at a step that leaves s unchanged,
+    at one outside s_span = (lo, hi], or after MAX_POINTS steps, which
+    bound the arrays before they are made."""
+    d, near = (1.0 if s_limit > s0 else -1.0), 1e-12 * max(1.0, abs(s_limit))
+    # the full steps to the range's end, and one more where rounding leaves
+    # it short; where that is not enough, as many as the cap allows
+    for n in (int(min((s_limit - s0) * d / step + 1, MAX_POINTS)), MAX_POINTS):
+        s = np.add.accumulate(np.concatenate([[s0], np.full(n, d * step)]))
+        rest = (s_limit - s) * d
+        end = np.flatnonzero((rest < step) | (rest <= near))
+        if end.size or n == MAX_POINTS:
             break
-        last = abs(step)
-    return t, (u + v, u_s, v_t, u, v)
+    stop = STOP_LIMIT
+    if end.size:  # the step from s[k] is cut to the range's end, or not taken
+        stop, k = STOP_RANGE, end[0]
+        s = s[:k + 1] if rest[k] <= near else np.append(s[:k + 1], s[k] + (s_limit - s[k]))
+    bad = np.flatnonzero((s[1:] == s[:-1]) | ~((s_span[0] < s[1:]) & (s[1:] <= s_span[1])))
+    if bad.size:
+        stop = STOP_STALLED if s[bad[0] + 1] == s[bad[0]] else STOP_DOMAIN
+        s = s[:bad[0] + 1]
+    if s.size > MAX_POINTS + 1:
+        stop, s = STOP_LIMIT, s[:MAX_POINTS + 1]
+    return s[1:], stop
 
 
-def _bisect_correct(fprime, piece, terms, b, *_):
-    """Derivative-free corrector, for a UNIQUE_ODD seed where F_c may vanish:
-    the root of F(b, .) = S(b) - f', by the function fprime, bisected on
-    [lo, min(hi, b)] for the seed's piece (lo, hi) of f', or a corrector
-    failure where S(b) has left f' there.  It corrects c = C(b) only, where
-    terms is the pair of the functions of F's terms in b and in c.
+def _roots(p, order, s, t0, at_turn, t_top, tol):
+    """t = T(s) on mvt._piece's piece of t0 and at_turn, on a grid of [a0,
+    t_top], for each s in the array s; G there; and why each s has no
+    branch point, or "".  A root is that of its cell of the piece's nodes,
+    or the piece's end past which -U(s) lies, where G there passes
+    mvt._residual_ok, as at a singular point.  It must pass
+    mvt._residual_ok and lie in a0 < c < b <= the domain's end for (b, c) =
+    order(s, t)."""
+    b_terms, fprime = mvt._b_terms(p), mvt._fprime(p)
+    s_terms, t_terms = order(b_terms, mvt._c_terms(p))
+    t_value = order(lambda b: b_terms(b)[0], lambda c: -fprime(c))[1]  # V by a narrower jet
+    try:
+        u = np.broadcast_to(s_terms(s)[0], s.shape)
+    except DomainError:  # an s where F's terms have none: each alone, NaN where so
+        u = np.array([mvt._or_nan(lambda x: s_terms(x)[0], x) for x in s.tolist()])
+    nodes, vals, folds = mvt._piece(p, t_value, lambda t: t_terms(t)[1], t0, t_top, at_turn)
+    sign, n = (1.0 if vals[-1] >= vals[0] else -1.0), nodes.size
+    k = np.searchsorted(sign * vals, -sign * u)  # the first node where G has its end sign
+    inside, j = (0 < k) & (k < n), np.clip(k, 1, n - 1)
+    m = np.where(j + 1 < n, j + 1, j - 2)  # a third node, past the cell
+    (a, z, y), (g_a, g_z, g_y) = nodes[[j - 1, j, m]], u + vals[[j - 1, j, m]]
+    t = np.where(k == 0, nodes[0], nodes[-1])
+    del nodes, vals  # the piece's grid, before the cells' arrays are made
+    # the first iterate: t at G = 0 by inverse quadratic interpolation on
+    # the three nodes, or linear on the cell where that has no value
+    with np.errstate(all="ignore"):  # a guess in a cell without a sign change is unused
+        guess = (a * g_z * g_y / ((g_a - g_z) * (g_a - g_y))
+                 + z * g_a * g_y / ((g_z - g_a) * (g_z - g_y))
+                 + y * g_a * g_z / ((g_y - g_a) * (g_y - g_z)))
+        guess = np.where(np.isfinite(guess), guess, a + (z - a) * (g_a / (g_a - g_z)))
+
+    def g(u, t):  # G and G_t; where V' has no value, G from V alone, as on the grid
+        try:
+            v, v_t = t_terms(t)
+        except DomainError:
+            return u + t_value(t), np.nan
+        return u + v, v_t
+
+    # a Newton step, or where G's rounding stalls Newton a bracket, of 1e-14
+    # of the root's scale ends a cell
+    width = 2e-14 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(z)))
+    t[inside] = mvt._bisect(g, a[inside], z[inside], g_a[inside], width[inside], u[inside],
+                            x0=np.clip(guess, a, z)[inside])
+    v = np.broadcast_to(t_value(t), t.shape)
+    (b, c), value = order(s, t), u + v
+    ok = mvt._residual_ok(value, u, v, tol)
+    why = np.select([np.isnan(u), ok & (p.a0 < c) & (c < b) & (b <= p.domain[1]), ok, k == 0,
+                     k == n], [STOP_DOMAIN, "", STOP_EDGE,
+                               *(STOP_FOLD if f else STOP_EDGE for f in folds)], STOP_RESIDUAL)
+    return t, value, why
+
+
+def _branch(p, order, start, s_range, step, tol, s_span, t_top, **fields):
+    """The Branch over s_range through start = (s, t, G, at_turn), a seed
+    the caller has judged, where at_turn says that V' vanishes there.
+
+    order(s, t) is (b, c) for the branch's (s, t); being its own inverse, it
+    also turns the functions of F's terms in b and in c into those in s and
+    in t.  s_span bounds s as _steps takes it, and t_top bounds t.
     """
-    b_terms = terms[0](b)
-    lo, hi, s = piece[0], min(piece[1], b), b_terms[0]
-    f_lo = s - fprime(lo)
-    if not f_lo * (s - fprime(hi)) < 0:
-        return None, STOP_CORRECTOR
-    c = mvt._bisect_one(lambda c: s - fprime(c), lo, hi, f_lo)
-    (u, f_b), (v, f_c) = b_terms, terms[1](c)
-    return c, (u + v, f_b, f_c, u, v)
-
-
-def _march(terms, start, direction, s_limit, step, tol, correct, s_span, point):
-    """Walk the branch t = T(s) of G(s, t) = 0 from start toward s_limit.
-
-    terms is the pair of the functions of F's terms in s and in t, as
-    _chord_correct takes it, and start is the seed (s, t, (G, G_s, G_t)).
-    A step goes to an s_next with lo < s_next <= hi for s_span = (lo, hi).
-    There correct(terms, s_next, s, t, slope) gives the new t and (G, G_s,
-    G_t, U, V) at it, for G = U + V, or None and a stop reason.  The new
-    point must pass mvt._residual_ok, and point(s, t, G) must turn it into
-    a SolutionPoint rather than None.  Returns the points and stop reason.
-    """
-    s, t, slope = *start[:2], start[2][1:]
-    points = []
-    while len(points) <= MAX_POINTS:
-        remaining = (s_limit - s) * direction
-        if remaining <= 1e-12 * max(1.0, abs(s_limit)):
-            return points, STOP_RANGE
-        h = min(step, remaining)
-        for _ in range(2):  # the step, then half of it
-            s_next = s + direction * h
-            if s_next == s:
-                return points, STOP_STALLED
-            if not s_span[0] < s_next <= s_span[1]:
-                return points, STOP_DOMAIN
-            t_next, at = correct(terms, s_next, s, t, slope)
-            if t_next is None and at == STOP_DEGENERATE:
-                return points, STOP_DEGENERATE
-            if t_next is not None and mvt._residual_ok(at[0], at[3], at[4], tol):
-                break
-            h *= 0.5
-        else:
-            return points, STOP_CORRECTOR
-        q = point(s_next, t_next, at[0])
-        if q is None:
-            return points, STOP_DOMAIN
-        points.append(q)
-        s, t, slope = s_next, t_next, at[1:3]
-    return points, STOP_CORRECTOR
-
-
-def _branch(p, order, start, s_range, step, tol, correct, s_span, **fields):
-    """Walk both ways from the seed and gather the Branch.
-
-    order(s, t) is (b, c) for the walk's (s, t); being its own inverse, it
-    also turns the functions of F's terms in b and in c, bound here once,
-    into those in s and in t.  start is (s, t, (G, G_s, G_t)) at a seed the
-    caller has judged.
-    """
-    b, c = order(*start[:2])
+    s0, t0, g0, at_turn = start
+    b, c = order(s0, t0)
     if not p.a0 < c < b:
         raise ValueError(f"abscissa c={c!r} is not interior to ({p.a0!r}, {b!r})")
     step = _step(p, b, step, "step")
-    terms = order(mvt._b_terms(p), mvt._c_terms(p))
-
-    def point(s, t, value):
-        # the walk's numbers are numpy scalars where f's jets are; a point's are floats
-        b, c = order(float(s), float(t))
-        return mvt.SolutionPoint(b, c, float(abs(value))) if p.a0 < c < b <= p.domain[1] else None
-
-    up, stop_upper = _march(terms, start, +1, s_range[1], step, tol, correct, s_span, point)
-    down, stop_lower = _march(terms, start, -1, s_range[0], step, tol, correct, s_span, point)
-    return Branch(points=down[::-1] + [mvt.SolutionPoint(b, c, float(abs(start[2][0])))] + up,
-                  seed_index=len(down), stop_lower=stop_lower,
-                  stop_upper=stop_upper, **fields)
+    (down, stop_lower), (up, stop_upper) = (_steps(s0, end, step, s_span) for end in s_range)
+    s, n = np.concatenate([down[::-1], [s0], up]), down.size
+    t, value, why = _roots(p, order, s, t0, at_turn, t_top, tol)
+    t[n], value[n], why[n] = t0, g0, ""  # the seed as judged
+    # the run around the seed, between the reasons that end it
+    why = np.concatenate([[stop_lower], why, [stop_upper]])
+    bad = np.flatnonzero(why != "")
+    lo, hi = bad[bad <= n][-1], bad[bad > n + 1][0]
+    kept = slice(lo, hi - 1)
+    points = [mvt.SolutionPoint(*q) for q in zip(*order(s[kept].tolist(), t[kept].tolist()),
+                                                    np.abs(value[kept]).tolist())]
+    return Branch(points=points, seed_index=int(n - lo), stop_lower=str(why[lo]),
+                  stop_upper=str(why[hi]), **fields)
 
 
 def trace_c_of_b(p: mvt.Problem, b0: float, c0: float, b_range, step=None,
@@ -198,13 +182,10 @@ def trace_c_of_b(p: mvt.Problem, b0: float, c0: float, b_range, step=None,
     if report.case not in (classify.Case.REGULAR_C, classify.Case.UNIQUE_ODD):
         raise SeedNotRegular(
             f"seed classifies as {report.case.value}; no unique local C(b)")
-    correct = _chord_correct
-    if report.case == classify.Case.UNIQUE_ODD:
-        correct = functools.partial(_bisect_correct, mvt._fprime(p), mvt._piece(p, c0, hi))
-    # classify_point has judged the seed, evaluating F, F_b and f'' = -F_c
-    start = (float(b0), float(c0), (report.value, report.f_b, -report.f_pp_c0))
-    return _branch(p, lambda b, c: (b, c), start, (lo, hi), step, tol, correct,
-                   (p.a0, p.domain[1]), seed_case=report.case.value, parameter="b")
+    # classify_point has judged the seed, evaluating F and F_c = -f'' there
+    start = (float(b0), float(c0), report.value, report.case == classify.Case.UNIQUE_ODD)
+    return _branch(p, lambda b, c: (b, c), start, (lo, hi), step, tol, (p.a0, p.domain[1]),
+                   hi, seed_case=report.case.value, parameter="b")
 
 
 def trace_b_of_c(p: mvt.Problem, b0: float, c0: float, c_range, step=None) -> Branch:
@@ -214,12 +195,12 @@ def trace_b_of_c(p: mvt.Problem, b0: float, c0: float, c_range, step=None) -> Br
         raise ValueError(f"seed b0 must be finite, got {b0!r}")
     if not (lo <= c0 <= hi):
         raise ValueError("seed c0 must lie inside c_range")
+    p = p.covering(p.domain[0], max(b0, p.domain[1]))  # t = b runs up to the domain's end
     value, f_b, f_c = mvt._seed_terms(p, b0, c0, mvt.DEFAULT_TOL)
     if abs(f_b) <= NONZERO_B * max(1.0, abs(f_c), abs(value)):
         raise SeedNotRegular("f'(b0) = f'(c0) at the seed; B(c) is not guaranteed")
-    start = (float(c0), float(b0), (value, f_c, f_b))
-    return _branch(p, lambda c, b: (b, c), start, (lo, hi), step, mvt.DEFAULT_TOL,
-                   _chord_correct, (-np.inf, np.inf), seed_case="", parameter="c")
+    return _branch(p, lambda c, b: (b, c), (float(c0), float(b0), value, False), (lo, hi), step,
+                   mvt.DEFAULT_TOL, (p.a0, np.inf), p.domain[1], seed_case="", parameter="c")
 
 
 def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
@@ -227,8 +208,8 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
     """Two validated (b, c) seeds just past a TWO_BRANCHES / ONE_SIDED point.
 
     Steps |b - b0| = step0 to the allowed side and bisects F(b, .) once on
-    each side of c0 within c0's piece of f' (mvt._piece), or raises
-    SeedSearchFailed where F does not change sign on a side.
+    each side of c0 within c0's piece of f' (mvt._piece, c0 at its turn),
+    or raises SeedSearchFailed where F does not change sign on a side.
     """
     allowed = (classify.Case.TWO_BRANCHES, classify.Case.ONE_SIDED,
                classify.Case.REGULAR_B_ONLY)
@@ -245,8 +226,8 @@ def branch_seeds_after_degeneracy(p: mvt.Problem, b0: float, c0: float,
     def F(c):
         return slope - fprime(c)
 
-    eps = 1e-14 * max(1.0, abs(c0))
-    lo, hi = mvt._piece(p, c0, b)
+    c_terms, eps = mvt._c_terms(p), 1e-14 * max(1.0, abs(c0))
+    lo, hi = mvt._piece(p, lambda c: -fprime(c), lambda c: c_terms(c)[1], c0, b, True)[0][[0, -1]]
     sides = [(l, h, F(l)) for l, h in ((lo, c0 - eps), (c0 + eps, hi))]
     # both roots are needed: an empty side, as above c0 for a b <= c0, fails
     if not all(l < h and f_l * F(h) < 0 for l, h, f_l in sides):

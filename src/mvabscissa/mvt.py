@@ -347,24 +347,38 @@ def _turns(v):
     return k[t], k[t + 1] + 1, up[k[t]]
 
 
-def _piece(p, c, hi):
-    """The ends of the piece of [a0, hi] around c where f' is monotone: the
-    zeros of F_c bisected in the _turns windows of DEFAULT_GRID_N + 2 nodes
-    nearest c on each side, but not in one that holds c, or else the end
-    nodes, or the next ones where f' has no value and is read as NaN."""
-    fprime, c_terms, n = _fprime(p), _c_terms(p), DEFAULT_GRID_N
-    cs = np.linspace(p.a0, hi, n + 2)
-    ends = [_or_nan(fprime, x) for x in (p.a0, cs[-1])]
-    w_lo, w_hi, peak = _turns(np.r_[ends[0], np.broadcast_to(fprime(cs[1:-1]), (n,)), ends[1]])
-
-    def turn(i):  # F_c = -f'' is negative before a peak of f', positive before a trough
-        return _bisect_one(lambda c: c_terms(c)[1], cs[w_lo[i]], cs[w_hi[i]],
-                           -1.0 if peak[i] else 1.0, 0.0)
-
-    below, above = np.flatnonzero(cs[w_hi] < c), np.flatnonzero(cs[w_lo] > c)
-    lo = turn(below[-1]) if below.size else cs[int(np.isnan(ends[0]))]
-    hi = turn(above[0]) if above.size else cs[-1 - int(np.isnan(ends[1]))]
-    return float(lo), float(hi)
+def _piece(p, value, slope, t, hi, at_turn=False):
+    """The piece of [a0, hi] around t on which V = value is monotone: f' up
+    to its sign for c = C(b), the secant slope S for b = B(c), with V' =
+    slope.  Its ends are the zeros of V' nearest t on each side, bisected in
+    the _turns windows of DEFAULT_GRID_N + 2 nodes, a window that holds t
+    among them unless at_turn says that t is such a zero itself; or else
+    the end nodes.  An end where V has no value, and reads as NaN, gives
+    way to the next node.  Returns the piece's nodes (its ends and the grid
+    nodes between), V at them, and whether each end is a turn."""
+    cs = np.linspace(p.a0, hi, DEFAULT_GRID_N + 2)
+    ends = [_or_nan(value, x) for x in (p.a0, cs[-1])]
+    # V is elementwise, so in two halves it gives the values of one call,
+    # with half its temporaries
+    v = [np.broadcast_to(value(x), x.shape) for x in np.array_split(cs[1:-1], 2)]
+    v = np.concatenate([ends[:1], *v, ends[1:]])
+    w_lo, w_hi, peak = _turns(v)
+    # the windows before below lie below t, those from above on above it
+    below, above = np.searchsorted(cs[w_hi], t), np.searchsorted(cs[w_lo], t, "right")
+    near = [i for i in ((below - 1, above) if at_turn else range(below - 1, above + 1))
+            if 0 <= i < w_lo.size]
+    # V' is positive before a peak of V, negative before a trough, and NaN,
+    # where it has no value, bisects as if negative
+    turns = [_bisect_one(partial(_or_nan, slope), cs[w_lo[i]], cs[w_hi[i]],
+                         1.0 if peak[i] else -1.0, 0.0) for i in near]
+    lo = max([c for c in turns if c < t], default=cs[0])
+    hi = min([c for c in turns if c > t], default=cs[-1])
+    folds = lo in turns, hi in turns
+    # the ends in place of the nodes at or past them, and views of the rest
+    i, j = np.searchsorted(cs, lo, "right") - 1, np.searchsorted(cs, hi)
+    cs[[i, j]], v[[i, j]] = (lo, hi), (_or_nan(value, lo), _or_nan(value, hi))
+    i, j = i + int(np.isnan(v[i])), j - int(np.isnan(v[j]))
+    return cs[i:j + 1], v[i:j + 1], folds
 
 
 def _critical_points(p, fprime, b, slope, live, tol, cs, v, fb, m):
@@ -409,15 +423,16 @@ def _or_nan(fn, x):
         return np.nan
 
 
-def _bisect(fn, lo, hi, flo, width_tol, *params):
+def _bisect(fn, lo, hi, flo, width_tol, *params, x0=None):
     """Refinement of sign-change brackets; fn(*params, c) is F at c, given
     the params (arrays, an entry a bracket) of the brackets c lies in, or
     the pair (F, F_c) of F and its slope.
 
-    Each step evaluates F at the iterate, which starts at the midpoint, and
-    shrinks the bracket to the iterate by its sign: only the sign of flo =
-    F(lo) is used, and an iterate where F is positive exactly when F(lo) is
-    becomes the new lo.  The next iterate is the Newton step c - F / F_c
+    Each step evaluates F at the iterate, which starts at x0, a point of
+    each bracket, where given, and at the midpoint otherwise, and shrinks
+    the bracket to the iterate by its sign: only the sign of flo = F(lo) is
+    used, and an iterate where F is positive exactly when F(lo) is becomes
+    the new lo.  The next iterate is the Newton step c - F / F_c
     where F_c is finite, the step lands in the bracket (ends included) and
     |2F| <= |F_c| times the step before the last, as in rtsafe (Press et
     al., Numerical Recipes, 3rd ed., 9.4), and the midpoint otherwise; so
@@ -434,9 +449,11 @@ def _bisect(fn, lo, hi, flo, width_tol, *params):
     """
     up = flo > 0
     lo, hi = lo.copy(), hi.copy()
-    x = 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi)  # also where x0 is given, for a bracket already narrow
     last, before = hi - lo, hi - lo  # the last step and the one before it
     active = np.nonzero(hi - lo > width_tol)[0]
+    if x0 is not None:
+        x[active] = x0[active]
     while active.size > _FLOAT_BRACKETS:
         l, h, xa, tol = lo[active], hi[active], x[active], width_tol[active]
         fx = fn(*(q[active] for q in params), xa)
@@ -471,7 +488,8 @@ def _bisect_one(fn, lo, hi, flo, width_tol=None, x=None, last=None, before=None)
     at the float c and F(lo) = flo.  The bracket stops at width_tol, by
     default the width 1e-16 * max(1, |lo|, |hi|) of its start, or by
     _bisect's other stops.  x, last and before, the iterate and the last
-    two steps, resume _bisect's loop; by default it starts at the midpoint.
+    two steps, resume _bisect's loop; by default it starts at the midpoint,
+    and the steps before the first are the bracket's width.
 
     It runs on Python floats rather than as _bisect's loop on one-element
     arrays: the same iterates, exact-zero and sign rule and stops, so the
@@ -480,8 +498,8 @@ def _bisect_one(fn, lo, hi, flo, width_tol=None, x=None, last=None, before=None)
     lo, hi = float(lo), float(hi)
     if width_tol is None:
         width_tol = 1e-16 * max(1.0, abs(lo), abs(hi))
-    if x is None:
-        x, last, before = 0.5 * (lo + hi), hi - lo, hi - lo
+    x = 0.5 * (lo + hi) if x is None else x
+    last, before = (hi - lo, hi - lo) if last is None else (last, before)
     up = float(flo) > 0
     while hi - lo > width_tol:
         fx, f_c = fn(x), math.nan

@@ -475,8 +475,9 @@ class TestFindExtremalAbscissa:
 
 
 def scalar_bisection_branch(p, b0, c0, b_range, step, tol=mvt.DEFAULT_TOL):
-    """Reference for a UNIQUE_ODD seed: the bisection march of trace_c_of_b,
-    one bracket at a time with one scalar F call per bisection step.
+    """Reference for a UNIQUE_ODD seed: a march from the seed that bisects
+    each root of F(b, .) near the last, one bracket at a time with one
+    scalar F call per bisection step.
     Returns the (b, c, residual) of every point."""
 
     def f_of(b, c):
@@ -573,7 +574,15 @@ class TestGuaranteedBranch:
         pn = mvt.normalize(p)
         want = scalar_bisection_branch(pn, 3.0, c0, (2.6, 3.4), 0.02)
         assert len(want) == 41
-        assert [(q.b, q.c, q.residual) for q in branch.points] == want
+        # the reference bisects each root to adjacent floats; the branch's
+        # Newton steps end within one spacing of it, and of the closed form
+        # c = 2 + cbrt(S(b) / 4) for the normalized (x-2)^4 - 1 on [1, b]
+        assert [q.b for q in branch.points] == [b for b, _, _ in want]
+        for q, (_, c, _) in zip(branch.points, want):
+            s = ((q.b - 2.0) ** 4 - 1.0) / (q.b - 1.0)
+            assert abs(q.c - c) <= np.spacing(c)
+            assert abs(q.c - (2.0 + math.copysign(abs(s / 4.0) ** (1 / 3), s))) <= np.spacing(c)
+            assert q.residual <= mvt.DEFAULT_TOL
 
     @pytest.mark.parametrize("s", [1.0, 1e3, 1e5, 1e6])
     def test_cubic_power_at_every_scale(self, s):

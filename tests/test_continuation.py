@@ -1,16 +1,30 @@
-"""Branch tracing: predictor-corrector marches and post-degeneracy seeds."""
+"""Branch tracing: f' or S inverted on one monotone piece, and post-degeneracy
+seeds."""
 
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mvabscissa as mva
 from mvabscissa import classify, continuation, expr, mvt
 from mvabscissa.errors import NotASolution, SeedNotRegular, SeedSearchFailed
 
-from conftest import CUBIC, cubic_lower, cubic_upper
+from conftest import CUBIC, QUINTIC_SAME_SIGN, cubic_lower, cubic_upper
+
+# f of QUINTIC_SAME_SIGN and its f' = (x-1)^2 (x-3) (x-1.4), highest power
+# first, with f(0) = 0
+QUINTIC_F = np.array([1 / 5, -1.6, 14 / 3, -6.4, 4.2, 0.0])
+QUINTIC_FPRIME = np.array([1.0, -6.4, 14.0, -12.8, 4.2])
+
+
+def _real_roots(coeffs, imag=1e-6):
+    roots = np.roots(coeffs)
+    return roots[np.abs(roots.imag) <= imag].real
 
 
 class TestTraceCOfB:
@@ -101,7 +115,7 @@ class TestTraceCOfB:
         p = mva.Problem(mva.parse("x^4 - x^6/10"), -1.0, 1.0)
         c0, br = classify.guaranteed_branch(p, b_range=(0.5, 3.5))
         assert (c0, br.seed_case) == (0.0, "UNIQUE_ODD")
-        assert br.stop_upper == continuation.STOP_CORRECTOR
+        assert br.stop_upper == continuation.STOP_EDGE
         assert len(br.points) > 100
         # oracle: normalizing leaves the abscissae as they are, the roots of
         # f'(c) - S(b) for f' = 4c^3 - 0.6c^5 and f(-1) = 0.9
@@ -130,6 +144,91 @@ class TestTraceCOfB:
             (u,) = roots[(np.abs(roots.imag) < 1e-9) & (roots.real > 0)].real
             assert abs(q.c - u * u) <= 1e-12
 
+    @pytest.mark.parametrize("step0, lengths", [(0.002, [76, 59]), (1e-3, [76, 59]),
+                                                (1e-4, [76, 60]), (1e-5, [76, 60])])
+    def test_branches_past_a_crossing_are_roots_on_their_pieces(self, quintic_same_sign,
+                                                                step0, lengths):
+        # past the TWO_BRANCHES point (3, 1), G is at its rounding level near
+        # c = 1, where F_c is small: the roots of the cells there sit at F's
+        # noise floor, above the bracket width.  Seeds within 1e-3 of 3 lie
+        # in the window of the piece's grid where f' turns at 1; each
+        # branch's piece ends at that turn, not at the one before it
+        p = quintic_same_sign
+        rep = classify.classify_point(p, 3.0, 1.0)
+        seeds = continuation.branch_seeds_after_degeneracy(p, 3.0, 1.0, rep, step0=step0)
+        branches = [continuation.trace_c_of_b(p, b, c, (b, b + 0.15), step=0.002)
+                    for b, c in seeds]
+        assert [len(br.points) for br in branches] == lengths
+        # the upper branch folds at the peak of f' at c = 1.2596875762567015
+        assert [(br.stop_lower, br.stop_upper) for br in branches] == [
+            (continuation.STOP_RANGE, continuation.STOP_RANGE),
+            (continuation.STOP_RANGE, continuation.STOP_FOLD)]
+        # oracle: the real roots of f'(c) - slope(b), on c's side of 1
+        for br, side in zip(branches, (-1.0, 1.0)):
+            for q in br.points:
+                real = _real_roots(QUINTIC_FPRIME - [0, 0, 0, 0, np.polyval(QUINTIC_F, q.b) / q.b])
+                assert np.min(np.abs(real - q.c)) <= 1e-9
+                assert side * (q.c - 1.0) > 0
+
+    def test_a_branch_stops_at_the_diagonal(self, cubic):
+        # the upper branch reaches c = b at b = 1.5; below it c > b
+        br = continuation.trace_c_of_b(cubic, 2.5, cubic_upper(2.5), (1.0, 3.5), step=0.01)
+        assert (br.stop_lower, br.stop_upper) == (continuation.STOP_EDGE,
+                                                  continuation.STOP_RANGE)
+        assert br.points[0].b - 0.01 < 1.5 < br.points[0].b
+
+    def test_a_branch_stops_at_its_folds(self, quintic_same_sign):
+        # the guaranteed branch of the quintic, through c0 = 1.4, lies on
+        # the piece of f' between its turns at c* = 1.2596875762567015 and
+        # 2.540312423743292; S(b) leaves f' there at the folds b =
+        # 2.8694090251220747 and 3.118910489105288, where S(b) = f'(c*), the
+        # roots of f(b) - f'(c*) b
+        c0, br = classify.guaranteed_branch(quintic_same_sign)
+        assert (br.stop_lower, br.stop_upper) == (continuation.STOP_FOLD,) * 2
+        c_star = 1.2596875762567015
+        folds = sorted(b for b in _real_roots(QUINTIC_F - [0, 0, 0, 0, np.polyval(
+            QUINTIC_FPRIME, c_star), 0], 1e-9) if 2.5 < b < 3.5)
+        assert folds == pytest.approx([2.8694090251220747, 3.118910489105288], abs=1e-9)
+        step = 0.03  # a hundredth of [a0, b0]
+        assert br.points[0].b - step < folds[0] < br.points[0].b
+        assert br.points[-1].b < folds[1] < br.points[-1].b + step
+        for q in br.points:
+            assert c_star < q.c < 2.540312423743292
+
+    def test_a_walk_through_a_crossing_keeps_its_piece(self, quintic_same_sign):
+        # from the root near 0.6742 at b = 2.5, over [2, 3.5]: f' falls on
+        # [0, 1] to its double root at 1, which S(b) touches at b = 3, the
+        # TWO_BRANCHES point (3, 1).  The walk stays on [0, 1], and keeps the
+        # grid point at b = 3, where its bracket's end c = 1 is the root
+        p = quintic_same_sign
+        (c0,) = [c for c in mvt.abscissae(p, 2.5) if c < 1.0]
+        assert c0 == pytest.approx(0.6742, abs=1e-4)
+        br = continuation.trace_c_of_b(p, 2.5, c0, (2.0, 3.5), step=0.025)
+        assert len(br.points) == 61
+        assert (br.stop_lower, br.stop_upper) == (continuation.STOP_RANGE,) * 2
+        assert all(0.0 < q.c <= 1.0 for q in br.points)
+        (at_3,) = [q for q in br.points if abs(q.b - 3.0) < 1e-9]
+        assert at_3.c == pytest.approx(1.0, abs=1e-7)
+        for q in br.points:
+            real = _real_roots(QUINTIC_FPRIME - [0, 0, 0, 0, np.polyval(QUINTIC_F, q.b) / q.b])
+            assert np.min(np.abs(real - q.c)) <= (1e-7 if q is at_3 else 1e-9)
+
+    def test_the_point_limit_bounds_the_walk_before_it_is_made(self, monkeypatch, parabola):
+        # a step of 1e-9 over a range of 1 would be 1e9 points, 8 GB of b's;
+        # the walk takes MAX_POINTS of them and says so
+        monkeypatch.setattr(continuation, "MAX_POINTS", 1000)
+        tracemalloc.start()
+        try:
+            br = continuation.trace_c_of_b(parabola, 2.0, 1.0, (2.0, 3.0), step=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(br.points) == continuation.MAX_POINTS + 1
+        assert (br.stop_lower, br.stop_upper) == (continuation.STOP_RANGE,
+                                                  continuation.STOP_LIMIT)
+        assert peak < 2e6
+        assert all(abs(q.c - q.b / 2.0) <= 1e-15 for q in br.points)
+
     def test_refuses_two_branch_seed(self, quintic_same_sign):
         with pytest.raises(SeedNotRegular):
             continuation.trace_c_of_b(quintic_same_sign, 3.0, 1.0, (2.5, 3.5))
@@ -154,8 +253,7 @@ class TestTraceCOfB:
         cs = [q.c for q in br.points]
         assert all(c > 1.0 for c in cs)
         assert max(abs(c2 - c1_) for c1_, c2 in zip(cs, cs[1:])) < 0.05
-        assert br.stop_upper in (continuation.STOP_DEGENERATE,
-                                 continuation.STOP_CORRECTOR)
+        assert br.stop_upper == continuation.STOP_FOLD
 
 
 class TestTraceBOfC:
@@ -185,6 +283,17 @@ class TestTraceBOfC:
     def test_non_finite_seed_is_rejected(self, parabola):
         with pytest.raises(ValueError, match="finite"):
             continuation.trace_b_of_c(parabola, math.nan, 1.0, (0.5, 1.5))
+
+    def test_a_seed_past_the_domain_extends_it(self):
+        # x^3 on [0, 1] has the domain [-1, 2]; b = 3, c = sqrt(3) solves F.
+        # The branch b = sqrt(3) c lies past 2, up to the domain's new end 3
+        # (it was once the seed alone, each step past the domain's end)
+        p = mva.Problem(mva.parse("x^3"), 0.0, 1.0)
+        br = continuation.trace_b_of_c(p, 3.0, math.sqrt(3.0), (1.5, 1.9), step=0.01)
+        assert (br.stop_lower, br.stop_upper) == (continuation.STOP_RANGE,
+                                                  continuation.STOP_EDGE)
+        assert br.points[0].b > 2.0 and br.points[-1].b == 3.0 and len(br.points) == 25
+        assert all(abs(q.b - math.sqrt(3.0) * q.c) <= 1e-15 * q.b for q in br.points)
 
 
 class TestWalkInputs:
@@ -251,29 +360,33 @@ class TestEvaluations:
         monkeypatch.setattr(mvt, "_c_terms", recorder("c", mvt._c_terms))
         return calls
 
-    def test_chord_march_evaluates_each_point_once(self, calls, parabola):
+    def test_c_of_b_evaluates_the_b_term_once_for_all_points(self, calls, parabola):
         br = continuation.trace_c_of_b(parabola, 2.0, 1.0, (1.5, 2.5), step=0.01)
         assert len(br.points) == 101
         assert {name for name, _ in calls} == {"b", "c"}
-        assert all(a != b for a, b in zip(calls, calls[1:]))
-        # once per step, and once at the seed, where its classification
-        # judges it and its point reuses that value of F
-        assert len([x for name, x in calls if name == "b"]) == len(br.points)
+        # once at the seed, where its classification judges it and its
+        # point keeps that value of F, then once on every point's b
+        assert [x for name, x in calls if name == "b"] == [
+            br.points[br.seed_index].b, [q.b for q in br.points]]
 
-    def test_b_of_c_march_evaluates_each_point_once(self, calls, quartic_inflection):
+    def test_b_of_c_evaluates_the_c_term_once_for_all_points(self, calls, quartic_inflection):
         br = continuation.trace_b_of_c(quartic_inflection, 3.0, 1.0, (0.9, 1.1),
                                        step=0.002)
         assert len(br.points) > 50
         assert {name for name, _ in calls} == {"b", "c"}
-        assert all(a != b for a, b in zip(calls, calls[1:]))
-        # once per step, and once at the seed, for its check and its point
-        assert len([x for name, x in calls if name == "c"]) == len(br.points)
+        # once at the seed, for its check and its point, then once on every
+        # point's c
+        assert [x for name, x in calls if name == "c"] == [
+            br.points[br.seed_index].c, [q.c for q in br.points]]
 
     def test_trace_runs_each_jet_as_often_as_before(self, monkeypatch):
         # perfbench's `trace cubic upper=True`: on a fresh tape, the calls of
-        # its compiled runs and of its stack runs, by width.  Each corrector
-        # evaluation is one run of width 3, each step one of width 2, and
-        # the seed's classification one each of widths 17 and 18
+        # its compiled runs and of its stack runs, by width.  The 201 points
+        # take a few array runs: S at every b, f' on the piece's grid in two
+        # blocks and at the roots, all of width 2, and two Newton steps of
+        # width 3.  The float runs are the seed's and the piece's, f' at its
+        # ends and f'' bisected to its turn at c = 1; the seed's
+        # classification runs one each of widths 17 and 18
         counts = collections.Counter()
         compile_run, run = expr._compile_run, expr._run
 
@@ -297,45 +410,8 @@ class TestEvaluations:
         counts.clear()
         br = continuation.trace_c_of_b(p, 2.5, cubic_upper(2.5), (1.0, 3.5), step=0.01)
         assert len(br.points) == 201
-        assert counts == {("compiled", 1): 1, ("compiled", 2): 203, ("compiled", 3): 804,
+        assert counts == {("compiled", 1): 1, ("compiled", 2): 10, ("compiled", 3): 47,
                           ("stack", 17): 1, ("stack", 18): 1}
-
-    def test_chord_corrector_stops_at_its_rounding_floor(self, monkeypatch,
-                                                         quintic_same_sign):
-        # past the TWO_BRANCHES point (3, 1), G_t is small and G at rounding
-        # level, so each correction is noise far above the absolute bound;
-        # a corrector that only stops at that bound runs to its cap of 80
-        counts, chord = [], continuation._chord_correct
-
-        def counting(terms, *args):
-            n = 0
-
-            def counted(t):
-                nonlocal n
-                n += 1
-                return terms[1](t)
-
-            out = chord((terms[0], counted), *args)
-            counts.append(n)
-            return out
-
-        monkeypatch.setattr(continuation, "_chord_correct", counting)
-        p = quintic_same_sign
-        rep = classify.classify_point(p, 3.0, 1.0)
-        seeds = continuation.branch_seeds_after_degeneracy(p, 3.0, 1.0, rep, step0=0.002)
-        branches = [continuation.trace_c_of_b(p, b, c, (b, b + 0.15), step=0.002)
-                    for b, c in seeds]
-        assert [len(br.points) for br in branches] == [76, 59]
-        assert max(counts) <= 80  # a prediction and 80 corrections at the cap
-        assert sum(counts) <= 6 * len(counts)
-        # oracle: the real roots of f'(c) - slope(b), for f' = (x-1)^2 (x-3)
-        # (x-1.4) and f(0) = 0
-        f = np.array([1 / 5, -1.6, 14 / 3, -6.4, 4.2, 0.0])
-        fprime = np.array([1.0, -6.4, 14.0, -12.8, 4.2])
-        for q in (q for br in branches for q in br.points):
-            roots = np.roots(fprime - [0, 0, 0, 0, np.polyval(f, q.b) / q.b])
-            real = roots[np.abs(roots.imag) < 1e-6].real
-            assert np.min(np.abs(real - q.c)) <= 1e-9
 
 
 class TestBranchSeeds:
@@ -410,6 +486,18 @@ class TestBranchSeeds:
         assert sorted(real) == pytest.approx([0.805447518834282, 3.0076218775553327])
         assert not ((1.0 < real) & (real <= 1.2596875762567015)).any()
 
+    @pytest.mark.parametrize("off", [1e-13, 1e-11, 1e-9])
+    def test_a_c0_off_its_turn_gives_the_same_seeds(self, quintic_same_sign, off):
+        # c0 = 1 + off still classifies as TWO_BRANCHES; its piece of f' is
+        # the one around its turn at 1, not one that ends there
+        p = quintic_same_sign
+        rep = classify.classify_point(p, 3.0, 1.0 + off)
+        assert rep.case == classify.Case.TWO_BRANCHES
+        seeds = continuation.branch_seeds_after_degeneracy(p, 3.0, 1.0 + off, rep, step0=0.002)
+        want = _real_roots(QUINTIC_FPRIME - [0, 0, 0, 0, np.polyval(QUINTIC_F, 3.002) / 3.002])
+        want = sorted(want[(0.9 < want) & (want < 1.1)])
+        assert [c for _, c in seeds] == pytest.approx(want, abs=1e-9)
+
     def test_isolated_case_is_a_precondition_error(self, sextic_opposite):
         rep = classify.classify_point(sextic_opposite, 3.0, 1.0)
         with pytest.raises(ValueError):
@@ -436,3 +524,83 @@ class TestBranchSerialization:
         assert d["seed_case"] == "REGULAR_C"
         assert len(d["points"]) == len(br.points)
         assert d["points"][d["seed_index"]]["b"] == 2.0
+
+
+@st.composite
+def _quintic_seeds(draw):
+    """f' of a random quintic f with f(0) = 0, as coefficients highest power
+    first, and a seed (b0, c0) of C(b) with 0 < c0 < b0 where f''(c0) is
+    well away from 0."""
+    fprime = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5)))
+    assume(abs(fprime[0]) >= 0.05)
+    b0 = draw(st.floats(1.0, 3.0))
+    f = np.polyint(fprime)
+    real = _real_roots(fprime - [0, 0, 0, 0, np.polyval(f, b0) / b0], 1e-12)
+    real = real[(0.05 * b0 < real) & (real < 0.95 * b0)]
+    real = real[np.abs(np.polyval(np.polyder(fprime), real)) >= 0.2]
+    assume(real.size)
+    return fprime, b0, float(real[draw(st.integers(0, real.size - 1))])
+
+
+def _text(fprime):
+    f = np.polyint(fprime)
+    return " + ".join(f"({float(c)!r})*x^{5 - j}" for j, c in enumerate(f[:-1]))
+
+
+def _piece_of(x0, turns, lo, hi):
+    """The interval of (lo, hi) around x0 between the turns on either side."""
+    below, above = turns[turns < x0], turns[turns > x0]
+    return max(lo, below.max(initial=lo)), min(hi, above.min(initial=hi))
+
+
+def _check_branch(br, x0, roots, turns, step, lo, hi):
+    """Every point's free coordinate x (c for C(b), b for B(c)) is one of
+    roots(s), its parameter's real roots, on x0's piece between the turns
+    and inside lo(s) < x < hi(s); past a fold or an edge, the next s has no
+    such root (up to 1e-6)."""
+    a, z = _piece_of(x0, turns, -np.inf, np.inf)
+    for q in br.points:
+        s, x = (q.b, q.c) if br.parameter == "b" else (q.c, q.b)
+        assert np.min(np.abs(roots(s) - x)) <= 1e-7 * max(1.0, abs(x))
+        assert a - 1e-9 <= x <= z + 1e-9
+    stops = {continuation.STOP_RANGE, continuation.STOP_FOLD, continuation.STOP_EDGE}
+    assert {br.stop_lower, br.stop_upper} <= stops
+    for end, stop, d in ((br.points[0], br.stop_lower, -1), (br.points[-1], br.stop_upper, 1)):
+        if stop != continuation.STOP_RANGE:
+            s = (end.b if br.parameter == "b" else end.c) + d * step
+            a, z = _piece_of(x0, turns, lo(s), hi(s))
+            assert not ((a + 1e-6 < roots(s)) & (roots(s) < z - 1e-6)).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_quintic_seeds())
+def test_c_of_b_points_are_roots_on_the_seeds_piece(seed):
+    # every point is a root of f'(c) - S(b), by numpy.roots, between the
+    # critical points of f' around the seed's c; where the branch stops at a
+    # fold or an edge, no such root lies in (0, b) at the next b
+    fprime, b0, c0 = seed
+    p = mva.Problem(mva.parse(_text(fprime)), 0.0, b0)
+    rep = classify.classify_point(p, b0, c0)
+    assume(rep.case == classify.Case.REGULAR_C)
+    br = continuation.trace_c_of_b(p, b0, c0, (max(0.5, b0 - 0.5), b0 + 0.5), step=0.05)
+    f = np.polyint(fprime)
+    _check_branch(br, c0, lambda b: _real_roots(fprime - [0, 0, 0, 0, np.polyval(f, b) / b]),
+                  _real_roots(np.polyder(fprime), 1e-9), 0.05, lambda b: 0.0, lambda b: b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_quintic_seeds())
+def test_b_of_c_points_are_roots_on_the_seeds_piece(seed):
+    # every point's b is a root of f(b) - f(0) - b f'(c), by numpy.roots,
+    # between the critical points of S around the seed's b, the roots of
+    # b f'(b) - f(b); where the branch stops at a fold or an edge, no such
+    # root lies in (c, the domain's end] at the next c
+    fprime, b0, c0 = seed
+    p = mva.Problem(mva.parse(_text(fprime)), 0.0, b0)
+    f = np.polyint(fprime)
+    s_prime = np.polysub(np.polymul(fprime, [1.0, 0.0]), f)  # b^2 S'(b)
+    assume(abs(np.polyval(s_prime, b0)) >= 0.05 * b0 * b0)
+    br = continuation.trace_b_of_c(p, b0, c0, (c0 - 0.2, c0 + 0.2), step=0.01)
+    turns = _real_roots(s_prime, 1e-9)
+    _check_branch(br, b0, lambda c: _real_roots(f - [0, 0, 0, 0, np.polyval(fprime, c), 0]),
+                  turns[turns > 0], 0.01, lambda c: c, lambda c: p.domain[1])

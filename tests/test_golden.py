@@ -3,7 +3,7 @@ corpus problems.
 
 The scan hashes are of to_csv, to_json and to_svg of 400-column scans, the
 query hashes of the abscissae of one b, the branch hashes of the output of
-the branch walker.  These problems use only
+branch tracing.  These problems use only
 + - * / and ^ with integer exponents, so the output does not depend on the
 platform's libm.  A change that alters answers on purpose must update the
 hashes and say so.
@@ -156,18 +156,18 @@ def _quintic_seeds(tmp_path):
                    for b, c in pair)
 
 
-# the walker's answers, by the chord corrector (the README's trace, the
-# quintic), the bisection corrector (x^4, a UNIQUE_ODD seed) and b = B(c):
-# sha256 of the README trace CSV and of the branches' JSON
+# branches of c = C(b) (the README's trace, the quintic past its crossing,
+# x^4 from a UNIQUE_ODD seed) and of b = B(c): sha256 of the README trace CSV
+# and of the branches' JSON
 WALKS = {
     _readme_trace:
-        "70d5524d30289356486062059b94046a3c19d9d831782d7ce4bd357bd28c5596",
+        "66d8ea713d9320cb0bbd03927b79596173e1d72e8432c44ee180a540fe1f027a",
     _b_of_c_quartic:
-        "d206ff964e436559daa0ab5d8c4fdd99af4aa877e7ea3289be0c250aff047f50",
+        "7da12024e051589cb23079cfcf8a415ee86a7678f7bc8c32eefd0589200fa4f4",
     _guaranteed_x4:
-        "233e3a3db651f4fd1507524ee2abafb2674469f4d2acbc826ecc37e08f578850",
+        "bb5151e6494eff87b86bb157ee56bed261b13001e7c282f6913edaa30c831705",
     _quintic_seeds:
-        "2d4e05a3d9a181c304de80f76d5bb4e7b30d573845268bb7b99fb6845ad3500d",
+        "a0fedfe65e22d5adea1072f3a1cc5c9cdb6eeccf1e35bb725d9c0e32134d5be4",
 }
 
 

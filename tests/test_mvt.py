@@ -727,10 +727,22 @@ def _bracket_function(kind, root, sign, slope=None):
 SLOPES = st.sampled_from([None, "exact", "poor", "nan", "inf", "-inf", "0"])
 
 
-def _array_loop(fn, lo, hi, flo, width_tol, *params):
+def _array_loop(fn, lo, hi, flo, width_tol, *params, x0=None):
     """_bisect with every bracket set stepped as arrays, none on floats."""
     with mock.patch.object(mvt, "_FLOAT_BRACKETS", 0):
-        return mvt._bisect(fn, lo, hi, flo, width_tol, *params)
+        return mvt._bisect(fn, lo, hi, flo, width_tol, *params, x0=x0)
+
+
+# a first iterate, as the share of the way from lo to hi, or None for the midpoint
+STARTS = st.one_of(st.none(), st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+
+
+def _first_iterate(lo, hi, start):
+    """The point a share start of the way from lo to hi, kept in the bracket
+    against rounding, or None."""
+    if start is None:
+        return None
+    return min(max(lo + start * (hi - lo), min(lo, hi)), max(lo, hi))
 
 
 # a bracket's width_tol: solve_columns' 1e-15 * (b - a0), or any other
@@ -742,36 +754,48 @@ WIDTH_TOLS = st.one_of(st.floats(1e-6, 1e6).map(lambda w: 1e-15 * w), st.floats(
        sign=st.sampled_from([1.0, -1.0]),
        kind=st.sampled_from(["simple", "triple", "flat", "nan"]), slope=SLOPES,
        flo=st.one_of(st.floats(), st.sampled_from([-1.0, 1.0])),
-       width_tol=st.one_of(st.none(), WIDTH_TOLS))  # None: _bisect_one's default
+       width_tol=st.one_of(st.none(), WIDTH_TOLS),  # None: _bisect_one's default
+       start=STARTS)
 @example(lo=0.0, hi=2.0, at=0.5, sign=1.0, kind="simple", slope=None, flo=-1.0,
-         width_tol=None)  # an exact zero midpoint
+         width_tol=None, start=None)  # an exact zero midpoint
 @example(lo=1.0, hi=float(np.nextafter(1.0, 2.0)), at=0.5, sign=1.0, kind="simple",
-         slope=None, flo=-1.0, width_tol=None)  # adjacent floats
+         slope=None, flo=-1.0, width_tol=None, start=None)  # adjacent floats
 @example(lo=1.0, hi=float(np.nextafter(1.0, 2.0)), at=0.5, sign=1.0, kind="simple",
-         slope=None, flo=-1.0, width_tol=1e-15 * 1e-3)  # adjacent floats, wider than width_tol
+         slope=None, flo=-1.0, width_tol=1e-15 * 1e-3,
+         start=None)  # adjacent floats, wider than width_tol
 @example(lo=-0.8927318295739348, hi=-0.8927318295739347, at=0.5, sign=-1.0,
-         kind="triple", slope=None, flo=1.0, width_tol=1e-15 * 0.1)  # adjacent floats, below 1
+         kind="triple", slope=None, flo=1.0, width_tol=1e-15 * 0.1,
+         start=None)  # adjacent floats, below 1
 @example(lo=0.0, hi=1.0, at=0.3, sign=1.0, kind="simple", slope=None, flo=-1.0,
-         width_tol=0.25)  # a width that reaches width_tol exactly
+         width_tol=0.25, start=None)  # a width that reaches width_tol exactly
 @example(lo=2.0, hi=1.0, at=0.5, sign=1.0, kind="simple", slope=None, flo=1.0,
-         width_tol=None)  # lo > hi
+         width_tol=None, start=None)  # lo > hi
 @example(lo=1.0, hi=1.0, at=0.5, sign=1.0, kind="simple", slope=None, flo=0.0,
-         width_tol=None)  # lo == hi
+         width_tol=None, start=None)  # lo == hi
 @example(lo=-1.0, hi=3.0, at=0.25, sign=1.0, kind="simple", slope=None, flo=math.nan,
-         width_tol=None)
+         width_tol=None, start=None)
 @example(lo=0.0, hi=1.0, at=0.3, sign=1.0, kind="simple", slope="exact", flo=-1.0,
-         width_tol=1e-15)  # one Newton step lands on the root
+         width_tol=1e-15, start=None)  # one Newton step lands on the root
 @example(lo=-3.0, hi=5.0, at=0.7, sign=-1.0, kind="triple", slope="exact", flo=1.0,
-         width_tol=1e-15 * 8.0)  # Newton at its linear rate, on a triple root
+         width_tol=1e-15 * 8.0, start=None)  # Newton at its linear rate, on a triple root
 @example(lo=0.0, hi=1.0, at=0.3, sign=1.0, kind="flat", slope="0", flo=-1.0,
-         width_tol=None)  # F_c = 0 where F is not
+         width_tol=None, start=None)  # F_c = 0 where F is not
 @example(lo=1.0, hi=float(np.nextafter(1.0, 2.0)), at=0.5, sign=1.0, kind="simple",
-         slope="exact", flo=-1.0, width_tol=0.0)  # adjacent floats, width_tol 0
-def test_bisect_one_is_bisect_on_one_bracket(lo, hi, at, sign, kind, slope, flo, width_tol):
+         slope="exact", flo=-1.0, width_tol=0.0, start=None)  # adjacent floats, width_tol 0
+@example(lo=0.0, hi=1.0, at=0.3, sign=1.0, kind="simple", slope="exact", flo=-1.0,
+         width_tol=1e-15, start=0.3)  # a first iterate on the root
+@example(lo=-3.0, hi=5.0, at=0.7, sign=-1.0, kind="triple", slope="exact", flo=1.0,
+         width_tol=1e-15 * 8.0, start=1.0)  # a first iterate at hi
+@example(lo=1.0, hi=float(np.nextafter(1.0, 2.0)), at=0.5, sign=1.0, kind="simple",
+         slope=None, flo=-1.0, width_tol=None, start=1.0)  # narrow: the midpoint, not hi
+def test_bisect_one_is_bisect_on_one_bracket(lo, hi, at, sign, kind, slope, flo, width_tol,
+                                             start):
     fn = _bracket_function(kind, lo + at * (hi - lo), sign, slope)
     tol = 1e-16 * max(1.0, abs(lo), abs(hi)) if width_tol is None else width_tol
-    want = _array_loop(fn, np.array([lo]), np.array([hi]), np.array([flo]), np.array([tol]))[0]
-    got = mvt._bisect_one(fn, lo, hi, flo, width_tol)
+    x0 = _first_iterate(lo, hi, start)
+    want = _array_loop(fn, np.array([lo]), np.array([hi]), np.array([flo]), np.array([tol]),
+                       x0=None if x0 is None else np.array([x0]))[0]
+    got = mvt._bisect_one(fn, lo, hi, flo, width_tol, x0)
     assert type(got) is float
     assert np.float64(got).tobytes() == want.tobytes()
     assert min(lo, hi) <= got <= max(lo, hi)
@@ -793,20 +817,25 @@ def _brackets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(brackets=st.lists(_brackets(), min_size=1, max_size=2 * mvt._FLOAT_BRACKETS),
-       kind=st.sampled_from(["simple", "triple", "flat", "nan"]), slope=SLOPES)
+       kind=st.sampled_from(["simple", "triple", "flat", "nan"]), slope=SLOPES,
+       starts=st.one_of(st.none(), st.lists(st.floats(0.0, 1.0), min_size=2 * mvt._FLOAT_BRACKETS,
+                                            max_size=2 * mvt._FLOAT_BRACKETS)))
 @example(brackets=[(0.0, 1.0, 0.5, 1.0, -1.0, 1e-15)]
          + [(0.0, 1.0, 0.3 + 0.01 * k, 1.0, -1.0, 1e-15) for k in range(mvt._FLOAT_BRACKETS)],
-         kind="triple", slope="exact")  # the first stops at once, the rest finish on floats
-def test_float_route_is_the_array_loop(brackets, kind, slope):
+         kind="triple", slope="exact",
+         starts=None)  # the first stops at once, the rest finish on floats
+def test_float_route_is_the_array_loop(brackets, kind, slope, starts):
     # up to _FLOAT_BRACKETS brackets step on floats from the start; more
     # step as arrays until that few are left, which finish on floats
     lo, hi, root, sign, flo, width_tol = map(np.array, zip(*brackets))
+    x0 = None if starts is None else np.array(
+        [_first_iterate(*bracket[:2], start) for bracket, start in zip(brackets, starts)])
 
     def fn(root, sign, c):  # each bracket's function, given its root and sign
         return _bracket_function(kind, root, sign, slope)(c)
 
-    got = mvt._bisect(fn, lo, hi, flo, width_tol, root, sign)
-    want = _array_loop(fn, lo, hi, flo, width_tol, root, sign)
+    got = mvt._bisect(fn, lo, hi, flo, width_tol, root, sign, x0=x0)
+    want = _array_loop(fn, lo, hi, flo, width_tol, root, sign, x0=x0)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert ((np.minimum(lo, hi) <= got) & (got <= np.maximum(lo, hi))).all()
 

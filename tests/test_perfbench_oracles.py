@@ -6,6 +6,7 @@ and checks once, at seed 1, so that a wrong answer shows before a run.
 """
 
 import importlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,26 @@ def test_one_pass_passes_the_oracles(workload, tmp_path, monkeypatch):
         except oracles.Mismatch as e:  # NoAnswer among them
             wrong.append(f"{op.name}: {type(e).__name__}: {e}")
     assert wrong == []
+
+
+def test_no_trace_operation_peaks_above_its_memory_bound(tmp_path, monkeypatch):
+    # `perfbench/run.py` reports the largest tracemalloc peak of any one
+    # operation as peak_alloc_mb; the trace workload's largest, 0.167 MB
+    # (`guaranteed x^4`), bounds every operation of one seed-1 pass.  A
+    # branch evaluates its piece's grid in blocks, not in one array call
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.build("trace", mva, workloads.inputs("trace", 1), str(tmp_path))
+    for op in ops:  # warm: the compiled runs, as the benchmark's warm-up pass
+        op.call()
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for op in ops:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            op.call()
+            peaks[op.name] = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+    assert {name: peak for name, peak in peaks.items() if peak > 0.17} == {}
