@@ -233,8 +233,11 @@ class MorseChart:
     def _invert(self, coordinate, window, target):
         # the ends with their slopes: at a float, terms give the value at
         # less cost than g alone
-        if not coordinate(-window, True)[0] <= target <= coordinate(window, True)[0]:
+        ends = coordinate(-window, True)[0], coordinate(window, True)[0]
+        if not ends[0] <= target <= ends[1]:
             raise OutsideNeighborhood(f"target {target!r} outside the chart window")
+        if target in ends:  # an end exactly, which the steps would reach only to a rounding
+            return window if target == ends[1] else -window
 
         def excess(x):  # and its slope; the coordinate increases, so it is negative below x
             value, slope = coordinate(x, True)

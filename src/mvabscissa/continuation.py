@@ -2,23 +2,25 @@
 
 A branch is t = T(s) on G(s, t) = 0: G is F for c = C(b), and F with its
 two arguments swapped for b = B(c).  F is separable, U(s) + V(t), so on a
-piece of the t-axis where V is monotone (mvt._piece) G(s, .) has one root
-or none, and the branch through a seed is V on its piece inverted at -U(s),
-at every s of the walk at once (Allgower & Georg, Introduction to Numerical
-Continuation Methods, ch. 2 and 8: here a turning point is a turn of V, a
-1-D problem).  A branch stops where -U(s) leaves V's range on the piece, at
-a turn of V (a fold) or at an end of the t-axis (an edge), where its root
-crosses the diagonal c = b (an edge), or where s leaves its range.
+piece of the t-axis between two turns of V, nodes of V's grid as in a scan
+(mvt._piece), G(s, .) has one root or none, and the branch through a seed
+is V on its piece inverted at -U(s), at every s of the walk at once
+(Allgower & Georg, Introduction to Numerical Continuation Methods, ch. 2
+and 8: here a turning point is a turn of V, a 1-D problem).  A branch stops
+where -U(s) leaves V's range on the piece, at a turn (a fold) or an end of
+the t-axis (an edge), where its root crosses c = b (an edge), or where s
+leaves its range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import classify, mvt
-from .errors import DomainError, SeedNotRegular, SeedSearchFailed
+from .errors import SeedNotRegular, SeedSearchFailed
 
 NONZERO_B = 1e-9
 MAX_POINTS = 100000  # the most steps a branch takes each way from its seed
@@ -92,20 +94,17 @@ def _steps(s0, s_limit, step, s_span):
 
 
 def _roots(p, order, s, t0, at_turn, t_top, tol):
-    """t = T(s) on mvt._piece's piece of t0 and at_turn, on a grid of [a0,
-    t_top], for each s in the array s; G there; and why each s has no
-    branch point, or "".  A root is that of its cell of the piece's nodes,
-    or the piece's end past which -U(s) lies, where G there passes
-    mvt._residual_ok, as at a singular point.  It must pass
+    """t = T(s) for each s in the array s, on mvt._piece's piece of t0 and
+    at_turn in a grid of [a0, t_top], whose ends are turns of V inserted as
+    nodes; G there; and why each s has no branch point, or "".  A root is
+    that of its cell, or the piece's end past which -U(s) lies where G there
+    passes mvt._residual_ok, as at a singular point.  It must pass
     mvt._residual_ok and lie in a0 < c < b <= the domain's end for (b, c) =
     order(s, t)."""
     b_terms, fprime = mvt._b_terms(p), mvt._fprime(p)
     s_terms, t_terms = order(b_terms, mvt._c_terms(p))
     t_value = order(lambda b: b_terms(b)[0], lambda c: -fprime(c))[1]  # V by a narrower jet
-    try:
-        u = np.broadcast_to(s_terms(s)[0], s.shape)
-    except DomainError:  # an s where F's terms have none: each alone, NaN where so
-        u = np.array([mvt._or_nan(lambda x: s_terms(x)[0], x) for x in s.tolist()])
+    u = mvt._or_nan(lambda x: s_terms(x)[0], s)  # NaN at an s where F's terms have none
     nodes, vals, folds = mvt._piece(p, t_value, lambda t: t_terms(t)[1], t0, t_top, at_turn)
     sign, n = (1.0 if vals[-1] >= vals[0] else -1.0), nodes.size
     k = np.searchsorted(sign * vals, -sign * u)  # the first node where G has its end sign
@@ -121,18 +120,11 @@ def _roots(p, order, s, t0, at_turn, t_top, tol):
                  + z * g_a * g_y / ((g_z - g_a) * (g_z - g_y))
                  + y * g_a * g_z / ((g_y - g_a) * (g_y - g_z)))
         guess = np.where(np.isfinite(guess), guess, a + (z - a) * (g_a / (g_a - g_z)))
-
-    def g(u, t):  # G and G_t; where V' has no value, G from V alone, as on the grid
-        try:
-            v, v_t = t_terms(t)
-        except DomainError:
-            return u + t_value(t), np.nan
-        return u + v, v_t
-
     # a Newton step, or where G's rounding stalls Newton a bracket, of 1e-14
     # of the root's scale ends a cell
     width = 2e-14 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(z)))
-    t[inside] = mvt._bisect(g, a[inside], z[inside], g_a[inside], width[inside], u[inside],
+    t[inside] = mvt._bisect(partial(mvt._shifted, t_terms, t_value), a[inside], z[inside],
+                            g_a[inside], width[inside], u[inside],
                             x0=np.clip(guess, a, z)[inside])
     v = np.broadcast_to(t_value(t), t.shape)
     (b, c), value = order(s, t), u + v

@@ -22,6 +22,7 @@ from .errors import (DegenerateProblem, DomainError, EndpointCollision, MvaError
 
 DEFAULT_TOL = 1e-10
 DEFAULT_GRID_N = 2048
+MAX_GRID_N = 2 ** 20  # the largest grid_n: its nodes take 8 MB, its cells' ranks more
 # the most brackets _bisect steps one at a time on floats: an array step costs
 # about as much for 1 bracket as for 10.  On the 32 brackets of sin(100*x) at
 # b = 1, bisection of 8 took 1.04 ms as arrays, 0.84 ms as floats, of 12 1.05
@@ -236,13 +237,13 @@ def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     """The abscissae of every b in bs, as lists of SolutionPoint sorted by c,
     or None for a column on which F(b, .) vanishes identically.  F(b, c) =
     S(b) - f'(c) is separable: f' is evaluated once, on grid_n + 2 nodes of
-    [a0, max(bs)] and at each b, and the brackets of _grid and
-    _critical_points are refined together, by _bisect's Newton steps on f''
-    from the same jet; a column keeps the roots that pass _residual_ok.
-    Where this raises, each column is redone alone, so that the first
-    column to fail raises its own error."""
-    if grid_n < 64:
-        raise ValueError("grid_n must be >= 64")
+    [a0, max(bs)], at each b and at the turns of f' that some S reaches,
+    which become nodes (_with_turns).  The cells where F changes sign are
+    refined together by _bisect's Newton steps on f'', and a column keeps
+    the roots that pass _residual_ok.  Where this raises, each column is
+    redone alone, so that the first column to fail raises its own error."""
+    if not 64 <= grid_n <= MAX_GRID_N:
+        raise ValueError(f"grid_n must be >= 64 and <= {MAX_GRID_N}, got {grid_n!r}")
     bs = [float(b) for b in bs]
     try:
         return _solve(p, np.array(bs), tol, grid_n) if bs else []
@@ -259,29 +260,68 @@ def _solve(p, b, tol, grid_n):
     _endpoint_guard(p, b)
     # the value, not the order-1 jet of _b_terms: its F_b overflows at large b
     slope = (p.tape.jet(1)(b)[0] - p.fa) / (b - p.a0)
-    fprime = _fprime(p)
-    live, cells, grid = _grid(p, fprime, b, slope, grid_n)
-    touch, sides = _critical_points(p, fprime, b, slope, live, tol, *grid)
-    col, lo, hi, flo = map(np.concatenate, zip(*cells, *sides))
-    del cells, sides  # frees the sets, which the concatenations copy
-    c_terms = _c_terms(p)
-
-    def terms(s, c):  # F and F_c; where f'' is not finite, F from f' as on the grid
-        try:
-            t, f_c = c_terms(c)
-        except DomainError:
-            return s - fprime(c), np.nan
-        return s + t, f_c
-
+    fprime, c_terms = _fprime(p), _c_terms(p)
+    cs, v, (w_lo, w_hi, peak) = _sample(fprime, p.a0, b.max(), grid_n)
+    fb, m = _or_nan(fprime, b), np.searchsorted(cs, b) - 1  # m: each b's last node below it
+    # the range of f' on a column's nodes and b bounds F's terms, with
+    # f(b) / (b - a0) and f(a0) / (b - a0); fmax and fmin pass over a NaN
+    top = np.fmax(np.fmax.accumulate(v[:-1])[m], fb)
+    bottom = np.fmin(np.fmin.accumulate(v[:-1])[m], fb)
+    zero = 1e-12 * np.fmax(np.abs(slope) + abs(p.fa) / (b - p.a0),
+                           np.fmax(np.abs(top), np.abs(bottom)))
+    live = np.fmax(np.abs(slope - top), np.abs(slope - bottom)) > zero
+    # the critical point c* of f' in a window of _sample is bisected if a live
+    # column's S lies past f' at the column's nodes of the window, or passes
+    # _residual_ok against it; a window that reaches past b ends at b for
+    # that column, and counts c* only below b
+    e, clip, pk = v[np.minimum(w_lo[:, None] + 1, m)], w_hi[:, None] > m, peak[:, None]
+    e = np.where(clip, np.where(pk, np.fmax(e, fb), np.fmin(e, fb)), e)  # b among the nodes
+    near = np.where(pk, slope >= e, slope <= e) | _residual_ok(slope - e, slope, e, tol)
+    w, j = np.nonzero(near & (w_lo[:, None] <= m) & live)
+    touch = []
+    if w.size:
+        need, at = np.unique(w, return_inverse=True)
+        c, fc, cs_t, v = _with_turns(cs, v, (w_lo[need], w_hi[need], peak[need]),
+                                     lambda c: -c_terms(c)[1], fprime)
+        # where S passes _residual_ok against f'(c*), c* is a touching root,
+        # which takes the column's roots of the window: all lie below b
+        c, fc, s = c[at], fc[at], slope[j]
+        touching = (c < b[j]) & _residual_ok(s - fc, s, fc, tol)
+        lo, hi = cs[w_lo[w]], cs[w_hi[w]]
+        touch = zip(*(a[touching].tolist() for a in (j, c, np.abs(s - fc), lo, hi)))
+        cs, m = cs_t, np.searchsorted(cs_t, b) - 1
+    # the brackets: S strictly between the ranks of f' at the ends of cell r
+    # among the sorted slopes, or at node r + 1 - n, as [c, c]
+    order, n = np.argsort(slope), cs.size - 2
+    below, upto = (slope[order].searchsorted(v[:-1], side) for side in ("left", "right"))
+    first = np.concatenate([np.minimum(upto[:-1], upto[1:]), below[1:]])
+    last = np.concatenate([np.maximum(below[:-1], below[1:]), upto[1:]])
+    r = np.flatnonzero(last > first)
+    counts = last[r] - first[r]
+    r = np.repeat(r, counts)  # then each rank in first[r]:last[r]
+    col = order[np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[r]]
+    lo = r - (r >= n) * (n - 1)
+    hi = lo + (r < n)
+    # and the last cell [c_m, b] where F changes sign; a cell at a0 or b only
+    # where F there is neither zero up to rounding nor NaN
+    clear_a, clear_b = np.abs(slope - v[0]) > zero, np.abs(slope - fb) > zero
+    kept = live[col] & (hi <= m[col]) & ((lo > 0) | clear_a[col])
+    col, lo, hi = col[kept], lo[kept], hi[kept]
+    f_last = slope - v[m]
+    # F changes sign by the signs of its values: their product may overflow
+    opposite = np.sign(f_last) * np.sign(slope - fb) < 0
+    j = np.flatnonzero(live & clear_b & ((m > 0) | clear_a) & opposite)
+    col, lo, hi, flo = map(np.concatenate, zip((col, cs[lo], cs[hi], slope[col] - v[lo]),
+                                               (j, cs[m[j]], b[j], f_last[j])))
     with np.errstate(all="ignore"):  # f'' may overflow where f' does not
-        roots = _bisect(terms, lo, hi, flo, 1e-15 * (b - p.a0)[col], slope[col])
-    inside = (p.a0 < roots) & (roots < b[col])
-    roots, col = roots[inside], col[inside]
+        roots = _bisect(partial(_shifted, c_terms, lambda c: -fprime(c)), lo, hi, flo,
+                        1e-15 * (b - p.a0)[col], slope[col])
+    # f' at every root: one at a0 or b ends a bracket clear there, where f' has a value
     fp = fprime(roots)
     residual = np.abs(slope[col] - fp)
-    kept = _residual_ok(residual, slope[col], fp, tol)
+    kept = (p.a0 < roots) & (roots < b[col]) & _residual_ok(residual, slope[col], fp, tol)
     roots, col, residual = roots[kept], col[kept], residual[kept]
-    for j, c, r, lo, hi in touch:  # a touching root takes the roots of its window
+    for j, c, r, lo, hi in touch:
         kept = (col != j) | (roots < lo) | (roots > hi)
         roots, col = np.append(roots[kept], c), np.append(col[kept], j)
         residual = np.append(residual[kept], r)
@@ -292,135 +332,86 @@ def _solve(p, b, tol, grid_n):
     return out
 
 
-def _grid(p, fprime, b, slope, grid_n):
-    """f', by the function fprime, on the grid cs of grid_n + 2 nodes of
-    [a0, max(b)], v, and at each b, fb, with m each b's last node below it.
-    Returns whether each column is live; its brackets, as sets (column, lo,
-    hi, F(lo)): the cells below b and the last cell [c_m, b] where F changes
-    sign, one at a0 or b only where F there is neither zero up to rounding
-    nor NaN, and the nodes where F is 0, as [c, c]; and (cs, v, fb, m)."""
-    a0 = p.a0
-    x = np.concatenate([np.linspace(a0, b.max(), grid_n + 2), b])
-    cs = x[:grid_n + 2]
-    try:
-        fp = np.broadcast_to(fprime(x), x.shape)
-    except (ValueError, MvaError):  # f' at a0, max(b) and each b, then the others
-        ends = [_or_nan(fprime, c) for c in [a0, cs[-1]] + b.tolist()]
-        fp = np.concatenate([ends[:1], np.broadcast_to(fprime(cs[1:-1]), (grid_n,)), ends[1:]])
-    v, fb, m = fp[:grid_n + 2], fp[grid_n + 2:], np.searchsorted(cs, b) - 1
-    # S strictly between the ranks of f' at the ends of cell r among the
-    # sorted slopes, or at node r + 1 - grid_n
-    order = np.argsort(slope)
-    below, upto = (slope[order].searchsorted(v[:-1], side) for side in ("left", "right"))
-    first = np.concatenate([np.minimum(upto[:-1], upto[1:]), below[1:]])
-    last = np.concatenate([np.maximum(below[:-1], below[1:]), upto[1:]])
-    r = np.flatnonzero(last > first)
-    counts = last[r] - first[r]
-    r = np.repeat(r, counts)  # then each rank in first[r]:last[r]
-    col = order[np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts) + first[r]]
-    lo = r - (r >= grid_n) * (grid_n - 1)
-    hi = lo + (r < grid_n)
-    # the range of f' on a column's nodes and b bounds F's terms, with
-    # f(b) / (b - a0) and f(a0) / (b - a0); fmax and fmin pass over a NaN
-    top = np.fmax(np.fmax.accumulate(v[:-1])[m], fb)
-    bottom = np.fmin(np.fmin.accumulate(v[:-1])[m], fb)
-    zero = 1e-12 * np.fmax(np.abs(slope) + abs(p.fa) / (b - a0),
-                           np.fmax(np.abs(top), np.abs(bottom)))
-    live = np.fmax(np.abs(slope - top), np.abs(slope - bottom)) > zero
-    clear_a, clear_b = np.abs(slope - v[0]) > zero, np.abs(slope - fb) > zero
-    kept = live[col] & (hi <= m[col]) & ((lo > 0) | clear_a[col])
-    col, lo, hi = col[kept], lo[kept], hi[kept]
-    f_last = slope - v[m]
-    # F changes sign by the signs of its values: their product may overflow
-    opposite = np.sign(f_last) * np.sign(slope - fb) < 0
-    j = np.flatnonzero(live & clear_b & ((m > 0) | clear_a) & opposite)
-    cells = [(col, cs[lo], cs[hi], slope[col] - v[lo]), (j, cs[m[j]], b[j], f_last[j])]
-    return live, cells, (cs, v, fb, m)
-
-
-def _turns(v):
-    """The windows (lo, hi) of grid nodes where f', with values v on the
-    nodes, turns: where its differences change sign; and whether it peaks."""
+def _sample(value, lo, hi, n, parts=1):
+    """The n + 2 nodes of [lo, hi], V = value at them, NaN at an end where V
+    has no value, and the windows (lo, hi) of nodes where V turns, as its
+    differences change sign, with whether it peaks.  V is elementwise, so
+    inner nodes in parts calls take a share of the temporaries of one."""
+    cs, size = np.linspace(lo, hi, n + 2), -(-n // parts)  # inner nodes a call
+    ends = [_or_nan(value, x) for x in (lo, cs[-1])]
+    v = [np.broadcast_to(value(x), x.shape)
+         for x in (cs[1:-1][i:i + size] for i in range(0, n, size))]
+    v = np.concatenate([ends[:1], *v, ends[1:]])
     up, down = v[1:] > v[:-1], v[1:] < v[:-1]  # a NaN is neither
     k = np.flatnonzero(up | down)
     t = np.flatnonzero(up[k[1:]] != up[k[:-1]])
-    return k[t], k[t + 1] + 1, up[k[t]]
+    return cs, v, (k[t], k[t + 1] + 1, up[k[t]])
+
+
+def _with_turns(cs, v, windows, slope, value):
+    """The turns of V in windows (lo, hi, peak) of _sample, the zeros of V'
+    = slope, positive before a peak, bisected together to adjacent floats;
+    V = value at them; and the nodes cs and values v with each turn a node,
+    a second one where it is a node, which scan and piece read as one."""
+    w_lo, w_hi, peak = windows
+    c = _bisect(slope, cs[w_lo], cs[w_hi], np.where(peak, 1.0, -1.0), np.zeros(w_lo.size))
+    vc = _or_nan(value, c)
+    at = np.searchsorted(cs, c)
+    return c, vc, np.insert(cs, at, c), np.insert(v, at, vc)
 
 
 def _piece(p, value, slope, t, hi, at_turn=False):
-    """The piece of [a0, hi] around t on which V = value is monotone: f' up
-    to its sign for c = C(b), the secant slope S for b = B(c), with V' =
-    slope.  Its ends are the zeros of V' nearest t on each side, bisected in
-    the _turns windows of DEFAULT_GRID_N + 2 nodes, a window that holds t
-    among them unless at_turn says that t is such a zero itself; or else
-    the end nodes.  An end where V has no value, and reads as NaN, gives
-    way to the next node.  Returns the piece's nodes (its ends and the grid
-    nodes between), V at them, and whether each end is a turn."""
-    cs = np.linspace(p.a0, hi, DEFAULT_GRID_N + 2)
-    ends = [_or_nan(value, x) for x in (p.a0, cs[-1])]
-    # V is elementwise, so in two halves it gives the values of one call,
-    # with half its temporaries
-    v = [np.broadcast_to(value(x), x.shape) for x in np.array_split(cs[1:-1], 2)]
-    v = np.concatenate([ends[:1], *v, ends[1:]])
-    w_lo, w_hi, peak = _turns(v)
+    """The piece of [a0, hi] around t on which V = value, with V' = slope,
+    is monotone.  Its ends are the turns of V nearest t, from the windows
+    around t of a grid of DEFAULT_GRID_N + 2 nodes, but not the one holding
+    t where at_turn says t is a turn, as nodes (_with_turns); or else the
+    grid's ends.  An end where V reads NaN gives way to the next node.
+    Returns the piece's nodes, V at them, and whether each end is a turn."""
+    # in two parts, so that a branch's grid takes half the memory
+    cs, v, (w_lo, w_hi, peak) = _sample(value, p.a0, hi, DEFAULT_GRID_N, 2)
     # the windows before below lie below t, those from above on above it
     below, above = np.searchsorted(cs[w_hi], t), np.searchsorted(cs[w_lo], t, "right")
     near = [i for i in ((below - 1, above) if at_turn else range(below - 1, above + 1))
             if 0 <= i < w_lo.size]
-    # V' is positive before a peak of V, negative before a trough, and NaN,
-    # where it has no value, bisects as if negative
-    turns = [_bisect_one(partial(_or_nan, slope), cs[w_lo[i]], cs[w_hi[i]],
-                         1.0 if peak[i] else -1.0, 0.0) for i in near]
+    turns = []
+    if near:  # where V' has no value it reads as NaN, and bisects as if negative
+        turns, _, cs, v = _with_turns(cs, v, (w_lo[near], w_hi[near], peak[near]),
+                                      partial(_or_nan, slope), value)
+        turns = turns.tolist()
     lo = max([c for c in turns if c < t], default=cs[0])
     hi = min([c for c in turns if c > t], default=cs[-1])
-    folds = lo in turns, hi in turns
-    # the ends in place of the nodes at or past them, and views of the rest
+    # a turn on a node is a second node there, which the piece leaves out
     i, j = np.searchsorted(cs, lo, "right") - 1, np.searchsorted(cs, hi)
-    cs[[i, j]], v[[i, j]] = (lo, hi), (_or_nan(value, lo), _or_nan(value, hi))
     i, j = i + int(np.isnan(v[i])), j - int(np.isnan(v[j]))
-    return cs[i:j + 1], v[i:j + 1], folds
+    return cs[i:j + 1], v[i:j + 1], (lo in turns, hi in turns)
 
 
-def _critical_points(p, fprime, b, slope, live, tol, cs, v, fb, m):
-    """The critical points c* of f', by the function fprime, in the _turns
-    windows of _grid's nodes.  c* is bisected once, if a live column's S
-    lies past f' at the column's nodes of the window, or passes _residual_ok
-    against it; a window that reaches past b ends at b for that column, and
-    counts c* only below b.  Returns the columns whose S passes _residual_ok
-    against f'(c*), as touching roots (column, c*, |F|, window lo, hi); and,
-    for S strictly between f' at the column's nodes and f'(c*), the brackets
-    on either side of c*."""
-    w_lo, w_hi, peak = _turns(v)
-    # f' at the extreme of each column's nodes in each window, b among them
-    e, clip, pk = v[np.minimum(w_lo[:, None] + 1, m)], w_hi[:, None] > m, peak[:, None]
-    e = np.where(clip, np.where(pk, np.fmax(e, fb), np.fmin(e, fb)), e)
-    near = np.where(pk, slope >= e, slope <= e) | _residual_ok(slope - e, slope, e, tol)
-    w, j = np.nonzero(near & (w_lo[:, None] <= m) & live)
-    if not w.size:
-        return [], []
-    need, at = np.unique(w, return_inverse=True)
-    # F_c = -f'' is negative before a peak of f', positive before a trough
-    c_terms = _c_terms(p)
-    c = _bisect(lambda c: c_terms(c)[1], cs[w_lo[need]], cs[w_hi[need]],
-                np.where(peak[need], -1.0, 1.0), np.zeros(need.size))
-    c, fc = c[at], np.broadcast_to(fprime(c), c.shape)[at]
-    s, e, clip, w_lo, w_hi = slope[j], e[w, j], clip[w, j], w_lo[w], w_hi[w]
-    lo, hi = cs[w_lo], np.where(clip, b[j], cs[w_hi])
-    f_hi = s - np.where(clip, fb[j], v[w_hi])
-    touching = (c < b[j]) & _residual_ok(s - fc, s, fc, tol)
-    opposite = np.sign(f_hi) * np.sign(s - fc) < 0  # as in _grid
-    split = (c < b[j]) & ~touching & np.where(peak[w], s > e, s < e) & opposite
-    sides = [(j[split], lo[split], c[split], (s - v[w_lo])[split]),
-             (j[split], c[split], hi[split], (s - fc)[split])]
-    return list(zip(*(a[touching].tolist() for a in (j, c, np.abs(s - fc), lo, hi)))), sides
+def _shifted(terms, value, s, x):
+    """F = s + V(x) and F_c = V'(x), from terms(x) = (V, V').  Where V' has
+    no value, V alone gives F, as on the grid, and F_c reads NaN, so that
+    the step bisects."""
+    try:
+        v, slope = terms(x)
+    except DomainError:
+        return s + value(x), np.nan
+    return s + v, slope
 
 
 def _or_nan(fn, x):
-    """fn(x) at the float x, or NaN where it does not evaluate."""
-    try:
-        return fn(x)
-    except (ValueError, MvaError):
-        return np.nan
+    """fn at the float or array x, with NaN where it has no value.  An array
+    runs in one call, but one of at most _FLOAT_BRACKETS elements, which an
+    array run costs as much as more, or one where fn raises, at each float."""
+    if isinstance(x, float):
+        try:
+            return fn(x)
+        except (ValueError, MvaError):
+            return np.nan
+    if x.size > _FLOAT_BRACKETS:
+        try:
+            return np.broadcast_to(fn(x), x.shape)
+        except (ValueError, MvaError):
+            pass
+    return np.array([_or_nan(fn, c) for c in x.tolist()], dtype=float)
 
 
 def _bisect(fn, lo, hi, flo, width_tol, *params, x0=None):

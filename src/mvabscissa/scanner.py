@@ -17,6 +17,7 @@ from operator import attrgetter, is_
 import numpy as np
 
 from . import mvt
+from .continuation import MAX_POINTS  # the most columns, as a branch's most points
 from .errors import MvaError
 
 CSV_HEADER = "b,c,residual,column"
@@ -61,8 +62,8 @@ def scan(p: mvt.Problem, b_min: float, b_max: float, b_count: int,
     if not (p.a0 < b_min < b_max < np.inf):
         raise ValueError("need finite a0 < b_min < b_max, "
                          f"got a0={p.a0!r}, b_min={b_min!r}, b_max={b_max!r}")
-    if b_count < 2:
-        raise ValueError("b_count must be >= 2")
+    if not 2 <= b_count <= MAX_POINTS:
+        raise ValueError(f"b_count must be >= 2 and <= {MAX_POINTS}, got {b_count!r}")
     p = p.covering(p.domain[0], max(b_max, p.domain[1]))
 
     result = ScanResult(expression=p.expression, a0=p.a0, domain=p.domain,

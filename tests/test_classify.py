@@ -336,6 +336,24 @@ class TestMorseCoordinates:
                         inv(target)
                 assert np.median(counts[start:]) <= 15, (p.expression, w)
 
+    def test_a_window_end_inverts_to_itself_without_steps(
+            self, quartic_inflection, quintic_same_sign, sextic_opposite, x_fourth,
+            monkeypatch):
+        # the inversion has the ends' values before its first step; x^4's
+        # u(window) took 50 evaluations, and missed the end by 8.9e-16 * window
+        def no_steps(*args):
+            raise AssertionError("a window end was inverted by steps")
+
+        for p, b0, c0 in self._corpus(quartic_inflection, quintic_same_sign,
+                                      sextic_opposite, x_fourth):
+            chart = classify.morse_coordinates(p, b0, c0, classify.classify_point(p, b0, c0))
+            with monkeypatch.context() as m:
+                m.setattr(mvt, "_bisect_one", no_steps)
+                for fwd, inv, w in ((chart.u, chart.x_of_u, chart.window_x),
+                                    (chart.v, chart.y_of_v, chart.window_y)):
+                    for end in (-w, w):
+                        assert inv(float(fwd(end))) == end
+
     def test_slopes_match_central_differences(
             self, quartic_inflection, quintic_same_sign, sextic_opposite, x_fourth):
         exp_cubic = mva.Problem(mva.parse("exp(x) - x^3"), -1.0, 4.734582395767517)

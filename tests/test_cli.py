@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from mvabscissa import classify, cli
+from mvabscissa import classify, cli, continuation, mvt
 
 from conftest import read_csv
 
@@ -97,6 +97,18 @@ class TestTrace:
 
 
 class TestScan:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--columns", str(continuation.MAX_POINTS + 1)],
+        ["scan", "--c-grid", str(mvt.MAX_GRID_N + 1)],
+        ["abscissae", "-b", "2.5", "--c-grid", str(mvt.MAX_GRID_N + 1)],
+    ])
+    def test_sizes_above_their_caps_exit_1(self, tmp_path, capsys, argv):
+        scan = ["--b-min", "0.1", "--b-max", "3.5", "-o", str(tmp_path / "s.csv")]
+        assert run(*argv, "-f", "x^3-3*x^2+2*x", "-a", "0",
+                   *(scan if argv[0] == "scan" else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be >= " in err
+
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         assert run("scan", "-f", "x^3-3*x^2+2*x", "-a", "0", "--b-min", "0.1",

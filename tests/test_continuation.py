@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mvabscissa as mva
@@ -383,10 +383,10 @@ class TestEvaluations:
         # perfbench's `trace cubic upper=True`: on a fresh tape, the calls of
         # its compiled runs and of its stack runs, by width.  The 201 points
         # take a few array runs: S at every b, f' on the piece's grid in two
-        # blocks and at the roots, all of width 2, and two Newton steps of
-        # width 3.  The float runs are the seed's and the piece's, f' at its
-        # ends and f'' bisected to its turn at c = 1; the seed's
-        # classification runs one each of widths 17 and 18
+        # blocks, at its turn and at the roots, all of width 2, and two Newton
+        # steps of width 3.  The float runs are the seed's and the piece's,
+        # f' at the grid's ends and f'' bisected to its turn at c = 1; the
+        # seed's classification runs one each of widths 17 and 18
         counts = collections.Counter()
         compile_run, run = expr._compile_run, expr._run
 
@@ -410,7 +410,7 @@ class TestEvaluations:
         counts.clear()
         br = continuation.trace_c_of_b(p, 2.5, cubic_upper(2.5), (1.0, 3.5), step=0.01)
         assert len(br.points) == 201
-        assert counts == {("compiled", 1): 1, ("compiled", 2): 10, ("compiled", 3): 47,
+        assert counts == {("compiled", 1): 1, ("compiled", 2): 9, ("compiled", 3): 47,
                           ("stack", 17): 1, ("stack", 18): 1}
 
 
@@ -557,17 +557,20 @@ def _check_branch(br, x0, roots, turns, step, lo, hi):
     """Every point's free coordinate x (c for C(b), b for B(c)) is one of
     roots(s), its parameter's real roots, on x0's piece between the turns
     and inside lo(s) < x < hi(s); past a fold or an edge, the next s has no
-    such root (up to 1e-6)."""
+    such root (up to 1e-6), and past a domain edge it is at most a0 = 0."""
     a, z = _piece_of(x0, turns, -np.inf, np.inf)
     for q in br.points:
         s, x = (q.b, q.c) if br.parameter == "b" else (q.c, q.b)
         assert np.min(np.abs(roots(s) - x)) <= 1e-7 * max(1.0, abs(x))
         assert a - 1e-9 <= x <= z + 1e-9
-    stops = {continuation.STOP_RANGE, continuation.STOP_FOLD, continuation.STOP_EDGE}
+    stops = {continuation.STOP_RANGE, continuation.STOP_FOLD, continuation.STOP_EDGE,
+             continuation.STOP_DOMAIN}
     assert {br.stop_lower, br.stop_upper} <= stops
     for end, stop, d in ((br.points[0], br.stop_lower, -1), (br.points[-1], br.stop_upper, 1)):
-        if stop != continuation.STOP_RANGE:
-            s = (end.b if br.parameter == "b" else end.c) + d * step
+        s = (end.b if br.parameter == "b" else end.c) + d * step
+        if stop == continuation.STOP_DOMAIN:
+            assert s <= 0.0  # the next parameter leaves (a0, ...), with a0 = 0 here
+        elif stop != continuation.STOP_RANGE:
             a, z = _piece_of(x0, turns, lo(s), hi(s))
             assert not ((a + 1e-6 < roots(s)) & (roots(s) < z - 1e-6)).any()
 
@@ -590,6 +593,7 @@ def test_c_of_b_points_are_roots_on_the_seeds_piece(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=_quintic_seeds())
+@example(seed=(np.array([1.5, -2.0, -2.0, 2.0, 0.0]), 1.0, 0.07224220183277766))
 def test_b_of_c_points_are_roots_on_the_seeds_piece(seed):
     # every point's b is a root of f(b) - f(0) - b f'(c), by numpy.roots,
     # between the critical points of S around the seed's b, the roots of

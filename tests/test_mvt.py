@@ -568,6 +568,20 @@ class TestTouchingRoots:
         assert len(got) == 3 and got[1] < sum(roots) / 2 < got[2]
         assert check_poly_abscissae(got, coeffs, 0.0, 0.1) == []
 
+    @pytest.mark.parametrize("roots, want", [
+        ([1.0, 1.0], [1.0000000000001519, 1.0014648429318607]),
+        ([0.5, 1.0, 1.0], [0.4999999999999981, 1.0]),
+        ([1.0, 1.0, 1.7], [0.1416871637616124, 1.0000000000000004, 1.699999999999999]),
+    ])
+    def test_a_turn_on_a_grid_node(self, roots, want):
+        # b = 2049/1024 puts node 1024 of the grid at 1.0 exactly, where S
+        # touches f': the turn c* = 1 is bisected to the node itself for
+        # [0.5, 1, 1] and becomes a second node there, whose root is one
+        b = 2049 / 1024
+        assert np.linspace(0.0, b, mvt.DEFAULT_GRID_N + 2)[1024] == 1.0
+        coeffs, _ = _with_roots(roots, 0.0, b, 1.0, 0.5)
+        assert mvt.abscissae(mva.Problem(mva.parse(poly_text(coeffs)), 0.0, b), b) == want
+
 
 class TestEndCells:
     """Roots in a column's first cell, from a0, and last cell, up to b
@@ -649,8 +663,9 @@ class TestEndCells:
 
 def test_a_scan_evaluates_f_prime_once_per_node(cubic, monkeypatch):
     # outside bisection, a 400-column scan runs f' (or wider jets) on the
-    # grid_n + 2 shared nodes and each b in one call, then on its roots; a
-    # grid per column would take 400 * grid_n points
+    # grid_n + 2 shared nodes, its two ends alone and the others in one
+    # call, at the b's in one call, then on its roots; a grid per column
+    # would take 400 * grid_n points
     sizes, bisecting = [], []
     jet, bisect = expr.Tape.jet, mvt._bisect
 
@@ -675,9 +690,41 @@ def test_a_scan_evaluates_f_prime_once_per_node(cubic, monkeypatch):
     bs = np.linspace(0.1, 3.5, 400)
     columns = mvt.solve_columns(cubic.covering(-3.0, 6.0), bs)
     roots = sum(map(len, columns))
-    assert max(sizes) == mvt.DEFAULT_GRID_N + 2 + bs.size
+    assert sorted(sizes) == sorted([1, 1, mvt.DEFAULT_GRID_N, bs.size, roots])
     assert mvt.DEFAULT_GRID_N + 2 + bs.size + roots <= sum(sizes)
     assert sum(sizes) <= mvt.DEFAULT_GRID_N + 2 + bs.size + 2 * roots
+
+
+@pytest.mark.parametrize("text, a0, b0, b_range, brackets, windows", [
+    ("exp(-x^2)*cos(5*x)", -1.0, 1.0, (1.5,), [], 5),
+    (PARABOLA, 0.0, 2.0, (2.0,), [], 0),
+    (QUINTIC_SAME_SIGN, 0.0, 3.0, (3.0,), [1], 3),
+    ("sin(10*x)", 0.0, 1.0, (0.1, 12.0), [], 38),
+    (QUINTIC_SAME_SIGN, 0.0, 3.0, (0.1, 3.5), [1], 3),
+])
+def test_only_the_turns_some_s_reaches_are_bisected(text, a0, b0, b_range, brackets, windows,
+                                                    monkeypatch):
+    # a turn of f' is bisected only where a live column's S lies past f' at
+    # the column's nodes of its window, or passes _residual_ok against it:
+    # bisecting every window took the exp(-x^2)*cos(5*x) query from 0.35 to
+    # 1.34 ms.  The turn function is the one _bisect call without params
+    windows_seen, brackets_seen, sample, bisect = [], [], mvt._sample, mvt._bisect
+
+    def sampled(*args):
+        cs, v, window = sample(*args)
+        windows_seen.append(window[0].size)
+        return cs, v, window
+
+    def counted(fn, lo, hi, flo, width_tol, *params, **kwargs):
+        if not params:
+            brackets_seen.append(lo.size)
+        return bisect(fn, lo, hi, flo, width_tol, *params, **kwargs)
+
+    monkeypatch.setattr(mvt, "_sample", sampled)
+    monkeypatch.setattr(mvt, "_bisect", counted)
+    p = mva.Problem(mva.parse(text), a0, b0).covering(a0, max(b_range))
+    mvt.solve_columns(p, np.linspace(*b_range, 400) if len(b_range) == 2 else b_range)
+    assert windows_seen == [windows] and brackets_seen == brackets
 
 
 def test_a_scan_refines_its_roots_in_few_array_steps(monkeypatch):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ class TestScan:
                                     (math.nan, 2.0, "b_min=nan")):
             with pytest.raises(ValueError, match=f"need finite a0 < b_min < b_max, got .*{shown}"):
                 scanner.scan(parabola, b_min, b_max, 10)
+
+    @pytest.mark.parametrize("solve", [
+        lambda p: scanner.scan(p, 0.1, 3.5, continuation.MAX_POINTS + 1),
+        lambda p: scanner.scan(p, 0.1, 3.5, 10, c_grid_n=mvt.MAX_GRID_N + 1),
+        lambda p: mvt.abscissae(p, 2.5, grid_n=mvt.MAX_GRID_N + 1),
+    ])
+    def test_sizes_above_their_caps_are_refused_before_any_array(self, cubic, solve):
+        # 10^8 columns were killed from outside, out of memory
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="must be >= "):
+                solve(cubic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_completeness_against_finer_oracle(self, cubic):
         res = scanner.scan(cubic, 0.5, 3.0, 12, c_grid_n=512)
