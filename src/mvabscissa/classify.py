@@ -262,44 +262,36 @@ def morse_coordinates(p: mvt.Problem, b0: float, c0: float,
 
 
 def find_extremal_abscissa(p: mvt.Problem, kmax: int = DEFAULT_KMAX):
-    """Interior global extremum c0 of a normalized problem, with the odd
-    order of vanishing k of f' at c0.
-
-    Requires g(a0) = g(b0) = 0 (apply mvt.normalize first).  c0 is the sign
-    change of f' between the grid neighbours of the grid's extremum of
-    _EXTREMUM_GRID cells.  Where f' does not change sign there, because the
-    grid is too coarse for f or because g is only rounding noise, raises
-    DegenerateProblem.
-    """
+    """Interior global extremum c0 of the Rolle function g = f - L, L the
+    secant through (a0, f(a0)) and (b0, f(b0)), with the odd order k of
+    vanishing of g' = f' - S(b0) at c0; g and g' as mvt.normalize(p)'s tape
+    gives them.  c0 is the sign change of g' between the grid neighbours of
+    the inner node of _EXTREMUM_GRID cells where |g| is largest, the first
+    on a tie.  Where g' does not change sign there, because the grid is too
+    coarse for f or g is only rounding noise, raises DegenerateProblem."""
     _check_kmax(kmax)
+    fprime = mvt._fprime(p)
+    fa = float(p.fa)
+    s = (float(expr.evaluate(p.tape, p.b0)) - fa) / (p.b0 - p.a0)
     xs = np.linspace(p.a0, p.b0, _EXTREMUM_GRID + 1)
-    gv = np.asarray(expr.evaluate(p.tape, xs), dtype=float)
-    scale = float(np.max(np.abs(gv)))
-    if abs(gv[0]) > 1e-9 * scale or abs(gv[-1]) > 1e-9 * scale:
-        raise ValueError("problem is not normalized: g(a0) or g(b0) is nonzero")
-    if scale == 0.0:
+    gv = np.abs(expr.evaluate(p.tape, xs) - (s * (xs - p.a0) + fa))
+    i0 = 1 + int(np.argmax(gv[1:-1]))
+    if gv[i0] == 0.0:
         raise DegenerateProblem("g vanishes identically on the grid")
 
-    i_max = int(np.argmax(gv))
-    i_min = int(np.argmin(gv))
-    # global extremum = the larger of |max|, |min|; ties keep the smaller c0
-    candidates = sorted([i_max, i_min], key=lambda i: (-abs(float(gv[i])), xs[i]))
-    i0 = candidates[0]
-    if i0 in (0, _EXTREMUM_GRID):
-        i0 = candidates[1]
-    if i0 in (0, _EXTREMUM_GRID):
-        raise DegenerateProblem("no interior global extremum found")
+    def gp(c):
+        return fprime(c) - s
 
-    gp = mvt._fprime(p)
-    lo, hi = float(xs[max(0, i0 - 1)]), float(xs[min(_EXTREMUM_GRID, i0 + 1)])
+    lo, hi = float(xs[i0 - 1]), float(xs[i0 + 1])
     glo = gp(lo)
-    if not glo * gp(hi) < 0:
+    # by the signs of g' at the two ends: their product may overflow
+    if not np.sign(glo) * np.sign(gp(hi)) < 0:
         raise DegenerateProblem(
             f"f' does not change sign across the grid extremum {float(xs[i0])!r}: a grid "
             f"of {_EXTREMUM_GRID} cells is too coarse for f, or f is affine up to rounding")
     c0 = mvt._bisect_one(gp, lo, hi, glo)
 
-    k = vanishing_order(mvt._fprime_series(p, c0, kmax))
+    k = vanishing_order(mvt.g1_g2(p, p.b0, c0)[1].series(kmax))
     if k is None:
         raise DegenerateProblem(f"f' vanishes to order > {kmax} at {c0!r}")
     return c0, k
@@ -309,9 +301,9 @@ def guaranteed_branch(p: mvt.Problem, b_range=None, step=None,
                       kmax: int = DEFAULT_KMAX, tol: float = mvt.DEFAULT_TOL):
     """The always-available continuous branch through an extremal abscissa.
 
-    Normalizes the problem, picks the interior global extremum (odd order of
-    vanishing of f'), and traces c = C(b) through (b0, c0).  Returns c0 and
-    the branch.
+    Traces c = C(b) through (b0, c0), c0 the interior global extremum of the
+    Rolle function (find_extremal_abscissa), on p itself: F does not change
+    when a linear function is added to f.  Returns c0 and the branch.
     """
     c0, _, branch = _guaranteed_branch(p, b_range, step, kmax, tol)
     return c0, branch
@@ -321,11 +313,9 @@ def _guaranteed_branch(p, b_range, step, kmax, tol):
     """guaranteed_branch, which also returns the order k of f' at c0."""
     from . import continuation
 
-    pn = mvt.normalize(p)
-    c0, k = find_extremal_abscissa(pn, kmax=kmax)
+    c0, k = find_extremal_abscissa(p, kmax=kmax)
     w = p.b0 - p.a0
     if b_range is None:
         b_range = (max(p.a0 + 0.05 * w, p.b0 - 0.2 * w), p.b0 + 0.2 * w)
-    pn = pn.covering(min(b_range[0], pn.domain[0]), max(b_range[1], pn.domain[1]))
-    branch = continuation.trace_c_of_b(pn, p.b0, c0, b_range, step=step, tol=tol, kmax=kmax)
+    branch = continuation.trace_c_of_b(p, p.b0, c0, b_range, step=step, tol=tol, kmax=kmax)
     return c0, k, branch

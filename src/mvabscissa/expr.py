@@ -16,8 +16,8 @@ traced from that same stack run once per width: the helpers, run on
 symbols, write their arithmetic as code instead of doing it, with what the
 trace knows folded away (constants, products with 1 and with the zeros that
 pad a jet), so both runs agree bit for bit.  `lower` keeps the tapes of the trees it lowered last,
-keyed by repr, so equal trees, parsed twice or rebuilt by each
-`mvt.normalize`, share one tape and its compiled code.
+keyed by repr, so equal trees, parsed twice or rebuilt by `mvt.normalize`,
+share one tape and its compiled code.
 """
 
 from __future__ import annotations
@@ -586,10 +586,10 @@ def _checked(run):
 
 
 # the tapes of the trees lowered last, by repr, least recent first: equal
-# trees from separate parses, or from each mvt.normalize, share one tape and
-# so its compiled code.  Trees that are == may need other code: Const(0.0)
-# and Const(-0.0) are equal, and so are Const(1) and Const(1.0); repr tells
-# them apart.
+# trees from separate parses, or from mvt.normalize of one problem, share
+# one tape and so its compiled code.  Trees that are == may need other
+# code: Const(0.0) and Const(-0.0) are equal, and so are Const(1) and
+# Const(1.0); repr tells them apart.
 _TAPES = {}
 _TAPES_KEPT = 64
 

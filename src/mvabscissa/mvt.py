@@ -183,12 +183,6 @@ def _fprime(p):
     return lambda c: jet(c)[1]
 
 
-def _fprime_series(p, c, order):
-    """The Taylor coefficients of f' at c up to order, from f's jet."""
-    t = expr.jet_eval(p.tape, c, order + 1)
-    return [(j + 1) * t[j + 1] for j in range(order + 1)]
-
-
 def _seed_terms(p, b, c, tol):
     """F, F_b and F_c at a seed (b, c), which must pass _residual_ok with
     tol, or NotASolution is raised."""
@@ -212,7 +206,10 @@ def mean_value_implicit(p: Problem):
 
 
 def normalize(p: Problem) -> Problem:
-    """Subtract the secant line so g(a0) = g(b0) = 0; solutions are unchanged."""
+    """Subtract the secant line so g(a0) = g(b0) = 0.  F is unchanged in
+    exact arithmetic, but not the scale |S| + |f'(c)| that _residual_ok and
+    _solve's liveness rule read: 1e8*sin(x) on [0, 3] then fails the residual
+    test, and the rounding noise of exp(log(x+2)) reads as live."""
     fa = float(p.fa)
     fb = float(expr.evaluate(p.tape, p.b0))
     s = (fb - fa) / (p.b0 - p.a0)
@@ -545,9 +542,9 @@ def g1_g2(p: Problem, b0: float, c0: float):
         return fprime(cc) - fpc0
 
     def g2_series(order):
-        d = _fprime_series(p, c0, order)
-        d[0] = 0.0  # d[0] == fpc0 by construction
-        return tuple(d)
+        # f''s Taylor coefficients at c0 from f's jet, but 0 for f'(c0) - fpc0
+        t = expr.jet_eval(p.tape, c0, order + 1)
+        return (0.0, *((j + 1) * t[j + 1] for j in range(1, order + 1)))
 
     g1_value.series, g2_value.series = g1_series, g2_series
     return g1_value, g2_value

@@ -122,9 +122,11 @@ def certify_neighborhood(F, x0, y0, epsilon, delta):
     contain_slack = 1e-12 * max(1.0, abs(y0))
 
     for _ in range(_MAX_HALVINGS):
-        xs = np.linspace(x0 - delta, x0 + delta, _CERT_GRID)
-        ys = np.append(np.linspace(y0 - epsilon, y0 + epsilon, _CERT_GRID), y0)[:, None]
-        value, _, fy = (np.broadcast_to(t, (ys.size, xs.size)) for t in F(xs, ys))
+        # inf or NaN, from a box past the floats' range, fails the checks below
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs = np.linspace(x0 - delta, x0 + delta, _CERT_GRID)
+            ys = np.append(np.linspace(y0 - epsilon, y0 + epsilon, _CERT_GRID), y0)[:, None]
+            value, _, fy = (np.broadcast_to(t, (ys.size, xs.size)) for t in F(xs, ys))
         ok_contract = bool(np.all(np.abs(1.0 - fy[:-1] / fy0) <= RHO))
         k_at_y0 = y0 - value[-1] / fy0
         ok_contain = bool(np.all(np.abs(k_at_y0 - y0)

@@ -7,13 +7,16 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mvabscissa as mva
 from mvabscissa import classify, expr, mvt
 from mvabscissa.errors import (DegenerateProblem, DomainError, NotASolution,
                                OutsideNeighborhood)
 
-from conftest import cubic_upper, poly_derivative, x_fourth_branch
+from conftest import (cubic_upper, poly_abscissae, poly_derivative, poly_text, poly_value,
+                      x_fourth_branch)
 
 
 class TestClassifyPoint:
@@ -481,15 +484,58 @@ class TestFindExtremalAbscissa:
         with pytest.raises(DegenerateProblem, match=r"f' vanishes to order > 2 at"):
             classify.find_extremal_abscissa(p, kmax=2)
 
-    def test_requires_normalized_input(self, cubic):
-        with pytest.raises(ValueError):
-            classify.find_extremal_abscissa(cubic)
-
     def test_returned_order_is_odd(self, parabola, cubic, x_fourth,
                                    quintic_same_sign):
         for p in (parabola, cubic, x_fourth, quintic_same_sign):
             _, k = classify.find_extremal_abscissa(mvt.normalize(p))
             assert k % 2 == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=st.integers(2, 6).flatmap(lambda n: st.tuples(
+               st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
+               st.floats(0.01, 2.0) | st.floats(-2.0, -0.01))),
+           a0=st.floats(-1.0, 1.0), width=st.floats(0.5, 3.0))
+    def test_extremum_is_the_root_of_largest_g(self, coeffs, a0, width):
+        # c0 is the root of f' - S(b0) in (a0, b0), by numpy.roots, where
+        # |g|, g = f less the secant by numpy.polyval, is largest, within
+        # the root's bound from poly_abscissae; the root is simple, at least
+        # 4 grid cells from the others, and its |g| leads the next by more
+        # than |g''| h^2, above what the grid's node nearest a root can lose.
+        # The eigenvalues of numpy.roots are some ulps off a root, so the
+        # root takes two Newton steps by Horner's rule first.  The leading
+        # coefficient is at least 0.01, where numpy.roots stays finite.
+        coeffs, b0 = [*coeffs[0], coeffs[1]], a0 + width
+        roots, bounds = poly_abscissae(coeffs, a0, b0)
+        assume(roots.size and np.all(np.diff(roots) > 4 * width / classify._EXTREMUM_GRID))
+        c = coeffs[::-1]
+        fa = np.polyval(c, a0)
+        s = (np.polyval(c, b0) - fa) / width
+        g = np.abs(np.polyval(c, roots) - (s * (roots - a0) + fa))
+        top = int(np.argmax(g))
+        r, h = float(roots[top]), width / classify._EXTREMUM_GRID
+        d1, d2 = poly_derivative(coeffs, 1), poly_derivative(coeffs, 2)
+        lead = g[top] - np.max(np.delete(g, top), initial=0.0)
+        assume(bounds[top] <= 1e-9 * width and g[top] >= 1e-6
+               and lead > abs(poly_value(d2, r)) * h * h)
+        for _ in range(2):
+            r -= (poly_value(d1, r) - s) / poly_value(d2, r)
+        p = mva.Problem(mva.parse(poly_text(coeffs)), a0, b0)
+        c0, k = classify.find_extremal_abscissa(p)
+        assert abs(c0 - r) <= bounds[top]
+        assert k % 2 == 1
+        # normalized, S(b0) of g is a rounding rather than 0, which moves c0
+        # by the rounding of g' over g'': some ulps, more where f'' is small
+        cn, kn = classify.find_extremal_abscissa(mvt.normalize(p))
+        assert kn == k
+        assert abs(cn - r) <= bounds[top]
+
+    def test_any_problem_is_taken_as_given(self, parabola, cubic, x_fourth,
+                                           quintic_same_sign):
+        # the Rolle function is formed inside, so the problem and its
+        # normalized copy give the same c0 and k, bit for bit, on the corpus
+        for p in (parabola, cubic, x_fourth, quintic_same_sign):
+            got = classify.find_extremal_abscissa(p)
+            assert got == classify.find_extremal_abscissa(mvt.normalize(p))
 
 
 def scalar_bisection_branch(p, b0, c0, b_range, step, tol=mvt.DEFAULT_TOL):
@@ -609,6 +655,17 @@ class TestGuaranteedBranch:
         # of s / 100
         c0, branch = classify.guaranteed_branch(mva.Problem(mva.parse("x^3"), 0.0, s))
         assert abs(c0 - s / math.sqrt(3.0)) <= 1e-12 * s
+        assert len(branch.points) == 41
+        assert (branch.stop_lower, branch.stop_upper) == ("range exhausted",) * 2
+
+    @pytest.mark.parametrize("k", ["1e8", "1e20", "1e160"])
+    def test_a_scaled_sine_keeps_its_branch(self, k):
+        # F of k sin(x) is k times that of sin(x); traced on f itself, the
+        # seed's residual is judged at the scale k of the terms of F, and
+        # the signs of g' bracket c0 where their product would overflow
+        want, _ = classify.guaranteed_branch(mva.Problem(mva.parse("sin(x)"), 0.0, 3.0))
+        c0, branch = classify.guaranteed_branch(mva.Problem(mva.parse(f"{k}*sin(x)"), 0.0, 3.0))
+        assert c0 == want
         assert len(branch.points) == 41
         assert (branch.stop_lower, branch.stop_upper) == ("range exhausted",) * 2
 

@@ -160,11 +160,20 @@ class TestFixedPoint:
         got = float(capsys.readouterr().out)
         assert abs(got - math.cos(got)) <= 1e-10
 
+    @pytest.mark.parametrize("x", ["1e200", "1e308"])
+    def test_a_box_past_the_floats_range_fails_without_warning(self, capsys, x):
+        # the walk toward x samples boxes whose F, or whose ends, overflow;
+        # that ends in one DomainError line, with no RuntimeWarning before it
+        assert run("fixed-point", "--f1", "x", "--f2", "x^2", "--x0", "1", "--y0", "1",
+                   "--x", x) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("DomainError: ") and err.count("\n") == 1
+
     def test_f1_need_not_be_finite_on_the_x_box(self, capsys):
-        # exp(1/x) overflows on the first x-box, which then shrinks
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert run("fixed-point", "--f1", "exp(1/x)", "--f2", "x", "--x0", "0.05",
-                       "--y0", "4.851651954097903e8", "--x", "0.06") == 0
+        # exp(1/x) overflows on the first x-box, which then shrinks, with no
+        # warning: the box's values may be inf or NaN
+        assert run("fixed-point", "--f1", "exp(1/x)", "--f2", "x", "--x0", "0.05",
+                   "--y0", "4.851651954097903e8", "--x", "0.06") == 0
         got = float(capsys.readouterr().out)
         assert abs(got - math.exp(1.0 / 0.06)) <= 1e-13 * got
 

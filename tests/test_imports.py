@@ -86,15 +86,20 @@ def test_every_imported_name_is_used():
 
 
 def test_every_private_helper_is_used():
-    # nor would a private function, class or method whose last caller went
-    nodes = [node for path in sorted((SRC / "mvabscissa").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))]
+    # nor would a private function, class or method whose last caller went,
+    # or a private module-level constant whose last reader went
+    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "mvabscissa").glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
     defined = {n.name for n in nodes
-               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and n.name.startswith("_") and not n.name.endswith("__")}
-    used = ({n.id for n in nodes if isinstance(n, ast.Name)}
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    defined |= {n.id for tree in trees for stmt in tree.body
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+                for n in ast.walk(target) if isinstance(n, ast.Name)}
+    used = ({n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
             | {n.attr for n in nodes if isinstance(n, ast.Attribute)})
-    assert sorted(defined - used) == []
+    private = {name for name in defined if name.startswith("_") and not name.endswith("__")}
+    assert sorted(private - used) == []
 
 
 # every parameter with a default, of every public callable but the enum: an
