@@ -136,7 +136,7 @@ def _cmd_guaranteed(args):
     p = _problem(args)
     b_range = None if args.b_min is None else (args.b_min, args.b_max)
     c0, k, branch = classify._guaranteed_branch(p, b_range, args.step, args.kmax, args.tol)
-    print(json.dumps({"c0": c0, "k": k, "points": len(branch.points)}))
+    print(json.dumps({"c0": c0, "k": k, "points": branch.b.size}))
     if args.output:
         scanner.emit(branch, args.format, args.output)
     return 0

@@ -14,7 +14,7 @@ leaves its range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -34,24 +34,25 @@ STOP_EDGE = "edge"
 STOP_RESIDUAL = "residual above tol"
 
 
-@dataclass
-class Branch:
-    points: list = field(default_factory=list)  # SolutionPoint, monotone parameter
+@dataclass(frozen=True, eq=False)
+class Branch(mvt.Points):
+    """The points of a branch, in the order of its monotone parameter, as
+    mvt.Points' read-only arrays b, c and residual, with the seed's index
+    and why the branch ends below and above it."""
+
     seed_index: int = 0
     stop_lower: str = STOP_RANGE
     stop_upper: str = STOP_RANGE
     seed_case: str = ""
     parameter: str = "b"  # "b" for c = C(b) branches, "c" for b = B(c)
 
-    def to_dict(self):
+    def _head(self):
         return {
             "parameter": self.parameter,
             "seed_index": self.seed_index,
             "seed_case": self.seed_case,
             "stop_lower": self.stop_lower,
             "stop_upper": self.stop_upper,
-            "points": [{"b": q.b, "c": q.c, "residual": q.residual}
-                       for q in self.points],
         }
 
 
@@ -157,10 +158,9 @@ def _branch(p, order, start, s_range, step, tol, s_span, t_top, **fields):
     bad = np.flatnonzero(why != "")
     lo, hi = bad[bad <= n][-1], bad[bad > n + 1][0]
     kept = slice(lo, hi - 1)
-    points = [mvt.SolutionPoint(*q) for q in zip(*order(s[kept].tolist(), t[kept].tolist()),
-                                                    np.abs(value[kept]).tolist())]
-    return Branch(points=points, seed_index=int(n - lo), stop_lower=str(why[lo]),
-                  stop_upper=str(why[hi]), **fields)
+    b, c = order(s[kept], t[kept])
+    return Branch(b=b, c=c, residual=np.abs(value[kept]), seed_index=int(n - lo),
+                  stop_lower=str(why[lo]), stop_upper=str(why[hi]), **fields)
 
 
 def trace_c_of_b(p: mvt.Problem, b0: float, c0: float, b_range, step=None,

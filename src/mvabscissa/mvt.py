@@ -10,8 +10,9 @@ jet of its width bound once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -111,6 +112,64 @@ class SolutionPoint:
     b: float
     c: float
     residual: float
+
+
+@dataclass(frozen=True, eq=False)
+class Points:
+    """Solution points (b, c) and their residuals |F| as read-only 1-D
+    arrays of one length, the base of a scan's and a branch's result.  Each
+    array is a copy of what it is built from, which must cast safely to its
+    type (None does not).  A result equals only itself: == over arrays has
+    no one truth value."""
+
+    b: np.ndarray
+    c: np.ndarray
+    residual: np.ndarray
+
+    _ARRAYS = dict.fromkeys(("b", "c", "residual"), np.float64)
+
+    def __post_init__(self):
+        arrays = [np.asarray(getattr(self, name)) for name in self._ARRAYS]
+        if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
+            raise ValueError(f"{type(self).__name__} needs 1-D arrays of one length, got "
+                             + ", ".join(f"{k} {a.shape}" for k, a in zip(self._ARRAYS, arrays)))
+        for (name, dtype), a in zip(self._ARRAYS.items(), arrays):
+            if a.size and not np.can_cast(a.dtype, dtype):
+                raise TypeError(f"{name} must hold {np.dtype(dtype)} values, got {a.dtype}")
+            object.__setattr__(self, name, a.astype(dtype))
+            getattr(self, name).flags.writeable = False
+
+    def __reduce__(self):
+        """Copies and pickles are built anew, read-only and unformatted."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    @property
+    def points(self):
+        """The points as a list of SolutionPoint, built when read."""
+        return list(map(SolutionPoint, *(a.tolist() for a in (self.b, self.c, self.residual))))
+
+    @property
+    def columns(self):
+        """The column each point is written with, as a list: its own index."""
+        return list(range(self.b.size))
+
+    def to_dict(self):
+        """_head()'s fields, then the points, each a dict of its arrays' values."""
+        rows = zip(*(getattr(self, k).tolist() for k in self._ARRAYS))
+        return {**self._head(), "points": [dict(zip(self._ARRAYS, row)) for row in rows]}
+
+    @cached_property
+    def _texts(self):
+        """The fields of the points' CSV rows, flattened: repr of each b, c
+        and residual, and its column.  b is formatted once per run of points
+        whose b has the same bits (-0.0 == 0.0, but their reprs differ), as
+        a scan's column is."""
+        bits = self.b.view(np.int64)
+        new = np.concatenate([[True], bits[1:] != bits[:-1]])[:bits.size]
+        bs = list(map(repr, self.b[new].tolist()))
+        bs = map(bs.__getitem__, (np.cumsum(new) - 1).tolist())
+        return tuple(chain.from_iterable(zip(bs, map(repr, self.c.tolist()),
+                                             map(repr, self.residual.tolist()), self.columns)))
 
 
 def _residual_ok(value, slope, fpc, tol):
@@ -224,26 +283,30 @@ def normalize(p: Problem) -> Problem:
 def abscissae(p: Problem, b, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
     """All mean value abscissae for f on [a0, b], sorted: solve_columns on
     the one column b, whose grid is then grid_n + 2 nodes of [a0, b]."""
-    (points,) = solve_columns(p, [b], tol, grid_n)
-    if points is None:
+    (live,), _, c, _ = solve_columns(p, [b], tol, grid_n)
+    if not live:
         raise DegenerateProblem("F(b, .) vanishes identically on the grid")
-    return [q.c for q in points]
+    return c.tolist()
 
 
 def solve_columns(p: Problem, bs, tol=DEFAULT_TOL, grid_n=DEFAULT_GRID_N):
-    """The abscissae of every b in bs, as lists of SolutionPoint sorted by c,
-    or None for a column on which F(b, .) vanishes identically.  F(b, c) =
-    S(b) - f'(c) is separable: f' is evaluated once, on grid_n + 2 nodes of
-    [a0, max(bs)], at each b and at the turns of f' that some S reaches,
-    which become nodes (_with_turns).  The cells where F changes sign are
-    refined together by _bisect's Newton steps on f'', and a column keeps
-    the roots that pass _residual_ok.  Where this raises, each column is
-    redone alone, so that the first column to fail raises its own error."""
+    """The abscissae of every b in bs, as flat arrays sorted by (column, c):
+    whether each column is live, false where F(b, .) vanishes identically;
+    then for each root its column, an index into bs, its c and its
+    residual |F|.  F(b, c) = S(b) - f'(c) is separable: f' is evaluated
+    once, on grid_n + 2 nodes of [a0, max(bs)], at each b and at the turns
+    of f' that some S reaches, which become nodes (_with_turns).  The cells
+    where F changes sign are refined together by _bisect's Newton steps on
+    f'', and a column keeps the roots that pass _residual_ok.  Where this
+    raises, each column is redone alone, so that the first column to fail
+    raises its own error."""
     if not 64 <= grid_n <= MAX_GRID_N:
         raise ValueError(f"grid_n must be >= 64 and <= {MAX_GRID_N}, got {grid_n!r}")
     bs = [float(b) for b in bs]
+    if not bs:
+        return np.zeros(0, bool), np.zeros(0, np.intp), np.zeros(0), np.zeros(0)
     try:
-        return _solve(p, np.array(bs), tol, grid_n) if bs else []
+        return _solve(p, np.array(bs), tol, grid_n)
     except (ValueError, MvaError):
         for b in bs if len(bs) > 1 else ():
             _solve(p, np.array([b]), tol, grid_n)
@@ -322,11 +385,8 @@ def _solve(p, b, tol, grid_n):
         kept = (col != j) | (roots < lo) | (roots > hi)
         roots, col = np.append(roots[kept], c), np.append(col[kept], j)
         residual = np.append(residual[kept], r)
-    out, bs = [[] if ok else None for ok in live.tolist()], b.tolist()
     order = np.lexsort((roots, col))
-    for k, c, r in zip(col[order].tolist(), roots[order].tolist(), residual[order].tolist()):
-        out[k].append(SolutionPoint(bs[k], c, r))
-    return out
+    return live, col[order], roots[order], residual[order]
 
 
 def _sample(value, lo, hi, n, parts=1):

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from itertools import chain
-from operator import attrgetter, is_
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,15 +19,17 @@ from .continuation import MAX_POINTS  # the most columns, as a branch's most poi
 from .errors import MvaError
 
 CSV_HEADER = "b,c,residual,column"
-_JSON_KEYS = ("b", "c", "residual", "column")
-_NON_FINITE = {"nan", "inf", "-inf"}
 
 _SVG_W, _SVG_H = 800, 600
 _SVG_MARGIN = 40
 
 
-@dataclass
-class ScanResult:
+@dataclass(frozen=True, eq=False)
+class ScanResult(mvt.Points):
+    """A scan's points, sorted by (column, c): mvt.Points' read-only arrays
+    and column, each point's index on the b-grid; with the grid, and the
+    columns on which F(b, .) vanishes identically."""
+
     expression: str
     a0: float
     domain: tuple
@@ -38,11 +38,17 @@ class ScanResult:
     b_count: int
     c_grid_n: int
     tol: float
-    points: list = field(default_factory=list)      # SolutionPoint, sorted by (b, c)
-    columns: list = field(default_factory=list)     # per-point column index
+    column: np.ndarray
     degenerate_columns: list = field(default_factory=list)
 
-    def to_dict(self):
+    _ARRAYS = {**mvt.Points._ARRAYS, "column": np.int64}
+
+    @property
+    def columns(self):
+        """Each point's column, as a list."""
+        return self.column.tolist()
+
+    def _head(self):
         return {
             "expression": self.expression,
             "a0": self.a0,
@@ -51,121 +57,56 @@ class ScanResult:
             "c_grid_n": self.c_grid_n,
             "tol": self.tol,
             "degenerate_columns": self.degenerate_columns,
-            "points": [{"b": q.b, "c": q.c, "residual": q.residual, "column": col}
-                       for q, col in zip(self.points, self.columns)],
         }
 
 
 def scan(p: mvt.Problem, b_min: float, b_max: float, b_count: int,
          c_grid_n: int = mvt.DEFAULT_GRID_N, tol: float = mvt.DEFAULT_TOL) -> ScanResult:
-    """All abscissae for each b on a uniform grid of b_count columns."""
+    """All abscissae for each b on a uniform grid of b_count columns: the
+    arrays of mvt.solve_columns, with each point's b read from the grid."""
     if not (p.a0 < b_min < b_max < np.inf):
         raise ValueError("need finite a0 < b_min < b_max, "
                          f"got a0={p.a0!r}, b_min={b_min!r}, b_max={b_max!r}")
     if not 2 <= b_count <= MAX_POINTS:
         raise ValueError(f"b_count must be >= 2 and <= {MAX_POINTS}, got {b_count!r}")
     p = p.covering(p.domain[0], max(b_max, p.domain[1]))
-
-    result = ScanResult(expression=p.expression, a0=p.a0, domain=p.domain,
-                        b_min=b_min, b_max=b_max, b_count=b_count,
-                        c_grid_n=c_grid_n, tol=tol)
-    columns = mvt.solve_columns(p, np.linspace(b_min, b_max, b_count),
-                                tol=tol, grid_n=c_grid_n)
-    for col, points in enumerate(columns):
-        if points is None:
-            result.degenerate_columns.append(col)
-            continue
-        result.points.extend(points)
-        result.columns.extend([col] * len(points))
-    return result
+    bs = np.linspace(b_min, b_max, b_count)
+    live, column, c, residual = mvt.solve_columns(p, bs, tol=tol, grid_n=c_grid_n)
+    return ScanResult(b=bs[column], c=c, residual=residual, column=column,
+                      expression=p.expression, a0=p.a0, domain=p.domain, b_min=b_min,
+                      b_max=b_max, b_count=b_count, c_grid_n=c_grid_n, tol=tol,
+                      degenerate_columns=np.flatnonzero(~live).tolist())
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def _columns(obj):
-    """The column of each point: a ScanResult's columns, which must be as
-    many as its points, or a Branch's point indices."""
-    if not isinstance(obj, ScanResult):
-        return range(len(obj.points))
-    if len(obj.columns) != len(obj.points):
-        raise ValueError(f"ScanResult has {len(obj.points)} points "
-                         f"but {len(obj.columns)} columns")
-    return obj.columns
-
-
-def _texts(obj):
-    """The fields of to_csv: repr(float(v)) of the points' b, c and residual,
-    c and residual made as they are read, and the columns.  b is formatted
-    once per run of points that share one b object, as a scan's column does."""
-    points, columns = obj.points, _columns(obj)
-    bs, last = [], object()
-    for q in points:
-        if q.b is not last:
-            last, text = q.b, repr(float(q.b))
-        bs.append(text)
-    cs, rs = (map(repr, map(float, map(attrgetter(k), points))) for k in ("c", "residual"))
-    return bs, cs, rs, columns
-
-
-def _stored(obj, columns):
-    """The CSV text kept on obj, while it holds the same points and columns."""
-    memo = getattr(obj, "_formatted", None)
-    if (memo and set(map(type, columns)) <= {int} and memo[1] == list(columns)
-            and all(map(is_, memo[0], obj.points))):
-        return memo[2]
-
-
-def _floats_and_ints(obj, columns):
-    values = chain.from_iterable(map(attrgetter("b", "c", "residual"), obj.points))
-    return set(map(type, values)) == {float} and set(map(type, columns)) <= {int}
-
-
-def _csv(obj, columns, keep):
-    """to_csv's text, formatted, and kept on obj outside its fields if keep."""
-    flat = tuple(chain.from_iterable(zip(*_texts(obj))))
-    text = (CSV_HEADER + "\n" + "%s,%s,%s,%s\n" * (len(flat) // 4)) % flat
-    if keep:
-        obj._formatted = (tuple(obj.points), list(columns), text)
-    return text
-
-
 def to_csv(obj) -> str:
-    """CSV with header b,c,residual,column; LF endings; one trailing LF.
-
-    When obj's b, c and residual are all floats and its columns ints, the
-    text is kept on obj, and a later to_csv or to_json of obj reuses it
-    while obj holds the same point objects and equal columns."""
-    columns = _columns(obj)
-    return _stored(obj, columns) or _csv(obj, columns, _floats_and_ints(obj, columns))
+    """CSV with header b,c,residual,column; LF endings; one trailing LF."""
+    texts = obj._texts
+    return (CSV_HEADER + "\n" + "%s,%s,%s,%s\n" * (len(texts) // 4)) % texts
 
 
 def to_json(obj) -> str:
     """json.dumps(obj.to_dict(), indent=2) and a trailing LF, byte for byte.
 
-    The points are the last key of to_dict().  When their b, c and residual
-    are all finite floats and their columns ints, json.dumps would write
-    them as the texts of to_csv, so one template sets those texts into the
-    indented layout of the other keys.  It reads them from to_csv's text,
-    which it keeps and reuses as to_csv does.
+    The points are the last key of to_dict().  Where they are all finite,
+    json.dumps would write b, c and residual as the texts of to_csv and a
+    column as its int, so one template sets those into the indented layout
+    of the other keys.
     """
-    columns = _columns(obj)
-    text = _stored(obj, columns) or (_floats_and_ints(obj, columns) and _csv(obj, columns, True))
-    if text:
-        flat = text[len(CSV_HEADER) + 1:-1].replace("\n", ",").split(",")
-        if _NON_FINITE.isdisjoint(flat):
-            # the columns as ints, not texts; "%.0s" sets a Branch's, its indices, as ""
-            flat[3::4] = columns
-            flat = tuple(flat)
-            n = 4 if isinstance(obj, ScanResult) else 3
-            item = ",\n".join(f'      "{k}": %s' for k in _JSON_KEYS[:n]) + "%.0s" * (4 - n)
-            items = [f"    {{\n{item}\n    }}"] * (len(flat) // 4)
-            head = json.dumps(replace(obj, points=[]).to_dict(), indent=2)[:-len("[]\n}")]
-            items[0] = head.replace("%", "%%") + "[\n" + items[0]
-            items[-1] += "\n  ]\n}\n"
-            return ",\n".join(items) % flat
-    return json.dumps(obj.to_dict(), indent=2) + "\n"
+    keys = list(obj._ARRAYS)
+    if not (obj.b.size and all(np.isfinite(getattr(obj, k)).all() for k in keys)):
+        return json.dumps(obj.to_dict(), indent=2) + "\n"
+    texts = obj._texts
+    # "%.0s" sets a Branch's column, its point index, as ""
+    item = ",\n".join(f'      "{k}": %s' for k in keys) + "%.0s" * (4 - len(keys))
+    items = [f"    {{\n{item}\n    }}"] * (len(texts) // 4)
+    head = json.dumps({**obj._head(), "points": []}, indent=2)[:-len("[]\n}")]
+    items[0] = head.replace("%", "%%") + "[\n" + items[0]
+    items[-1] += "\n  ]\n}\n"
+    return ",\n".join(items) % texts
 
 
 def _padded(lo, hi):
@@ -181,10 +122,8 @@ def to_svg(obj) -> str:
     """Standalone SVG 1.1 plot: shaded c >= b region, family polylines, markers.
 
     Family k joins the points of c-rank k in their columns, in column order."""
-    points, cols = obj.points, _columns(obj)
-    n = len(points)
-    bs = [q.b for q in points] or [0.0, 1.0]
-    cs = [q.c for q in points] or [0.0, 1.0]
+    bs = obj.b.tolist() or [0.0, 1.0]
+    cs = obj.c.tolist() or [0.0, 1.0]
     xmin, xmax = _padded(min(bs), max(bs))
     ymin, ymax = _padded(min(cs), max(cs))
 
@@ -223,12 +162,11 @@ def to_svg(obj) -> str:
         parts.append(f'<text x="{x:.2f}" y="{y:.2f}" font-size="10" '
                      f'text-anchor="{anchor}">{float(label)!r}</text>')
 
-    if n:
-        c = np.array(cs, dtype=float)
+    if obj.b.size:
         # overflow and inf - inf give inf and nan without a warning, as on Python floats
         with np.errstate(over="ignore", invalid="ignore"):
-            xy = np.column_stack((px(np.array(bs, dtype=float)), py(c)))
-        parts += _point_parts(xy, c, np.asarray(cols))
+            xy = np.column_stack((px(obj.b), py(obj.c)))
+        parts += _point_parts(xy, obj.c, np.asarray(obj.columns))
     parts.append("</svg>\n")
     return "\n".join(parts)
 

@@ -161,10 +161,24 @@ def _terms(coeffs, x):
 
 
 def _real_roots(coeffs, lo, hi):
+    """The real roots of sum coeffs[j] x^j in (lo, hi) by numpy.roots,
+    sorted.  Its eigenvalues can lie some ulps further from a root than the
+    bounds below allow, so each root takes up to two Newton steps by
+    Horner's rule, each kept only where it lowers |p| and stays in (lo, hi):
+    a double root, where p's rounding stalls them, stays as numpy gives it."""
     z = np.roots(list(reversed(coeffs)))
     real = np.abs(z.imag) <= 1e-6 * np.maximum(1.0, np.abs(z.real))
-    r = z.real[real]
-    return np.sort(r[(lo < r) & (r < hi)])
+    r, d1 = z.real[real], poly_derivative(coeffs, 1)
+    out = []
+    for x in r[(lo < r) & (r < hi)].tolist():
+        for _ in range(2):
+            slope = poly_value(d1, x)
+            t = x - poly_value(coeffs, x) / slope if slope else x
+            if not (lo < t < hi and abs(poly_value(coeffs, t)) < abs(poly_value(coeffs, x))):
+                break
+            x = t
+        out.append(x)
+    return np.sort(np.array(out, dtype=float))
 
 
 def poly_abscissae(coeffs, a0, b):

@@ -501,9 +501,8 @@ class TestFindExtremalAbscissa:
         # the root's bound from poly_abscissae; the root is simple, at least
         # 4 grid cells from the others, and its |g| leads the next by more
         # than |g''| h^2, above what the grid's node nearest a root can lose.
-        # The eigenvalues of numpy.roots are some ulps off a root, so the
-        # root takes two Newton steps by Horner's rule first.  The leading
-        # coefficient is at least 0.01, where numpy.roots stays finite.
+        # The leading coefficient is at least 0.01, where numpy.roots stays
+        # finite.
         coeffs, b0 = [*coeffs[0], coeffs[1]], a0 + width
         roots, bounds = poly_abscissae(coeffs, a0, b0)
         assume(roots.size and np.all(np.diff(roots) > 4 * width / classify._EXTREMUM_GRID))
@@ -513,12 +512,10 @@ class TestFindExtremalAbscissa:
         g = np.abs(np.polyval(c, roots) - (s * (roots - a0) + fa))
         top = int(np.argmax(g))
         r, h = float(roots[top]), width / classify._EXTREMUM_GRID
-        d1, d2 = poly_derivative(coeffs, 1), poly_derivative(coeffs, 2)
+        d2 = poly_derivative(coeffs, 2)
         lead = g[top] - np.max(np.delete(g, top), initial=0.0)
         assume(bounds[top] <= 1e-9 * width and g[top] >= 1e-6
                and lead > abs(poly_value(d2, r)) * h * h)
-        for _ in range(2):
-            r -= (poly_value(d1, r) - s) / poly_value(d2, r)
         p = mva.Problem(mva.parse(poly_text(coeffs)), a0, b0)
         c0, k = classify.find_extremal_abscissa(p)
         assert abs(c0 - r) <= bounds[top]

@@ -105,14 +105,15 @@ def test_every_private_helper_is_used():
 # every parameter with a default, of every public callable but the enum: an
 # option added or removed must edit this table.  It held 43 before
 # SolverConfig went and the options that every caller left at their
-# defaults became constants; it holds 32.
+# defaults became constants, then 32 until a result's points became its
+# required arrays; it holds 29.
 OPTIONS = {
     "DegeneracyReport": (),
     "classify_point": ("kmax",),
     "find_extremal_abscissa": ("kmax",),
     "guaranteed_branch": ("b_range", "step", "kmax", "tol"),
     "morse_coordinates": (),
-    "Branch": ("points", "seed_index", "stop_lower", "stop_upper", "seed_case", "parameter"),
+    "Branch": ("seed_index", "stop_lower", "stop_upper", "seed_case", "parameter"),
     "branch_seeds_after_degeneracy": ("step0",),
     "trace_b_of_c": ("step",),
     "trace_c_of_b": ("step", "tol", "kmax"),
@@ -128,7 +129,7 @@ OPTIONS = {
     "mean_value_implicit": (),
     "normalize": (),
     "solution_point": (),
-    "ScanResult": ("points", "columns", "degenerate_columns"),
+    "ScanResult": ("degenerate_columns",),
     "emit": (),
     "scan": ("c_grid_n", "tol"),
     "IterationTrace": ("iterates", "residuals", "converged"),

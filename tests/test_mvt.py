@@ -294,6 +294,16 @@ class TestAbscissae:
             for b in bs:
                 check_poly_abscissae(mvt.abscissae(p, b), coeffs, a0, b, shift=shift)
 
+    def test_a_root_that_numpy_roots_places_ulps_off(self):
+        # numpy.roots gives 0.6301341108468557, 3.3e-15 from the exact root
+        # 0.630134110846859 (Newton in rationals), which the library returns;
+        # the bound is 3.24e-15, so the oracle polishes numpy's roots
+        coeffs = [0.0, 0.0, 0.0, 0.0, 0.5, 0.001953125]
+        p = mva.Problem(mva.parse(poly_text(coeffs)), 0.0, 1.0)
+        got = mvt.abscissae(p, 1.0)
+        assert got == [0.630134110846859]
+        check_poly_abscissae(got, coeffs, 0.0, 1.0)
+
     @pytest.mark.parametrize("b", [1.5, 5.0])
     def test_transcendental_roots_match_mpmath(self, b):
         # f' = cos(c) + c/2 = S; mpmath refines each sign change of a dense grid
@@ -406,13 +416,14 @@ class TestAbscissae:
                  CORPUS_COEFFS[QUINTIC_SAME_SIGN], 0.0),
                 (sine, np.linspace(0.2, 2.0, 37), None, 0.0),
                 (touching, np.linspace(0.5, 3.0, 37), [0.0, 0.0, 0.0, -e / 3.0, 0.25], 1.0)):
-            columns = mvt.solve_columns(p, bs)
-            for b, points in zip(bs.tolist(), columns):
+            live, column, c, residual = mvt.solve_columns(p, bs)
+            assert live.all()
+            for k, b in enumerate(bs.tolist()):
                 one = mvt.abscissae(p, b)
-                assert len(points) == len(one)
-                for q in points:
-                    assert q == mvt.solution_point(p, q.b, q.c)
-                got = [q.c for q in points]
+                got = c[column == k].tolist()
+                assert len(got) == len(one)
+                for u, r in zip(got, residual[column == k].tolist()):
+                    assert mvt.SolutionPoint(b, u, r) == mvt.solution_point(p, b, u)
                 if coeffs is not None:
                     touched += len(check_poly_abscissae(got, coeffs, p.a0, b, shift=shift))
                     check_poly_abscissae(one, coeffs, p.a0, b, shift=shift)
@@ -564,7 +575,8 @@ class TestTouchingRoots:
         # past b
         coeffs, _ = _with_roots(list(roots), 0.0, 0.1, 1e4, 0.25)
         p = mva.Problem(mva.parse(poly_text(coeffs)), 0.0, 3.5)
-        got = [q.c for q in mvt.solve_columns(p, np.linspace(0.1, 3.5, 400))[0]]
+        _, column, c, _ = mvt.solve_columns(p, np.linspace(0.1, 3.5, 400))
+        got = c[column == 0].tolist()
         assert len(got) == 3 and got[1] < sum(roots) / 2 < got[2]
         assert check_poly_abscissae(got, coeffs, 0.0, 0.1) == []
 
@@ -657,8 +669,15 @@ class TestEndCells:
         with pytest.raises(DomainError):
             mvt._fprime(p)(1.0)
         assert mvt.abscissae(p, 1.0) == [pytest.approx(0.75, abs=1e-15)]
-        columns = mvt.solve_columns(p, np.linspace(0.5, 1.0, 12))
-        assert [q.c for q in columns[-1]] == [pytest.approx(0.75, abs=1e-15)]
+        _, column, c, _ = mvt.solve_columns(p, np.linspace(0.5, 1.0, 12))
+        assert c[column == 11].tolist() == [pytest.approx(0.75, abs=1e-15)]
+
+
+def test_no_columns_give_empty_arrays(cubic):
+    live, column, c, residual = mvt.solve_columns(cubic, [])
+    assert [(a.dtype, a.shape) for a in (live, column, c, residual)] == [
+        (np.dtype(bool), (0,)), (np.dtype(np.intp), (0,)), (np.dtype(float), (0,)),
+        (np.dtype(float), (0,))]
 
 
 def test_a_scan_evaluates_f_prime_once_per_node(cubic, monkeypatch):
@@ -688,8 +707,7 @@ def test_a_scan_evaluates_f_prime_once_per_node(cubic, monkeypatch):
     monkeypatch.setattr(expr.Tape, "jet", counted)
     monkeypatch.setattr(mvt, "_bisect", bisect_counted)
     bs = np.linspace(0.1, 3.5, 400)
-    columns = mvt.solve_columns(cubic.covering(-3.0, 6.0), bs)
-    roots = sum(map(len, columns))
+    roots = mvt.solve_columns(cubic.covering(-3.0, 6.0), bs)[2].size
     assert sorted(sizes) == sorted([1, 1, mvt.DEFAULT_GRID_N, bs.size, roots])
     assert mvt.DEFAULT_GRID_N + 2 + bs.size + roots <= sum(sizes)
     assert sum(sizes) <= mvt.DEFAULT_GRID_N + 2 + bs.size + 2 * roots

@@ -33,14 +33,13 @@ def test_one_pass_passes_the_oracles(workload, tmp_path, monkeypatch):
     assert wrong == []
 
 
-def test_no_trace_operation_peaks_above_its_memory_bound(tmp_path, monkeypatch):
-    # `perfbench/run.py` reports the largest tracemalloc peak of any one
-    # operation as peak_alloc_mb; the trace workload's largest, 0.167 MB
-    # (`guaranteed x^4`), bounds every operation of one seed-1 pass.  A
-    # branch evaluates its piece's grid in blocks, not in one array call
+def _operation_peaks(workload, tmp_path, monkeypatch):
+    """The tracemalloc peak, in MB, of each operation of one seed-1 pass of
+    workload, after a warm-up pass: what `perfbench/run.py` reports the
+    largest of as peak_alloc_mb."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    ops = workloads.build("trace", mva, workloads.inputs("trace", 1), str(tmp_path))
+    ops = workloads.build(workload, mva, workloads.inputs(workload, 1), str(tmp_path))
     for op in ops:  # warm: the compiled runs, as the benchmark's warm-up pass
         op.call()
     peaks = {}
@@ -53,4 +52,19 @@ def test_no_trace_operation_peaks_above_its_memory_bound(tmp_path, monkeypatch):
             peaks[op.name] = (tracemalloc.get_traced_memory()[1] - base) / 1e6
     finally:
         tracemalloc.stop()
+    return peaks
+
+
+def test_no_trace_operation_peaks_above_its_memory_bound(tmp_path, monkeypatch):
+    # the largest, 0.133 MB (`guaranteed x^4` and `guaranteed sin`): a
+    # branch evaluates its piece's grid in blocks, not in one array call
+    peaks = _operation_peaks("trace", tmp_path, monkeypatch)
     assert {name: peak for name, peak in peaks.items() if peak > 0.17} == {}
+
+
+def test_no_scan_operation_peaks_above_its_memory_bound(tmp_path, monkeypatch):
+    # the largest, 5.31 MB (`scan sin(10*x)`, 7710 points): a result's
+    # points are arrays from the solver to the writers, which keep one set
+    # of texts for CSV and JSON
+    peaks = _operation_peaks("scan", tmp_path, monkeypatch)
+    assert {name: peak for name, peak in peaks.items() if peak > 5.5} == {}

@@ -139,15 +139,13 @@ class TestScan:
 class TestCsv:
     def test_round_trip_is_byte_identical(self, parabola_scan):
         text = scanner.to_csv(parabola_scan)
-        rows = read_csv(text)
-        points = [mvt.SolutionPoint(b, c, r) for b, c, r, _k in rows]
-        columns = [k for _b, _c, _r, k in rows]
+        b, c, residual, column = zip(*read_csv(text))
         clone = scanner.ScanResult(
             expression=parabola_scan.expression, a0=parabola_scan.a0,
             domain=parabola_scan.domain, b_min=parabola_scan.b_min,
             b_max=parabola_scan.b_max, b_count=parabola_scan.b_count,
             c_grid_n=parabola_scan.c_grid_n, tol=parabola_scan.tol,
-            points=points, columns=columns)
+            b=b, c=c, residual=residual, column=column)
         assert scanner.to_csv(clone) == text
 
     def test_header_and_line_endings(self, parabola_scan):
@@ -167,7 +165,7 @@ class TestCsv:
         assert read_csv(text)[0] == (q.b, q.c, q.residual, cubic_scan.columns[0])
 
     def test_empty_branch_is_header_only(self):
-        assert scanner.to_csv(continuation.Branch()) == "b,c,residual,column\n"
+        assert scanner.to_csv(_branch()) == "b,c,residual,column\n"
 
 
 class TestJson:
@@ -185,19 +183,19 @@ class TestJson:
         no_points = scanner.scan(mva.Problem(mva.parse("x"), 0.0, 1.0), 0.2, 1.0, 5)
         branch = continuation.trace_c_of_b(parabola, 2.0, 1.0, (1.0, 3.0), step=0.05)
         assert branch.points and not no_points.points
-        for obj in (cubic_scan, no_points, branch, continuation.Branch()):
+        for obj in (cubic_scan, no_points, branch, _branch()):
             assert scanner.to_json(obj) == json.dumps(obj.to_dict(), indent=2) + "\n"
 
     def test_hand_built_results_match_reference(self):
         for values in ([(math.nan, 0.5, 0.0), (1.0, -0.0, math.inf), (2.0, -math.inf, 1e-300)],
                        [(np.float64(1.5), 0.75, 0.0), (2.0, 1.0, np.float64(-0.0))],
-                       [(1, True, None)]):
-            points = [mvt.SolutionPoint(*v) for v in values]
+                       [(1, True, 0)]):
+            b, c, residual = zip(*values)
             res = scanner.ScanResult(
                 expression="x", a0=-0.0, domain=(-math.inf, math.nan), b_min=0.0,
-                b_max=1.0, b_count=2, c_grid_n=64, tol=1e-10, points=points,
-                columns=list(range(len(points))), degenerate_columns=[3])
-            for obj in (res, continuation.Branch(points=points)):
+                b_max=1.0, b_count=2, c_grid_n=64, tol=1e-10, b=b, c=c, residual=residual,
+                column=range(len(values)), degenerate_columns=[3])
+            for obj in (res, continuation.Branch(b=b, c=c, residual=residual)):
                 assert scanner.to_json(obj) == json.dumps(obj.to_dict(), indent=2) + "\n"
 
 
@@ -223,36 +221,35 @@ class TestSvg:
         assert "url(" not in svg
 
 
+def _branch(*rows):
+    """A hand-built Branch of the points (b, c, residual)."""
+    b, c, residual = np.array(rows, dtype=float).reshape(-1, 3).T
+    return continuation.Branch(b=b, c=c, residual=residual)
+
+
 # Hand-built results for the writers' oracle.  Their values are finite
-# floats, as in a scan, or also NaN (optional) and infinities, or also numpy
-# float64s and None, which float() refuses; their columns are ints, or also
-# numpy int64s and bools.  b is drawn from a small pool, so that points
-# share one b object or hold equal b values as distinct objects; signed
-# zeros are drawn often, and the points come in any order.
+# floats, as in a scan, or also NaN (optional) and infinities.  b is drawn
+# from a small pool, so that runs of points share one b; signed zeros are
+# drawn often, and the points come in any order.
 def _values(kind, nan=True):
     floats = st.floats(allow_nan=nan and kind != "finite", allow_infinity=kind != "finite")
-    values = st.one_of(floats, st.sampled_from([0.0, -0.0, 1.0]))
-    return values if kind != "any" else st.one_of(values, floats.map(np.float64), st.none())
+    return st.one_of(floats, st.sampled_from([0.0, -0.0, 1.0]))
 
 
 @st.composite
 def _writer_inputs(draw, c_nan=True):
-    kind = draw(st.sampled_from(["finite", "float", "any"]))
+    kind = draw(st.sampled_from(["finite", "float"]))
     pool = draw(st.lists(_values(kind), min_size=1, max_size=4))
-    points = []
-    for _ in range(draw(st.integers(0, 24))):
-        b = draw(st.sampled_from(pool))
-        if b is not None and draw(st.booleans()):
-            b = float(repr(float(b)))   # equal value, another object
-        points.append(mvt.SolutionPoint(b, draw(_values(kind, c_nan)), draw(_values(kind))))
+    n = draw(st.integers(0, 24))
+    arrays = {"b": draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+              "c": draw(st.lists(_values(kind, c_nan), min_size=n, max_size=n)),
+              "residual": draw(st.lists(_values(kind), min_size=n, max_size=n))}
     if draw(st.booleans()):
-        return continuation.Branch(points=points, parameter=draw(st.sampled_from("bc")))
-    kinds = st.sampled_from(draw(st.sampled_from([[int], [int, np.int64, lambda k: k == 1]])))
-    columns = [draw(kinds)(draw(st.integers(0, 3))) for _ in points]
+        return continuation.Branch(**arrays, parameter=draw(st.sampled_from("bc")))
     return scanner.ScanResult(
         expression="x", a0=0.0, domain=(0.0, 1.0), b_min=0.1, b_max=1.0, b_count=4,
-        c_grid_n=64, tol=1e-10, points=points, columns=columns,
-        degenerate_columns=draw(st.lists(st.integers(0, 3), max_size=2)))
+        c_grid_n=64, tol=1e-10, column=draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        degenerate_columns=draw(st.lists(st.integers(0, 3), max_size=2)), **arrays)
 
 
 def _assert_same_output(write, reference, obj):
@@ -272,9 +269,8 @@ def _json_reference(obj):
 
 _COLUMN_PAIRS = scanner.ScanResult(
     expression="x", a0=0.0, domain=(0.0, 1.0), b_min=0.1, b_max=1.0, b_count=4,
-    c_grid_n=64, tol=1e-10, columns=[1, 0, 1, 1, 0],
-    points=[mvt.SolutionPoint(b, c, 0.0) for b, c in
-            ((0.5, 0.0), (0.25, 0.1), (0.5, -0.0), (0.5, -0.2), (0.25, 0.1))])
+    c_grid_n=64, tol=1e-10, column=[1, 0, 1, 1, 0], b=[0.5, 0.25, 0.5, 0.5, 0.25],
+    c=[0.0, 0.1, -0.0, -0.2, 0.1], residual=[0.0] * 5)
 
 
 class TestWritersMatchReference:
@@ -282,11 +278,11 @@ class TestWritersMatchReference:
 
     @settings(max_examples=300, deadline=None)
     @given(_writer_inputs())
-    @example(continuation.Branch())
+    @example(_branch())
     @example(_COLUMN_PAIRS)
-    @example(continuation.Branch(points=[mvt.SolutionPoint(math.nan, 0.5, 0.0)]))
-    @example(continuation.Branch(points=[mvt.SolutionPoint(1.0, -math.inf, 0.0)]))
-    @example(continuation.Branch(points=[mvt.SolutionPoint(1.0, 0.5, math.inf)]))
+    @example(_branch((math.nan, 0.5, 0.0)))
+    @example(_branch((1.0, -math.inf, 0.0)))
+    @example(_branch((1.0, 0.5, math.inf)))
     def test_csv_and_json(self, obj):
         _assert_same_output(scanner.to_csv, reference_writers.to_csv, obj)
         _assert_same_output(scanner.to_json, _json_reference, obj)
@@ -295,12 +291,10 @@ class TestWritersMatchReference:
     # leaves it in place, so c is drawn without NaN; no scan holds a NaN
     @settings(max_examples=300, deadline=None)
     @given(_writer_inputs(c_nan=False))
-    @example(continuation.Branch())
+    @example(_branch())
     @example(_COLUMN_PAIRS)
-    # a numpy float64 beside an infinity: the reference computed inf - inf
-    # on numpy scalars, which warns
-    @example(continuation.Branch(points=[
-        mvt.SolutionPoint(0.0, c, 0.0) for c in (0.0, np.float64(0.0), 0.0, math.inf)]))
+    # an infinity: the box's height is inf - inf
+    @example(_branch(*((0.0, c, 0.0) for c in (0.0, 0.0, 0.0, math.inf))))
     def test_svg(self, obj):
         _assert_same_output(scanner.to_svg, reference_writers.to_svg, obj)
 
@@ -309,7 +303,7 @@ class TestWritersMatchReference:
     def test_svg_of_a_box_that_padding_by_half_cannot_widen(self, big):
         # big +/- 0.5 rounds back to big, so the box had no height or width
         for b, c in ((0.0, big), (big, 0.0), (big, big)):
-            obj = continuation.Branch(points=[mvt.SolutionPoint(b, c, 0.0)])
+            obj = continuation.Branch(b=[b], c=[c], residual=[0.0])
             svg = scanner.to_svg(obj)
             assert svg == reference_writers.to_svg(obj)
             assert '<circle cx="400.00" cy="300.00"' in svg
@@ -325,12 +319,11 @@ class TestWritersMatchReference:
 @pytest.mark.parametrize("residual", [0.0, None], ids=["floats", "not floats"])
 @pytest.mark.parametrize("columns", [[1, 0, 1, 1], [1, 0, 1, 1, 0, 2]], ids=repr)
 def test_writers_refuse_a_column_per_point_too_few_or_many(write, residual, columns):
-    # to_csv and to_json wrote the shorter of the two, and to_svg raised
-    # from np.lexsort
-    obj = dataclasses.replace(_COLUMN_PAIRS, columns=columns, points=[
-        dataclasses.replace(q, residual=residual) for q in _COLUMN_PAIRS.points])
-    with pytest.raises(ValueError, match=f"^ScanResult has 5 points but {len(columns)} columns$"):
-        write(obj)
+    # a result whose arrays differ in length is refused when it is built,
+    # whatever its values, so no writer is given one
+    shapes = r"b \(5,\), c \(5,\), residual \(5,\), column \(" + f"{len(columns)}" + r",\)$"
+    with pytest.raises(ValueError, match="^ScanResult needs 1-D arrays of one length, got " + shapes):
+        write(dataclasses.replace(_COLUMN_PAIRS, column=columns, residual=[residual] * 5))
 
 
 _WRITERS = {"csv": (scanner.to_csv, reference_writers.to_csv),
@@ -338,65 +331,8 @@ _WRITERS = {"csv": (scanner.to_csv, reference_writers.to_csv),
             "svg": (scanner.to_svg, reference_writers.to_svg)}
 
 
-def _change(data, obj):
-    """One change made in place to obj between two writes: a point replaced
-    by an equal-valued copy or by another value, a point appended or
-    removed, one column changed, points rebound to a new list of the same
-    objects, a text holding "%" set, or none."""
-    points, scan = obj.points, isinstance(obj, scanner.ScanResult)
-    kinds = ["none", "append", "rebind", "percent"]
-    kinds += ["copy", "value", "remove"] + ["column"] * scan if points else []
-    kind = data.draw(st.sampled_from(kinds))
-    i = data.draw(st.integers(0, len(points) - 1)) if points else 0
-    # c without NaN, as for test_svg
-    value_kind = data.draw(st.sampled_from(["finite", "float", "any"]))
-    values, cs = _values(value_kind), _values(value_kind, nan=False)
-    column = st.builds(lambda make, k: make(k), st.sampled_from([int, np.int64, lambda k: k == 1]),
-                       st.integers(0, 3))
-    if kind == "copy":
-        points[i] = dataclasses.replace(points[i])
-    elif kind == "value":
-        points[i] = dataclasses.replace(points[i], **data.draw(
-            st.fixed_dictionaries({}, optional={"b": values, "c": cs, "residual": values})))
-    elif kind == "append":
-        b = data.draw(st.one_of(values, st.sampled_from([q.b for q in points] or [0.5])))
-        points.append(mvt.SolutionPoint(b, data.draw(cs), data.draw(values)))
-        if scan:
-            obj.columns.append(data.draw(column))
-    elif kind == "remove":
-        del points[i]
-        if scan:
-            del obj.columns[i]
-    elif kind == "column":
-        obj.columns[i] = data.draw(column)
-    elif kind == "rebind":
-        obj.points = list(points)
-    elif kind == "percent":
-        setattr(obj, "expression" if scan else "seed_case", data.draw(st.sampled_from(
-            ["x%s", "%(b)s % 100%%", "%"])))
-
-
-def _same_fields(a, b):
-    """a and b have equal fields, NaN and numpy values compared by repr."""
-    return type(a) is type(b) and repr(a) == repr(b) and repr(a.to_dict()) == repr(b.to_dict())
-
-
 class TestStoredTexts:
-    """The texts a write keeps on a result, and the writes that reuse them."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(_writer_inputs(c_nan=False), st.data())
-    def test_writes_between_changes_match_reference(self, obj, data):
-        for _ in range(data.draw(st.integers(1, 8))):
-            name = data.draw(st.sampled_from(sorted(_WRITERS)))
-            _assert_same_output(*_WRITERS[name], obj)
-            _change(data, obj)
-        unwritten = dataclasses.replace(obj)
-        assert obj == unwritten and _same_fields(obj, unwritten)
-        for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-            assert _same_fields(twin, unwritten)
-            for name in sorted(_WRITERS):
-                _assert_same_output(*_WRITERS[name], twin)
+    """The texts a result keeps once written, and the writes that reuse them."""
 
     def test_csv_json_csv_format_each_float_once(self, cubic_scan, monkeypatch):
         want = (scanner.to_csv(dataclasses.replace(cubic_scan)),
@@ -407,34 +343,75 @@ class TestStoredTexts:
             formatted.append(v)
             return repr(v)
 
-        monkeypatch.setattr(scanner, "repr", counting, raising=False)
+        monkeypatch.setattr(mvt, "repr", counting, raising=False)
         writes = (scanner.to_csv, scanner.to_json, scanner.to_csv)
         assert [w(cubic_scan) for w in writes] == [want[0], want[1], want[0]]
-        once = len(formatted)
         # c and residual once a point, b once a column
-        assert once == 2 * len(cubic_scan.points) + len(set(cubic_scan.columns))
-        cubic_scan.points[7] = dataclasses.replace(cubic_scan.points[7])
-        assert [w(cubic_scan) for w in writes] == [want[0], want[1], want[0]]
-        assert len(formatted) == 2 * once
+        assert len(formatted) == 2 * len(cubic_scan.points) + len(set(cubic_scan.columns))
 
-    def test_an_equal_column_of_another_type_is_written_anew(self, cubic_scan):
-        # 0 == False == 0.0 == np.int64(0), but each is written its own way
-        assert cubic_scan.columns[0] == 0
-        for column in (False, 0.0, np.int64(0), 0):
-            scanner.to_csv(cubic_scan)
-            cubic_scan.columns[0] = column
-            _assert_same_output(scanner.to_csv, reference_writers.to_csv, cubic_scan)
-            _assert_same_output(scanner.to_json, _json_reference, cubic_scan)
+    def test_a_column_of_another_type_is_cast_or_refused(self):
+        # 0 == False == 0.0 == np.int64(0); a column is kept as int64, so
+        # each that casts safely is written as 0, and 0.0 is refused
+        for column in (False, np.int64(0), 0):
+            res = dataclasses.replace(_COLUMN_PAIRS, column=[column] * 5)
+            assert scanner.to_csv(res).split("\n")[1] == "0.5,0.0,0.0,0"
+            _assert_same_output(scanner.to_json, _json_reference, res)
+        with pytest.raises(TypeError, match="^column must hold int64 values, got float64$"):
+            dataclasses.replace(_COLUMN_PAIRS, column=[0.0] * 5)
 
     def test_a_written_result_is_equal_to_an_unwritten_one(self, cubic_scan):
+        # the texts are kept outside the fields; a copy or a pickle of a
+        # written result is built anew, read-only, and writes the same bytes
         unwritten = copy.deepcopy(cubic_scan)
-        text = scanner.to_csv(cubic_scan)
-        scanner.to_json(cubic_scan)
-        assert cubic_scan == unwritten and repr(cubic_scan) == repr(unwritten)
+        texts = {name: write(cubic_scan) for name, (write, _) in _WRITERS.items()}
+        assert repr(cubic_scan) == repr(unwritten)
         assert cubic_scan.to_dict() == unwritten.to_dict()
-        assert dataclasses.replace(cubic_scan, tol=1.0) == dataclasses.replace(unwritten, tol=1.0)
         assert dataclasses.fields(cubic_scan) == dataclasses.fields(unwritten)
-        assert scanner.to_csv(unwritten) == text
+        for twin in (unwritten, copy.copy(cubic_scan), copy.deepcopy(cubic_scan),
+                     pickle.loads(pickle.dumps(cubic_scan))):
+            assert repr(twin) == repr(cubic_scan)
+            assert not any(getattr(twin, k).flags.writeable for k in twin._ARRAYS)
+            for name, (write, reference) in _WRITERS.items():
+                assert write(twin) == texts[name] == reference(twin)
+
+
+class TestResultArrays:
+    """A result's points are read-only arrays of one length."""
+
+    def test_assigning_into_an_array_raises(self, cubic_scan, parabola):
+        branch = continuation.trace_c_of_b(parabola, 2.0, 1.0, (1.0, 3.0), step=0.05)
+        for obj, keys in ((cubic_scan, ("b", "c", "residual", "column")),
+                          (branch, ("b", "c", "residual"))):
+            for key in keys:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(obj, key)[0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                obj.b = np.zeros(obj.b.size)
+
+    def test_arrays_of_unequal_length_are_refused(self):
+        for b, c, residual in (([1.0], [], [0.0]), ([1.0, 2.0], [0.5], [0.0]),
+                               ([[1.0]], [[0.5]], [[0.0]]), (1.0, 0.5, 0.0)):
+            with pytest.raises(ValueError, match="^Branch needs 1-D arrays of one length, got "):
+                continuation.Branch(b=b, c=c, residual=residual)
+
+    def test_values_that_do_not_cast_are_refused(self):
+        # np.array([None], dtype=float) would give NaN
+        for b, c, residual in (([1.0], [0.5], [None]), ([1.0], ["0.5"], [0.0])):
+            with pytest.raises(TypeError, match=" must hold float64 values, got "):
+                continuation.Branch(b=b, c=c, residual=residual)
+
+    def test_arrays_are_copies_of_their_sources(self):
+        b, c, residual = np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.zeros(2)
+        branch = continuation.Branch(b=b, c=c, residual=residual)
+        text = scanner.to_csv(branch)
+        b[0] = c[0] = residual[0] = 7.0
+        assert scanner.to_csv(branch) == text == reference_writers.to_csv(branch)
+        assert branch.b.tolist() == [1.0, 2.0] and b.flags.writeable
+
+    def test_a_result_is_equal_only_to_itself(self, cubic_scan):
+        # == over the arrays has no one truth value
+        assert cubic_scan == cubic_scan
+        assert cubic_scan != dataclasses.replace(cubic_scan)
 
 
 class TestEmit:
